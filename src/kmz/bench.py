@@ -14,7 +14,7 @@ import math
 import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -65,13 +65,55 @@ class ExperimentSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
+        """Build a spec from parsed JSON, coercing each value to its field's
+        declared type ("2" -> 2 for an int field); ConfigError otherwise."""
+        if not isinstance(d, dict):
+            raise ConfigError(f"experiment spec must be a JSON object, got {type(d).__name__}")
+        types = {f.name: f.type for f in fields(ExperimentSpec)}
         spec = ExperimentSpec()
         for key, value in d.items():
-            if not hasattr(spec, key):
+            if key not in types:
                 raise ConfigError(f"unknown experiment field {key!r}")
-            setattr(spec, key, value)
-        spec.methods = [(str(m).lower(), int(o)) for m, o in spec.methods]
+            try:
+                setattr(spec, key, _COERCE[types[key]](value))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"experiment field {key!r}: {exc}") from exc
         return spec
+
+
+def _as_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return value
+
+
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+# Converters keyed by the field annotations of ExperimentSpec.
+_COERCE = {
+    "str": _as_str, "int": _as_int, "float": _as_float, "bool": _as_bool,
+    "bool | None": lambda v: None if v is None else _as_bool(v),
+    "list": lambda v: [(_as_str(m).lower(), _as_int(o)) for m, o in v],
+}
 
 
 @dataclass
@@ -227,9 +269,9 @@ def tomo_experiment(geom: problems.TomoGeometry, noise_level: float,
     """Reconstruct the head phantom from noisy parallel-beam data.
 
     Each method runs for exactly iter_budget_factor * m outer iterations
-    (no residual stop) and is scored by PSNR against the phantom.  Returns
-    (rows, images) where images maps 'phantom' and each method label to an
-    N x N array.
+    (SolverConfig tol None: no residual stop) and is scored by PSNR
+    against the phantom.  Returns (rows, images) where images maps 'phantom'
+    and each method label to an N x N array.
     """
     geom.validate()
     A = problems.gen_parallel_tomo(geom)
@@ -250,7 +292,7 @@ def tomo_experiment(geom: problems.TomoGeometry, noise_level: float,
 
     for mi, (method, omega) in enumerate(methods):
         config = solvers.SolverConfig(
-            method=method, omega=omega, tol=1e-300, max_outer=budget,
+            method=method, omega=omega, tol=None, max_outer=budget,
             seed=_cell_seed(seed, mi, 0))
         report = solvers.solve(config, A, b)
         recon = report.x_final.reshape((n_img, n_img), order="F")
@@ -273,14 +315,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def result_line(r: ResultRow) -> str:
+    """One CSV line under RESULT_HEADER; None fields are left empty."""
+    return ",".join(_fmt(v) for v in (r.method, r.m, r.n, r.omega, r.seed, r.iters,
+                                      r.wall_seconds, r.final_res, r.err_sq, r.psnr))
+
+
 def emit_results(rows: list[ResultRow], path) -> None:
     """Fixed-header CSV; None fields are left empty."""
     with open(path, "w") as fh:
         fh.write(RESULT_HEADER + "\n")
         for r in rows:
-            fh.write(",".join(_fmt(v) for v in
-                              (r.method, r.m, r.n, r.omega, r.seed, r.iters,
-                               r.wall_seconds, r.final_res, r.err_sq, r.psnr)) + "\n")
+            fh.write(result_line(r) + "\n")
 
 
 def emit_meta(spec: ExperimentSpec, path) -> None:

@@ -164,9 +164,7 @@ def _cmd_solve(args) -> int:
         bench.emit_results([row], opt["out"])
     else:
         print(bench.RESULT_HEADER)
-        print(",".join(str(v) for v in (row.method, row.m, row.n, row.omega,
-                                        row.seed, row.iters, row.wall_seconds,
-                                        row.final_res, row.err_sq, "")))
+        print(bench.result_line(row))
     if opt["trace"]:
         solvers.write_trace_csv(report, opt["trace"])
     print(f"{row.method}: iters={row.iters} res={row.final_res:.3e} "
@@ -178,8 +176,15 @@ def _cmd_bench(args) -> int:
     opt = _merge(BENCH_DEFAULTS, args)
     _require(opt, "spec")
     with open(opt["spec"]) as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{opt['spec']}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("bench spec must be a JSON object")
     outputs = raw.pop("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ConfigError("bench spec 'outputs' must be a JSON object")
     if "seed" not in raw:
         raise ConfigError("bench spec must pin a seed (no wall-clock seeding)")
     spec = bench.ExperimentSpec.from_dict(raw)

@@ -30,7 +30,7 @@ class MatrixHandle:
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
-                 "col_norms_sq", "frob_sq", "_row_cum", "_col_cum")
+                 "col_norms_sq", "frob_sq", "_row_cum", "_col_cum", "_gram")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -61,6 +61,7 @@ class MatrixHandle:
         self.frob_sq = float(self.row_norms_sq.sum())
         self._row_cum = None
         self._col_cum = None
+        self._gram = None
 
     # -- lazy cumulative norm tables for inverse-CDF sampling ----------------
 
@@ -75,6 +76,18 @@ class MatrixHandle:
         if self._col_cum is None:
             self._col_cum = _readonly(np.cumsum(self.col_norms_sq))
         return self._col_cum
+
+    @property
+    def gram(self) -> np.ndarray:
+        """The n x n Gram matrix AᵀA of a dense handle, built on first use.
+
+        It is symmetric, so its contiguous row j serves as column j.
+        """
+        if self.dense is None:
+            raise MatrixError("the Gram matrix is kept for dense handles only")
+        if self._gram is None:
+            self._gram = _readonly(self.dense.T @ self.dense)
+        return self._gram
 
     @property
     def is_dense(self) -> bool:

@@ -1,7 +1,11 @@
 import math
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmz import bench
 from kmz import problems as pb
@@ -61,6 +65,48 @@ class TestExperimentSpec:
     def test_bad_kind(self):
         with pytest.raises(ConfigError):
             bench.ExperimentSpec(kind="tomo").validate()
+
+    def test_values_coerced_to_declared_types(self):
+        spec = bench.ExperimentSpec.from_dict(
+            {"trials": "2", "m": 60.0, "tol": "1e-7", "methods": [["REK", "1"]],
+             "rank_deficient": None})
+        assert (spec.trials, spec.m, spec.tol) == (2, 60, 1e-7)
+        assert type(spec.trials) is int and type(spec.m) is int
+        assert spec.methods == [("rek", 1)]
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", "two"), ("trials", 2.5), ("trials", True), ("m", None),
+        ("tol", "tiny"), ("tol", float("nan")), ("kind", 3), ("record_err", "yes"),
+        ("methods", "rek"), ("methods", [["rek", 1, 2]]), ("methods", 4),
+        ("seed", float("inf"))])
+    def test_bad_values_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            bench.ExperimentSpec.from_dict({field: value})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ConfigError):
+            bench.ExperimentSpec.from_dict([["trials", 2]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from([f.name for f in fields(bench.ExperimentSpec)] + ["bogus"]),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                     | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3), max_leaves=6)))
+    def test_from_dict_typed_or_config_error(self, raw):
+        try:
+            spec = bench.ExperimentSpec.from_dict(raw)
+        except ConfigError:
+            return
+        types = {"str": str, "int": int, "float": float, "bool": bool}
+        for f in fields(bench.ExperimentSpec):
+            value = getattr(spec, f.name)
+            if f.type in types:
+                assert type(value) is types[f.type], (f.name, value)
+            elif f.type == "bool | None":
+                assert value is None or type(value) is bool
+            else:
+                assert all(type(m) is str and type(o) is int for m, o in value)
 
 
 class TestRunExperiment:
@@ -182,6 +228,23 @@ class TestTomoExperiment:
             assert np.isfinite(r.psnr)
         assert set(images) == {"phantom", "rek", "memrk2"}
         assert images["rek"].shape == (8, 8)
+
+    @pytest.mark.parametrize("seed", [4, 8])
+    def test_budget_not_cut_short_by_zero_residual(self, seed):
+        # On these seeds of the criterion-7 geometry EMRK's RES is exactly
+        # 0.0 after its first step; a fixed budget must still run all 10 m
+        # iterations.  EMRK keeps its index (2) of the five-method list, so
+        # it draws the same cell seed.
+        geom = pb.TomoGeometry(image_n=24, half_width=20.0,
+                               angles_deg=list(np.arange(0.0, 175.0, 6.0)),
+                               rays=75, span=72.0)
+        rows, images = bench.tomo_experiment(
+            geom, 0.01, [("rek", 1), ("prek", 1), ("emrk", 1)],
+            iter_budget_factor=10, seed=seed)
+        blank = bench.psnr(images["phantom"], np.zeros_like(images["phantom"]))
+        for r in rows:
+            assert r.iters == 10 * geom.rows, r.method
+            assert r.psnr > blank + 10.0, r.method
 
     def test_determinism(self):
         a = bench.tomo_experiment(self.geom(), 0.01, [("rek", 1)],

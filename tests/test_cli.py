@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kmz import cli
+from kmz import bench, cli, oracle
 from kmz.errors import ConfigError
 
 
@@ -123,6 +123,19 @@ class TestSolve:
     def test_missing_problem_flag(self):
         assert cli.main(["solve", "--method", "rek"]) == 1
 
+    def test_stdout_row_without_oracle(self, tmp_path, capsys, monkeypatch):
+        gen_small(tmp_path / "p")
+        monkeypatch.setattr(oracle, "SCALE_CAP", 0)  # skip the SVD reference
+        rc = cli.main(["solve", "--problem", str(tmp_path / "p"), "--method", "rek"])
+        assert rc == 0
+        header, line = capsys.readouterr().out.splitlines()
+        assert header == bench.RESULT_HEADER
+        fields = line.split(",")
+        assert len(fields) == len(header.split(","))
+        assert "None" not in line
+        assert fields[0] == "rek" and fields[8] == "" and fields[9] == ""
+        assert float(fields[7]) < 1e-6
+
 
 class TestBench:
     def spec(self, tmp_path, **extra):
@@ -170,6 +183,21 @@ class TestBench:
     def test_no_output_path_is_usage_error(self, tmp_path):
         spec = self.spec(tmp_path)
         assert cli.main(["bench", "--spec", str(spec)]) == 1
+
+    def test_string_values_coerced_or_usage_error(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--spec", str(self.spec(tmp_path, trials="2")),
+                         "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 + 2
+        assert cli.main(["bench", "--spec", str(self.spec(tmp_path, trials="two")),
+                         "--out", str(out)]) == 1
+
+    def test_malformed_spec_is_usage_error(self, tmp_path):
+        path = tmp_path / "spec.json"
+        for text in ("{not json", "[1, 2]", '{"seed": 1, "outputs": "r.csv"}'):
+            path.write_text(text)
+            assert cli.main(["bench", "--spec", str(path),
+                             "--out", str(tmp_path / "r.csv")]) == 1
 
 
 class TestTomo:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kmz import matrix as mx
 from kmz.errors import MatrixError, MatrixFormatError
@@ -198,3 +199,17 @@ class TestMatrixMarket:
                         "2 2 2\n1 1 1.0\n2 1 3.0\n")
         A = mx.read_matrix_market(path)
         assert np.allclose(A.to_dense(), [[1, 3], [3, 0]])
+
+
+class TestGram:
+    def test_gram(self):
+        rng = np.random.default_rng(0)
+        entries = rng.standard_normal((30, 7))
+        A = mx.from_dense(entries)
+        H = A.gram
+        assert H is A.gram  # built once per handle
+        assert np.array_equal(H, H.T)
+        assert np.allclose(H, entries.T @ entries)
+        assert not H.flags.writeable
+        with pytest.raises(MatrixError):
+            mx.from_scipy(sp.csr_matrix(entries)).gram

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 import kmz.solvers as sv
+from kmz import bench
 from kmz import matrix as mx
 from kmz import oracle
+from kmz import problems as pb
 from kmz.errors import ConfigError, DivergenceError, SolverError, ZeroRowError
 from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
                          sample_column_weighted, sample_row_weighted,
@@ -328,3 +333,182 @@ class TestSolve:
         lines = path.read_text().splitlines()
         assert lines[0] == "k,res"
         assert len(lines) == 7
+
+
+def tall_problem(seed, m=1200, n=100, rank_deficient=False):
+    A = pb.gen_dense_gaussian(m, n, seed)
+    if rank_deficient:
+        A = pb.enforce_rank_deficiency(A)
+    b, _ = pb.build_inconsistent_rhs(A, np.ones(n), seed + 1, 0.25)
+    return A, b
+
+
+def rek_steps(A, b, x, z, carried, rng, steps):
+    """Yields after each REK outer iteration, moving `carried` along."""
+    for _ in range(steps):
+        z_project_column(z, A, sample_column_weighted(rng, A), carried)
+        i = sample_row_weighted(rng, A)
+        x_project_row(x, A, i, float(b[i] - z[i]), carried)
+        yield
+
+
+class TestCarriedResidual:
+    """REK/PREK carry ||r||^2 through the Gram matrix; the shortcut must not
+    change a single iterate, count or reported RES."""
+
+    @pytest.mark.parametrize("case", ["tall", "rank_deficient"])
+    def test_matches_full_recompute(self, case, monkeypatch):
+        tol, kw = (1e-6, {}) if case == "tall" else \
+            (1e-8, dict(m=200, n=50, rank_deficient=True))
+        for seed in range(10):
+            A, b = tall_problem(seed, **kw)
+            for method in (sv.REK, sv.PREK):
+                cfg = SolverConfig(method=method, tol=tol, seed=seed, trace_every=97)
+                with monkeypatch.context() as mp:
+                    mp.setattr(sv, "RESYNC_EVERY", 1)
+                    full = solve(cfg, A, b)
+                carried = solve(cfg, A, b)
+                assert full.converged and carried.converged
+                assert carried.outer_iters == full.outer_iters, (seed, method)
+                assert carried.final_res == full.final_res
+                assert np.array_equal(carried.x_final, full.x_final)
+                assert carried.trace == full.trace
+                # the shortcut ran: few full recomputes beyond the periodic ones
+                assert full.resyncs == full.outer_iters
+                periodic = carried.outer_iters // sv.RESYNC_EVERY
+                trace_rows = carried.outer_iters // 97
+                assert carried.resyncs <= periodic + trace_rows + 3
+
+    def test_first_iteration_stop_is_kept(self, monkeypatch):
+        # small-200x50 seed 48 of the benchmark stops at k = 1 (RES_1 < tol
+        # because z starts at b); the carried statistic must stop there too
+        spec = bench.ExperimentSpec(kind="dense", m=200, n=50, trials=20, tol=1e-8,
+                                    methods=[("rek", 1), ("prek", 1)], seed=48,
+                                    rank_deficient=True)
+        carried = bench.run_experiment(spec)
+        monkeypatch.setattr(sv, "RESYNC_EVERY", 1)
+        full = bench.run_experiment(spec)
+        assert [(r.iters, r.final_res) for r in carried] == \
+               [(r.iters, r.final_res) for r in full]
+        assert min(r.iters for r in carried) == 1
+
+    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled"])
+    def test_drift_within_stated_bound(self, kind):
+        # 300 iterations without a reset: more than four times RESYNC_EVERY
+        rng = np.random.default_rng(11)
+        if kind == "tall":
+            A, b = tall_problem(3)
+            x = np.zeros(A.n)
+        elif kind == "rank_deficient":
+            A, b = tall_problem(4, m=200, n=50, rank_deficient=True)
+            x = rng.standard_normal(A.n)
+        else:
+            entries = rng.standard_normal((300, 40)) * np.logspace(-3, 3, 40) \
+                * np.logspace(-2, 2, 300)[:, None]
+            A, b = handle(entries), 100.0 * rng.standard_normal(300)
+            x = rng.standard_normal(A.n)
+        z = b.copy()
+        carried = sv.CarriedResidual(A, b)
+        r = residual(A, x, b, z)
+        carried.reset(r, float(r @ r), x)
+        denom = float(np.sum((b - mx.matvec(A, x)) ** 2))
+        worst_ratio = 0.0
+        for k, _ in enumerate(rek_steps(A, b, x, z, carried, rng, 300), start=1):
+            r = residual(A, x, b, z)
+            drift = abs(carried.s - float(r @ r))
+            bound = carried.bound()
+            assert drift <= bound, (k, drift, bound)
+            worst_ratio = max(worst_ratio, drift / bound)
+            if k == sv.RESYNC_EVERY:
+                # the bound at a resync is far below any tolerance used here
+                assert bound <= 1e-6 * denom
+        assert 0.0 < worst_ratio < 1.0
+
+    def test_reported_drift(self):
+        A, b = tall_problem(5)
+        rep = solve(SolverConfig(method=sv.REK, tol=1e-6, seed=5), A, b)
+        assert 0.0 < rep.max_drift < 1e-12
+        greedy = solve(SolverConfig(method=sv.EMRK, tol=1e-6, seed=5), A, b)
+        assert greedy.resyncs == greedy.outer_iters
+        assert greedy.max_drift == 0.0
+
+    def test_wide_square_and_sparse_recompute_every_iteration(self):
+        rng = np.random.default_rng(6)
+        wide = handle(rng.standard_normal((20, 40)))
+        # one row short of the CARRY_MIN_ASPECT cutoff
+        near_square = handle(rng.standard_normal((sv.CARRY_MIN_ASPECT * 20 - 1, 20)))
+        sparse = mx.from_scipy(scipy.sparse.random(80, 20, density=0.3, random_state=6))
+        for A in (wide, near_square, sparse):
+            for method in (sv.REK, sv.PREK):
+                rep = solve(SolverConfig(method=method, tol=1e-300, max_outer=50),
+                            A, rng.standard_normal(A.m))
+                assert rep.resyncs == 50
+        assert wide._gram is None and near_square._gram is None
+        at_cutoff = handle(rng.standard_normal((sv.CARRY_MIN_ASPECT * 20, 20)))
+        rep = solve(SolverConfig(method=sv.REK, tol=1e-300, max_outer=50),
+                    at_cutoff, rng.standard_normal(at_cutoff.m))
+        assert rep.resyncs == 1
+
+    def test_divergence_still_raised(self, monkeypatch):
+        A, b = tall_problem(7)
+        monkeypatch.setattr(sv, "DIVERGENCE_CAP", 1e-12)
+        with pytest.raises(DivergenceError, match=f"iteration {sv.RESYNC_EVERY}$"):
+            solve(SolverConfig(method=sv.REK, seed=0, max_outer=1000, tol=1e-300), A, b)
+
+    def test_nan_forces_immediate_recompute(self):
+        A, b = tall_problem(8)
+        b[5] = np.nan
+        for method in (sv.REK, sv.PREK, sv.EMRK):
+            with pytest.raises(DivergenceError, match="iteration 1$"):
+                solve(SolverConfig(method=method, seed=0), A, b)
+
+    def test_debug_log(self, caplog):
+        A, b = tall_problem(9, m=200, n=50)
+        with caplog.at_level("DEBUG", logger="kmz.solvers"):
+            rep = solve(SolverConfig(method=sv.PREK, seed=0), A, b)
+        assert f"{rep.resyncs} full residual recomputes" in caplog.text
+
+
+class TestFixedBudget:
+    def test_runs_whole_budget_and_reports_exact_res(self):
+        A, b = tall_problem(10, m=200, n=50)
+        for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.MEMRK, 2)):
+            cfg = SolverConfig(method=method, omega=omega, seed=1, max_outer=700,
+                               tol=None)
+            rep = solve(cfg, A, b)
+            assert rep.outer_iters == 700 and not rep.converged
+            assert rep.resyncs == 1  # RES formed once, for the report
+            assert rep.trace[-1] == (700, rep.final_res, None)
+            # the same iterates as a run that cannot meet its tolerance
+            plain = solve(SolverConfig(method=method, omega=omega, seed=1,
+                                       max_outer=700, tol=1e-300), A, b)
+            assert np.array_equal(rep.x_final, plain.x_final)
+            assert rep.final_res == plain.final_res
+
+    def test_tol_none_is_the_only_budget_spelling(self):
+        SolverConfig(method=sv.REK, tol=None).validate()
+        for tol in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                SolverConfig(method=sv.REK, tol=tol).validate()
+
+    def test_divergence_raised_at_once(self, monkeypatch):
+        # RES is formed only at the end, so x is tested every iteration
+        A, b = tall_problem(12, m=200, n=50)
+        bad = b.copy()
+        bad[5] = np.nan
+        for method in (sv.REK, sv.PREK, sv.EMRK):
+            cfg = SolverConfig(method=method, seed=0, max_outer=5000, tol=None)
+            with pytest.raises(DivergenceError, match="iteration 1$"):
+                solve(cfg, A, bad)
+            with monkeypatch.context() as mp:
+                mp.setattr(sv, "DIVERGENCE_CAP", 1e-12)
+                with pytest.raises(DivergenceError, match="iteration 1$"):
+                    solve(cfg, A, b)
+
+    def test_trace_rows_are_exact(self):
+        A, b = tall_problem(11, m=200, n=50)
+        cfg = SolverConfig(method=sv.REK, seed=2, max_outer=300, trace_every=50)
+        budget = solve(replace(cfg, tol=None), A, b)
+        plain = solve(replace(cfg, tol=1e-300), A, b)
+        assert budget.trace == plain.trace
+        assert budget.resyncs == 6
