@@ -332,7 +332,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"kmz: usage error: {exc}", file=sys.stderr)
         return 1
     except KmzError as exc:

@@ -39,5 +39,20 @@ class DivergenceError(SolverError):
     """Iterate left the representable range (non-finite or > 1e150)."""
 
 
+class NonFiniteInputError(DivergenceError):
+    """Non-finite entry in b or x0, rejected before the first iteration.
+
+    A DivergenceError because such an input makes the first iterate
+    non-finite; it is raised before any arithmetic, so no numpy warning
+    precedes it.
+    """
+
+    def __init__(self, name: str, index: int, value: float):
+        self.name = name
+        self.index = index
+        super().__init__(f"{name}[{index}] = {value} is not finite; "
+                         f"rejected before outer iteration 1")
+
+
 class ScaleCapError(KmzError):
     """Exact oracle invoked beyond its desk-scale cap."""

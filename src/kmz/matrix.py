@@ -2,9 +2,10 @@
 
 A :class:`MatrixHandle` keeps the squared row norms, squared column norms and
 the squared Frobenius norm alongside the entries, because the solvers consume
-those quantities on every single step.  CSR handles additionally carry a CSC
-mirror so that column access (the inner hot loop of the auxiliary-vector
-sweep) touches only the stored entries of that column.
+those quantities on every single step.  Column access is the inner hot loop
+of the auxiliary-vector sweep, so it is the contiguous one: dense handles
+keep their single copy of the entries column-major (Fortran order), and CSR
+handles carry a CSC mirror that touches only the stored entries of a column.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class MatrixHandle:
-    """Immutable matrix, either dense row-major or CSR (+ CSC mirror).
+    """Immutable matrix, either dense column-major or CSR (+ CSC mirror).
 
     Build through :func:`build_matrix`, :func:`from_dense`, :func:`from_csr`
-    or :func:`read_matrix_market`; the storage layout is whatever the caller
-    chose and is never converted silently.
+    or :func:`read_matrix_market`; those store dense entries column-major.
+    A handle built directly keeps the array it is given in its own layout.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
@@ -98,15 +99,18 @@ class MatrixHandle:
         return (self.m, self.n)
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the entries as a 2-D array (copy)."""
+        """Materialize the entries as a 2-D array (copy, in the stored layout)."""
         if self.dense is not None:
-            return self.dense.copy()
+            return self.dense.copy(order="K")
         return self.csr.toarray()
 
 
 def from_dense(entries) -> MatrixHandle:
-    """Build a dense handle from a 2-D array of finite values."""
-    arr = np.array(entries, dtype=np.float64, order="C")
+    """Build a dense handle from a 2-D array of finite values.
+
+    The entries are copied once, column-major, so that a column is contiguous.
+    """
+    arr = np.array(entries, dtype=np.float64, order="F")
     if arr.ndim != 2:
         raise MatrixError(f"dense entries must be 2-D, got ndim={arr.ndim}")
     if not np.all(np.isfinite(arr)):

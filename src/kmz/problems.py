@@ -111,7 +111,7 @@ def enforce_rank_deficiency(A: mx.MatrixHandle) -> mx.MatrixHandle:
     if A.m < 3:
         raise ProblemError(f"need at least 3 rows, got {A.m}")
     if A.dense is not None:
-        dense = A.dense.copy()
+        dense = A.dense.copy(order="K")
         dense[-1] = 0.5 * (dense[0] + dense[1])
         return mx.from_dense(dense)
     csr = A.csr

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrix as mx
-from .errors import ConfigError, DivergenceError, SolverError, ZeroRowError
+from .errors import (ConfigError, DivergenceError, NonFiniteInputError,
+                     SolverError, ZeroRowError)
 
 REK = "rek"
 PREK = "prek"
@@ -294,6 +295,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     stop is decided (see the module docstring).  The divergence test runs on
     each full RES, so a carried run that diverges raises at its next full
     recompute at the latest; a run without RES stop tests x every iteration.
+    A non-finite entry of b or x0 is rejected before the first iteration.
     """
     config.validate()
     method = config.method.lower()
@@ -308,6 +310,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         x = np.array(config.x0, dtype=np.float64)
         if x.shape != (A.n,):
             raise ConfigError(f"x0 length {x.shape} does not match n={A.n}")
+    for name, v in (("b", b), ("x0", x)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise NonFiniteInputError(name, int(bad[0]), float(v[bad[0]]))
 
     t0 = time.perf_counter()
     z = b.copy()

@@ -46,6 +46,31 @@ class TestParsing:
         assert cli.main([]) == 1
 
 
+class TestMissingInputPath:
+    """A path that cannot be opened is a usage error, not a traceback."""
+
+    def check(self, argv, missing, capsys):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kmz: usage error: ") and missing in err
+
+    def test_gen_config(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        self.check(["gen", "--config", missing, "--seed", "1",
+                    "--out", str(tmp_path / "p")], missing, capsys)
+        assert not (tmp_path / "p").exists()
+
+    def test_solve_problem(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        self.check(["solve", "--problem", str(missing), "--method", "rek"],
+                   str(missing / "A.mtx"), capsys)
+
+    def test_bench_spec(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        self.check(["bench", "--spec", missing, "--out", str(tmp_path / "r.csv")],
+                   missing, capsys)
+
+
 class TestGen:
     def test_deterministic_output(self, tmp_path):
         gen_small(tmp_path / "a")

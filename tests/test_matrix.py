@@ -213,3 +213,30 @@ class TestGram:
         assert not H.flags.writeable
         with pytest.raises(MatrixError):
             mx.from_scipy(sp.csr_matrix(entries)).gram
+
+
+class TestLayout:
+    """Dense handles keep one column-major copy, so a column is contiguous."""
+
+    def entries(self):
+        return np.random.default_rng(5).standard_normal((9, 4))
+
+    def test_from_dense_is_column_major(self):
+        A = mx.from_dense(self.entries())
+        assert A.dense.flags.f_contiguous
+        assert all(A.dense[:, j].flags.c_contiguous for j in range(A.n))
+
+    def test_to_dense_equals_input(self):
+        entries = self.entries()
+        A = mx.from_dense(entries)
+        out = A.to_dense()
+        assert np.array_equal(out, entries)
+        assert out.flags.f_contiguous and out.flags.writeable
+
+    def test_matrix_market_bytes_unchanged(self, tmp_path):
+        from scipy.io import mmwrite
+        entries = self.entries()
+        mx.write_matrix_market(mx.from_dense(entries), tmp_path / "f.mtx")
+        mmwrite(tmp_path / "c.mtx", np.ascontiguousarray(entries),
+                symmetry="general", precision=17)
+        assert (tmp_path / "f.mtx").read_bytes() == (tmp_path / "c.mtx").read_bytes()

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,8 @@ from kmz import bench
 from kmz import matrix as mx
 from kmz import oracle
 from kmz import problems as pb
-from kmz.errors import ConfigError, DivergenceError, SolverError, ZeroRowError
+from kmz.errors import (ConfigError, DivergenceError, NonFiniteInputError,
+                        SolverError, ZeroRowError)
 from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
                          sample_column_weighted, sample_row_weighted,
                          select_max_residual_row, solve, x_project_row,
@@ -462,6 +464,15 @@ class TestCarriedResidual:
             with pytest.raises(DivergenceError, match="iteration 1$"):
                 solve(SolverConfig(method=method, seed=0), A, b)
 
+    def test_overflowing_carried_value_forces_immediate_recompute(self):
+        # b is finite but ||b||^2 overflows: the carried value turns NaN at
+        # k = 1, which must force the full recompute that raises
+        A, b = tall_problem(8)
+        for method in (sv.REK, sv.PREK):
+            with np.errstate(all="ignore"), \
+                    pytest.raises(DivergenceError, match="iteration 1$"):
+                solve(SolverConfig(method=method, seed=0), A, b * 1e200)
+
     def test_debug_log(self, caplog):
         A, b = tall_problem(9, m=200, n=50)
         with caplog.at_level("DEBUG", logger="kmz.solvers"):
@@ -512,3 +523,45 @@ class TestFixedBudget:
         plain = solve(replace(cfg, tol=1e-300), A, b)
         assert budget.trace == plain.trace
         assert budget.resyncs == 6
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("name", ["b", "x0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_before_any_iteration(self, name, bad):
+        A, b = tall_problem(13, m=200, n=50)
+        x0 = np.zeros(A.n)
+        vec = b if name == "b" else x0
+        vec[7] = vec[9] = bad
+        for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.MEMRK, 4)):
+            for tol in (1e-6, None):
+                cfg = SolverConfig(method=method, omega=omega, tol=tol, x0=x0)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(NonFiniteInputError,
+                                       match=rf"^{name}\[7\] = ") as info:
+                        solve(cfg, A, b)
+                assert (info.value.name, info.value.index) == (name, 7)
+
+
+class TestColumnMajorLayout:
+    """A column-major handle gives the iterates of a row-major one."""
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "tall"])
+    def test_same_iterations_as_row_major(self, case):
+        tol, kw = (1e-8, dict(m=200, n=50, rank_deficient=True)) \
+            if case == "rank_deficient" else (1e-6, {})
+        cells = ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4),
+                 (sv.MEMRK, 6))
+        for seed in range(10):
+            A, b = tall_problem(seed, **kw)
+            assert A.dense.flags.f_contiguous
+            row_major = mx.MatrixHandle(dense=np.ascontiguousarray(A.dense))
+            assert row_major.dense.flags.c_contiguous
+            for method, omega in cells:
+                cfg = SolverConfig(method=method, omega=omega, tol=tol, seed=seed)
+                col = solve(cfg, A, b)
+                row = solve(cfg, row_major, b)
+                assert col.outer_iters == row.outer_iters, (seed, method, omega)
+                assert np.linalg.norm(col.x_final - row.x_final) <= \
+                    1e-12 * np.linalg.norm(row.x_final)
