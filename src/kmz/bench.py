@@ -3,7 +3,7 @@ reconstructions and CSV/JSON result emission.
 
 Every (method, trial) cell derives its own RNG stream from the experiment
 seed, the method tag and the trial index, so results are deterministic
-regardless of execution order.  KMZ_THREADS > 0 runs cells in a thread pool.
+regardless of execution order.
 """
 
 from __future__ import annotations
@@ -11,16 +11,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from . import matrix as mx
 from . import oracle, problems, solvers
 from .errors import ConfigError, KmzError
 
@@ -140,23 +137,8 @@ def _cell_seed(base: int, method_index: int, trial: int) -> int:
 
 def _make_problem(spec: ExperimentSpec, trial: int) -> problems.ProblemInstance:
     seed = int(np.random.SeedSequence([spec.seed, 0xA, trial]).generate_state(1)[0])
-    if spec.kind == problems.DENSE:
-        A = problems.gen_dense_gaussian(spec.m, spec.n, seed)
-    else:
-        A = problems.gen_sparse_gaussian(spec.m, spec.n, spec.density, seed)
-    deficient = spec.rank_deficient
-    if deficient is None:
-        deficient = spec.m <= spec.n
-    if deficient:
-        A = problems.enforce_rank_deficiency(A)
-    x_star = np.ones(spec.n)
-    b, r = problems.build_inconsistent_rhs(A, x_star, seed + 1, spec.scale)
-    return problems.ProblemInstance(A=A, b=b, x_star=x_star, r_tilde=r,
-                                    kind=spec.kind, seed=seed)
-
-
-def _thread_count() -> int:
-    return int(os.environ.get("KMZ_THREADS", "0"))
+    return problems.make_gaussian(spec.kind, spec.m, spec.n, seed, spec.density,
+                                  spec.rank_deficient, spec.scale)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -168,8 +150,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     if spec.record_err:
         refs = [oracle.svd_least_squares(p.A, p.b) for p in probs]
 
-    def run_cell(args):
-        mi, trial = args
+    def run_cell(mi, trial):
         method, omega = spec.methods[mi]
         prob = probs[trial]
         config = solvers.SolverConfig(
@@ -189,14 +170,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                          trial, report.outer_iters, report.wall_seconds,
                          report.final_res, err_sq)
 
-    cells = [(mi, t) for mi in range(len(spec.methods)) for t in range(spec.trials)]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(c) for c in cells]
-
+    rows = [run_cell(mi, t) for mi in range(len(spec.methods))
+            for t in range(spec.trials)]
     rows.sort(key=lambda r: (r.method, r.seed))
     aggregates = []
     for mi, (method, omega) in enumerate(spec.methods):
@@ -273,13 +248,9 @@ def tomo_experiment(geom: problems.TomoGeometry, noise_level: float,
     against the phantom.  Returns (rows, images) where images maps 'phantom'
     and each method label to an N x N array.
     """
-    geom.validate()
-    A = problems.gen_parallel_tomo(geom)
-    n_img = geom.image_n
-    phantom = problems.shepp_logan_phantom(n_img)
-    x_true = phantom.flatten(order="F")
-    b_clean = mx.matvec(A, x_true)
-    b, _ = problems.add_gaussian_noise(b_clean, noise_level, seed)
+    prob = problems.make_tomo(geom, noise_level, seed)
+    A, b, n_img = prob.A, prob.b, geom.image_n
+    phantom = prob.x_star.reshape((n_img, n_img), order="F")
 
     budget = iter_budget_factor * A.m
     rows, images = [], {"phantom": phantom}

@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
-from . import bench, matrix as mx, oracle, problems, solvers
+from . import bench, oracle, problems, solvers
 from .errors import ConfigError, KmzError
 
 
@@ -40,10 +41,7 @@ TOMO_DEFAULTS = {
     "span": 120.0, "noise": 0.01, "methods": "rek,emrk,memrk:4",
     "budget_factor": 10, "seed": 0, "out": None,
 }
-THEORY_DEFAULTS = {
-    "problem": None, "alpha1": 0.5, "omega": 4, "k_max": 50, "k_step": 1,
-    "out": None,
-}
+THEORY_DEFAULTS = {"problem": None, "k_max": 50, "k_step": 1, "out": None}
 
 
 def _parse_angles(text: str) -> list:
@@ -93,6 +91,13 @@ def _require(merged: dict, *keys):
             raise ConfigError(f"--{key.replace('_', '-')} is required")
 
 
+def _geometry(opt: dict) -> problems.TomoGeometry:
+    return problems.TomoGeometry(
+        image_n=int(opt["image_n"]), half_width=float(opt["half_width"]),
+        angles_deg=_parse_angles(opt["angles"]), rays=int(opt["rays"]),
+        span=float(opt["span"]))
+
+
 # -- subcommands ----------------------------------------------------------------
 
 
@@ -102,39 +107,15 @@ def _cmd_gen(args) -> int:
     seed, out = int(opt["seed"]), Path(opt["out"])
     kind = opt["kind"]
     if kind == problems.TOMO:
-        geom = problems.TomoGeometry(
-            image_n=int(opt["image_n"]), half_width=float(opt["half_width"]),
-            angles_deg=_parse_angles(opt["angles"]), rays=int(opt["rays"]),
-            span=float(opt["span"]))
-        A = problems.gen_parallel_tomo(geom)
-        phantom = problems.shepp_logan_phantom(geom.image_n)
-        x_star = phantom.flatten(order="F")
-        b, r = problems.add_gaussian_noise(mx.matvec(A, x_star),
-                                           float(opt["noise"]), seed)
-        prob = problems.ProblemInstance(
-            A=A, b=b, x_star=x_star, r_tilde=r, kind=problems.TOMO, seed=seed,
-            geometry=geom, meta={"noise_level": float(opt["noise"])})
-    elif kind in (problems.DENSE, problems.SPARSE):
-        m, n = int(opt["m"]), int(opt["n"])
-        if kind == problems.DENSE:
-            A = problems.gen_dense_gaussian(m, n, seed)
-        else:
-            A = problems.gen_sparse_gaussian(m, n, float(opt["density"]), seed)
-        mode = str(opt["rank_deficient"]).lower()
-        if mode not in ("auto", "yes", "no"):
-            raise ConfigError(f"rank_deficient must be auto/yes/no, got {mode!r}")
-        if mode == "yes" or (mode == "auto" and m <= n):
-            A = problems.enforce_rank_deficiency(A)
-        x_star = np.ones(n)
-        b, r = problems.build_inconsistent_rhs(A, x_star, seed + 1,
-                                               float(opt["scale"]))
-        meta = {"scale": float(opt["scale"])}
-        if kind == problems.SPARSE:
-            meta["density"] = float(opt["density"])
-        prob = problems.ProblemInstance(A=A, b=b, x_star=x_star, r_tilde=r,
-                                        kind=kind, seed=seed, meta=meta)
+        prob = problems.make_tomo(_geometry(opt), float(opt["noise"]), seed)
     else:
-        raise ConfigError(f"unknown problem kind {kind!r}")
+        mode = str(opt["rank_deficient"]).lower()
+        modes = {"auto": None, "yes": True, "no": False}
+        if mode not in modes:
+            raise ConfigError(f"rank_deficient must be auto/yes/no, got {mode!r}")
+        prob = problems.make_gaussian(kind, int(opt["m"]), int(opt["n"]), seed,
+                                      float(opt["density"]), modes[mode],
+                                      float(opt["scale"]))
     problems.save_problem(prob, out)
     print(f"wrote problem ({prob.A.m} x {prob.A.n}, kind={kind}) to {out}",
           file=sys.stderr)
@@ -151,7 +132,12 @@ def _cmd_solve(args) -> int:
         seed=int(opt["seed"]), trace_every=int(opt["trace_every"]))
     x_ref = None
     if min(prob.A.m, prob.A.n) <= oracle.SCALE_CAP:
+        t0 = time.perf_counter()
         x_ref = oracle.svd_least_squares(prob.A, prob.b)
+        reference = f"reference SVD took {time.perf_counter() - t0:.3g} s"
+    else:
+        reference = (f"reference SVD skipped: min(m, n) = {min(prob.A.m, prob.A.n)}"
+                     f" > SCALE_CAP = {oracle.SCALE_CAP}")
     report = solvers.solve(config, prob.A, prob.b, x_star=x_ref)
     err_sq = None
     if x_ref is not None:
@@ -168,7 +154,7 @@ def _cmd_solve(args) -> int:
     if opt["trace"]:
         solvers.write_trace_csv(report, opt["trace"])
     print(f"{row.method}: iters={row.iters} res={row.final_res:.3e} "
-          f"converged={report.converged}", file=sys.stderr)
+          f"converged={report.converged}; {reference}", file=sys.stderr)
     return 0
 
 
@@ -203,10 +189,7 @@ def _cmd_bench(args) -> int:
 def _cmd_tomo(args) -> int:
     opt = _merge(TOMO_DEFAULTS, args)
     _require(opt, "out")
-    geom = problems.TomoGeometry(
-        image_n=int(opt["image_n"]), half_width=float(opt["half_width"]),
-        angles_deg=_parse_angles(opt["angles"]), rays=int(opt["rays"]),
-        span=float(opt["span"]))
+    geom = _geometry(opt)
     methods = _parse_methods(opt["methods"]) if isinstance(opt["methods"], str) \
         else [(str(m).lower(), int(o)) for m, o in opt["methods"]]
     rows, images = bench.tomo_experiment(
@@ -231,22 +214,17 @@ def _cmd_theory(args) -> int:
     profile = oracle.spectral_profile(prob.A)
     x_star = oracle.svd_least_squares(prob.A, prob.b)
     xstar_norm_sq = float(x_star @ x_star)
-    alpha1 = float(opt["alpha1"])
-    inputs = oracle.BoundInputs(
-        alpha1=alpha1, beta1=oracle.young_pair(alpha1), omega=int(opt["omega"]),
-        profile=profile, x0_err_sq=xstar_norm_sq, xstar_norm_sq=xstar_norm_sq)
     print(json.dumps({
         "sigma_min": profile.sigma_min, "sigma_max": profile.sigma_max,
         "kappa": profile.kappa, "frob_sq": profile.frob_sq,
         "alpha": profile.alpha, "gamma": profile.gamma,
         "min_row_norm_sq": profile.min_row_norm_sq,
-        "alpha1": alpha1, "beta1": inputs.beta1,
     }, indent=2))
-    lines = ["k,rek_bound,greedy_bound"]
+    # no greedy column: oracle.memrk_bound is not positive, so it bounds nothing
+    lines = ["k,rek_bound"]
     for k in range(0, int(opt["k_max"]) + 1, int(opt["k_step"])):
-        gb = oracle.memrk_bound(inputs, k)
         rb = oracle.rek_bound(profile, k, xstar_norm_sq, xstar_norm_sq)
-        lines.append(f"{k},{rb:.17g},{gb.value:.17g}")
+        lines.append(f"{k},{rb:.17g}")
     table = "\n".join(lines) + "\n"
     if opt["out"]:
         Path(opt["out"]).write_text(table)
@@ -314,8 +292,6 @@ def _build_parser() -> _Parser:
 
     p = add("theory", "print spectral profile and bound tables")
     p.add_argument("--problem")
-    p.add_argument("--alpha1", type=float)
-    p.add_argument("--omega", type=int)
     p.add_argument("--k-max", dest="k_max", type=int)
     p.add_argument("--k-step", dest="k_step", type=int)
     p.add_argument("--out")

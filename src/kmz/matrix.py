@@ -25,7 +25,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 class MatrixHandle:
     """Immutable matrix, either dense column-major or CSR (+ CSC mirror).
 
-    Build through :func:`build_matrix`, :func:`from_dense`, :func:`from_csr`
+    Build through :func:`from_dense`, :func:`from_csr`, :func:`from_scipy`
     or :func:`read_matrix_market`; those store dense entries column-major.
     A handle built directly keeps the array it is given in its own layout.
     """
@@ -157,20 +157,6 @@ def from_scipy(mat) -> MatrixHandle:
     if not np.all(np.isfinite(csr.data)):
         raise MatrixError("non-finite entry in sparse matrix")
     return MatrixHandle(csr=csr)
-
-
-def build_matrix(rows: int, cols: int, entries) -> MatrixHandle:
-    """Build a handle; `entries` is a dense 2-D array or a CSR triplet.
-
-    A 3-tuple (indptr, indices, data) selects CSR storage; anything
-    array-like of shape (rows, cols) selects dense storage.
-    """
-    if isinstance(entries, tuple) and len(entries) == 3:
-        return from_csr(rows, cols, *entries)
-    handle = from_dense(entries)
-    if handle.shape != (rows, cols):
-        raise MatrixError(f"entries shape {handle.shape} != ({rows}, {cols})")
-    return handle
 
 
 # -- kernels ------------------------------------------------------------------

@@ -22,16 +22,18 @@ RANK_RTOL = 1e-14
 
 
 def _as_dense(A) -> np.ndarray:
-    if isinstance(A, mx.MatrixHandle):
-        if min(A.m, A.n) > SCALE_CAP:
-            raise ScaleCapError(f"oracle capped at min(m,n) <= {SCALE_CAP}, got {A.shape}")
-        return A.to_dense()
-    arr = np.asarray(A, dtype=np.float64)
-    if arr.ndim != 2:
-        raise KmzError("oracle expects a matrix")
-    if min(arr.shape) > SCALE_CAP:
-        raise ScaleCapError(f"oracle capped at min(m,n) <= {SCALE_CAP}, got {arr.shape}")
-    return arr
+    """A as a 2-D array, never written to: a dense handle's own read-only
+    entries, a CSR handle made dense, or the array itself."""
+    handle = isinstance(A, mx.MatrixHandle)
+    if not handle:
+        A = np.asarray(A, dtype=np.float64)
+        if A.ndim != 2:
+            raise KmzError("oracle expects a matrix")
+    if min(A.shape) > SCALE_CAP:
+        raise ScaleCapError(f"oracle capped at min(m,n) <= {SCALE_CAP}, got {A.shape}")
+    if not handle:
+        return A
+    return A.dense if A.is_dense else A.csr.toarray()
 
 
 def _thin_svd(dense: np.ndarray):

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import matrix as mx
 from . import oracle
-from .errors import ProblemError
+from .errors import ConfigError, ProblemError
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -276,6 +276,44 @@ def shepp_logan_phantom(n: int) -> np.ndarray:
         yr = -(xg - x0) * s + (yg - y0) * c
         img[(xr / a) ** 2 + (yr / b) ** 2 <= 1.0] += value
     return np.clip(img, 0.0, 1.0)
+
+
+# -- problem recipes -------------------------------------------------------------
+
+
+def make_gaussian(kind: str, m: int, n: int, seed: int, density: float = 0.1,
+                  rank_deficient: bool | None = None,
+                  scale: float = 0.25) -> ProblemInstance:
+    """Dense or sparse Gaussian instance with x* = 1 and b = A x* + r_tilde,
+    r_tilde in null(A^T) of relative norm `scale` (build_inconsistent_rhs,
+    seed + 1).  `rank_deficient` None means only when m <= n."""
+    if kind == DENSE:
+        A = gen_dense_gaussian(m, n, seed)
+        meta = {"scale": scale}
+    elif kind == SPARSE:
+        A = gen_sparse_gaussian(m, n, density, seed)
+        meta = {"scale": scale, "density": density}
+    else:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    if rank_deficient is None:
+        rank_deficient = m <= n
+    if rank_deficient:
+        A = enforce_rank_deficiency(A)
+    x_star = np.ones(n)
+    b, r = build_inconsistent_rhs(A, x_star, seed + 1, scale)
+    return ProblemInstance(A=A, b=b, x_star=x_star, r_tilde=r, kind=kind,
+                           seed=seed, meta=meta)
+
+
+def make_tomo(geom: TomoGeometry, noise_level: float, seed: int) -> ProblemInstance:
+    """Parallel-beam instance: x* is the Shepp-Logan phantom flattened
+    column-major, b = A x* plus Gaussian noise of relative norm `noise_level`."""
+    A = gen_parallel_tomo(geom)
+    x_star = shepp_logan_phantom(geom.image_n).flatten(order="F")
+    b, r = add_gaussian_noise(mx.matvec(A, x_star), noise_level, seed)
+    return ProblemInstance(A=A, b=b, x_star=x_star, r_tilde=r, kind=TOMO,
+                           seed=seed, geometry=geom,
+                           meta={"noise_level": noise_level})
 
 
 # -- on-disk problem directories ---------------------------------------------------

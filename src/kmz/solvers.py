@@ -5,11 +5,12 @@ started at b, is driven toward the component of b outside range(A) by column
 projections, while x is driven toward the least-squares solution by row
 projections against the deflated right-hand side b - z.
 
-Per outer iteration:
-  REK    one norm-weighted random column z-step, one norm-weighted random row x-step
-  PREK   one cyclic column z-step, one norm-weighted random row x-step
-  EMRK   one random column z-step, then the greedy max-|residual| row x-step
-  MEMRK  omega random column z-steps, then the greedy row x-step (EMRK = omega 1)
+Per outer iteration, one loop runs omega column z-steps and then one row
+x-step; the methods differ only in how they pick the column and the row:
+  REK    norm-weighted random column (omega 1), norm-weighted random row
+  PREK   cyclic column (omega 1), norm-weighted random row
+  MEMRK  omega norm-weighted random columns, greedy max-|residual| row
+  EMRK   MEMRK with omega 1
 
 The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2.
 The greedy methods need all of r = b - A x - z to pick a row, so they form
@@ -24,6 +25,7 @@ trace rows are those of a full recompute after every iteration.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -318,7 +320,11 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     t0 = time.perf_counter()
     z = b.copy()
     rng = np.random.default_rng(config.seed)
-    cursor = CyclicColumnCursor() if method == PREK else None
+    # Built per call, so a selector rebound on this module is the one called.
+    if method == PREK:
+        next_column = CyclicColumnCursor().next
+    else:
+        next_column = functools.partial(sample_column_weighted, rng)
     greedy = method in (EMRK, MEMRK)
     budget = config.tol is None
 
@@ -357,21 +363,18 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     resyncs = 0
     max_drift = 0.0
     for k in range(1, config.max_outer + 1):
+        for _ in range(config.omega):
+            z_project_column(z, A, next_column(A), carried)
         skip_update = False
-        if method == REK:
-            z_project_column(z, A, sample_column_weighted(rng, A), carried)
-            i = sample_row_weighted(rng, A)
-        elif method == PREK:
-            z_project_column(z, A, cursor.next(A), carried)
-            i = sample_row_weighted(rng, A)
-        else:  # EMRK / MEMRK
-            z_multi_step(rng, z, A, config.omega)
+        if greedy:
             r = b - ax - z
             i = select_max_residual_row(r)
             if A.row_norms_sq[i] == 0.0:
                 if abs(r[i]) > 0.0:
                     raise ZeroRowError(i)
                 skip_update = True  # residual is identically zero
+        else:
+            i = sample_row_weighted(rng, A)
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:

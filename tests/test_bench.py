@@ -136,15 +136,6 @@ class TestRunExperiment:
             assert (ra.method, ra.seed, ra.iters, ra.final_res, ra.err_sq) == \
                    (rb.method, rb.seed, rb.iters, rb.final_res, rb.err_sq)
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        spec = self.small_spec()
-        serial = bench.run_experiment(spec)
-        monkeypatch.setenv("KMZ_THREADS", "4")
-        threaded = bench.run_experiment(spec)
-        for ra, rb in zip(serial, threaded):
-            assert (ra.method, ra.seed, ra.iters, ra.final_res) == \
-                   (rb.method, rb.seed, rb.iters, rb.final_res)
-
     def test_median_iters_helper(self):
         rows = bench.run_experiment(self.small_spec())
         med = bench.median_iters(rows)

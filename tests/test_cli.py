@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kmz import bench, cli, oracle
+from kmz import bench, cli, oracle, problems, solvers
 from kmz.errors import ConfigError
 
 
@@ -114,6 +115,32 @@ class TestGen:
         assert cli.main(["gen", "--config", str(cfg), "--seed", "0",
                          "--out", str(tmp_path / "p")]) == 1
 
+    def test_unknown_kind_in_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "banded"}))
+        assert cli.main(["gen", "--config", str(cfg), "--seed", "0",
+                         "--out", str(tmp_path / "p")]) == 1
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "tomo"])
+    def test_directory_is_the_recipe_saved(self, tmp_path, kind):
+        argv = {"dense": ["--m", "12", "--n", "30"],
+                "sparse": ["--m", "30", "--n", "10", "--density", "0.3",
+                           "--scale", "0.5", "--rank-deficient", "yes"],
+                "tomo": ["--image-n", "8", "--half-width", "4", "--angles",
+                         "0:20:160", "--rays", "11", "--span", "10",
+                         "--noise", "0.02"]}[kind]
+        assert cli.main(["gen", "--kind", kind, *argv, "--seed", "6",
+                         "--out", str(tmp_path / "cli")]) == 0
+        if kind == "dense":
+            prob = problems.make_gaussian("dense", 12, 30, 6, 0.1, None, 0.25)
+        elif kind == "sparse":
+            prob = problems.make_gaussian("sparse", 30, 10, 6, 0.3, True, 0.5)
+        else:
+            geom = problems.TomoGeometry(8, 4.0, cli._parse_angles("0:20:160"), 11, 10.0)
+            prob = problems.make_tomo(geom, 0.02, 6)
+        problems.save_problem(prob, tmp_path / "lib")
+        assert dir_digest(tmp_path / "cli") == dir_digest(tmp_path / "lib")
+
 
 class TestSolve:
     def test_solve_writes_row_and_trace(self, tmp_path):
@@ -153,13 +180,24 @@ class TestSolve:
         monkeypatch.setattr(oracle, "SCALE_CAP", 0)  # skip the SVD reference
         rc = cli.main(["solve", "--problem", str(tmp_path / "p"), "--method", "rek"])
         assert rc == 0
-        header, line = capsys.readouterr().out.splitlines()
+        captured = capsys.readouterr()
+        header, line = captured.out.splitlines()
         assert header == bench.RESULT_HEADER
         fields = line.split(",")
         assert len(fields) == len(header.split(","))
         assert "None" not in line
         assert fields[0] == "rek" and fields[8] == "" and fields[9] == ""
         assert float(fields[7]) < 1e-6
+        assert captured.err.strip().endswith(
+            "; reference SVD skipped: min(m, n) = 8 > SCALE_CAP = 0"), captured.err
+
+    def test_summary_reports_reference_svd(self, tmp_path, capsys):
+        gen_small(tmp_path / "p")
+        capsys.readouterr()
+        assert cli.main(["solve", "--problem", str(tmp_path / "p"), "--method", "rek",
+                         "--out", str(tmp_path / "row.csv")]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"; reference SVD took \S+ s$", err.strip()), err
 
 
 class TestBench:
@@ -245,17 +283,30 @@ class TestTheory:
         gen_small(tmp_path / "p")
         out = tmp_path / "bounds.csv"
         rc = cli.main(["theory", "--problem", str(tmp_path / "p"),
-                       "--alpha1", "0.75", "--omega", "4", "--k-max", "10",
-                       "--out", str(out)])
+                       "--k-max", "10", "--out", str(out)])
         assert rc == 0
         profile = json.loads(capsys.readouterr().out)
         assert 0.0 < profile["alpha"] < 1.0
-        assert profile["beta1"] == pytest.approx(-3.0)
+        assert "alpha1" not in profile and "beta1" not in profile
         lines = out.read_text().splitlines()
-        assert lines[0] == "k,rek_bound,greedy_bound"
+        assert lines[0] == "k,rek_bound"
         assert len(lines) == 12
 
-    def test_bad_alpha1(self, tmp_path):
-        gen_small(tmp_path / "p")
+    def test_rek_bound_bounds_rek(self, tmp_path, capsys):
+        """Every REK error trace of 30 seeds stays below the printed bound
+        (measured: at most 0.10 of it) at each k <= 400."""
+        assert cli.main(["gen", "--m", "100", "--n", "20", "--seed", "0",
+                         "--out", str(tmp_path / "p")]) == 0
+        out = tmp_path / "bounds.csv"
         assert cli.main(["theory", "--problem", str(tmp_path / "p"),
-                         "--alpha1", "0.2"]) == 1
+                         "--k-max", "400", "--out", str(out)]) == 0
+        bound = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        prob = problems.load_problem(tmp_path / "p")
+        x_ls = oracle.svd_least_squares(prob.A, prob.b)
+        for seed in range(30):
+            report = solvers.solve(
+                solvers.SolverConfig(method="rek", tol=None, max_outer=400,
+                                     seed=seed, trace_every=1),
+                prob.A, prob.b, x_star=x_ls)
+            err = np.array([row[2] for row in report.trace])
+            assert np.all(err <= bound), seed

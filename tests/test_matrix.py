@@ -8,12 +8,13 @@ from kmz.errors import MatrixError, MatrixFormatError
 
 class TestBuild:
     def test_identity_dense(self):
-        A = mx.build_matrix(2, 2, np.eye(2))
+        A = mx.from_dense(np.eye(2))
         assert np.allclose(A.row_norms_sq, [1, 1])
         assert A.frob_sq == pytest.approx(2.0)
 
     def test_single_row_col_norms(self):
-        A = mx.build_matrix(1, 3, [[3.0, 4.0, 0.0]])
+        A = mx.from_dense([[3.0, 4.0, 0.0]])
+        assert A.shape == (1, 3)
         assert np.allclose(A.col_norms_sq, [9, 16, 0])
         assert A.frob_sq == pytest.approx(25.0)
 
@@ -26,14 +27,10 @@ class TestBuild:
             mx.from_csr(1, 3, [0, 2], [2, 0], [1.0, 2.0])
 
     def test_csr_triplet_via_build(self):
-        A = mx.build_matrix(2, 3, (np.array([0, 1, 3]), np.array([2, 0, 1]),
-                                   np.array([5.0, 1.0, 2.0])))
-        assert not A.is_dense
+        A = mx.from_csr(2, 3, np.array([0, 1, 3]), np.array([2, 0, 1]),
+                        np.array([5.0, 1.0, 2.0]))
+        assert not A.is_dense and A.shape == (2, 3)
         assert np.allclose(A.to_dense(), [[0, 0, 5], [1, 2, 0]])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(MatrixError):
-            mx.build_matrix(3, 2, np.eye(2))
 
     def test_non_finite_rejected(self):
         with pytest.raises(MatrixError):
@@ -44,6 +41,12 @@ class TestBuild:
     def test_offsets_must_match_entry_count(self):
         with pytest.raises(MatrixError):
             mx.from_csr(1, 2, [0, 2], [0], [1.0])
+        # the stated shape must agree with the triplet: rows with indptr,
+        # cols with every column index
+        with pytest.raises(MatrixError):
+            mx.from_csr(3, 2, [0, 1], [0], [1.0])
+        with pytest.raises(MatrixError):
+            mx.from_csr(1, 2, [0, 1], [2], [1.0])
 
     def test_storage_is_immutable(self):
         A = mx.from_dense(np.eye(2))

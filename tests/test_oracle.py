@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kmz import matrix as mx
 from kmz import oracle
@@ -33,6 +34,9 @@ class TestLeastSquares:
     def test_scale_cap(self):
         with pytest.raises(ScaleCapError):
             oracle.svd_least_squares(np.zeros((2001, 2001)), np.zeros(2001))
+        with pytest.raises(ScaleCapError):  # checked before the CSR is made dense
+            oracle.svd_least_squares(mx.from_scipy(sp.eye(2001, format="csr")),
+                                     np.zeros(2001))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(KmzError):
@@ -207,3 +211,9 @@ class TestContractionRateCheck:
         with pytest.raises(ConfigError):
             oracle.contraction_rate_check(np.eye(3), np.ones(3), omega=1, trials=10,
                                     k_max=2, seed=0)
+
+
+class TestDenseInput:
+    def test_dense_handle_is_read_in_place(self):
+        A = mx.from_dense(np.random.default_rng(3).standard_normal((8, 3)))
+        assert np.shares_memory(oracle._as_dense(A), A.dense)

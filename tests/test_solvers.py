@@ -565,3 +565,49 @@ class TestColumnMajorLayout:
                 assert col.outer_iters == row.outer_iters, (seed, method, omega)
                 assert np.linalg.norm(col.x_final - row.x_final) <= \
                     1e-12 * np.linalg.norm(row.x_final)
+
+
+class TestOneLoop:
+    """All methods run one loop body; they differ only in their selectors."""
+
+    @pytest.mark.parametrize("kind", [pb.DENSE, pb.SPARSE])
+    def test_emrk_is_memrk_omega_one(self, kind):
+        for seed in range(3):
+            prob = pb.make_gaussian(kind, 120, 30, seed, 0.3)
+            runs = [solve(SolverConfig(method=method, omega=1, seed=seed,
+                                       trace_every=3), prob.A, prob.b,
+                          x_star=prob.x_star)
+                    for method in (sv.EMRK, sv.MEMRK)]
+            assert runs[0].x_final.tobytes() == runs[1].x_final.tobytes()
+            assert runs[0].outer_iters == runs[1].outer_iters
+            assert runs[0].final_res == runs[1].final_res
+            assert runs[0].trace == runs[1].trace
+
+    @pytest.mark.parametrize("method,omega", [(sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
+                                              (sv.MEMRK, 4)])
+    def test_selectors_called_through_the_module(self, method, omega, monkeypatch):
+        """Counting wrappers rebound on the module see every selection:
+        omega columns and one row per outer iteration."""
+        A, b = tall_problem(2, m=200, n=50)  # m = 4n: REK/PREK carry the statistic
+        cfg = SolverConfig(method=method, omega=omega, seed=4, tol=1e-8)
+        plain = solve(cfg, A, b)
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("sample_column_weighted", "sample_row_weighted",
+                     "select_max_residual_row"):
+            monkeypatch.setattr(sv, name, counting(name, getattr(sv, name)))
+        monkeypatch.setattr(CyclicColumnCursor, "next",
+                            counting("cursor", CyclicColumnCursor.next))
+        counted = solve(cfg, A, b)
+        assert counted.x_final.tobytes() == plain.x_final.tobytes()
+        k = counted.outer_iters
+        column = "cursor" if method == sv.PREK else "sample_column_weighted"
+        row = "sample_row_weighted" if method in (sv.REK, sv.PREK) \
+            else "select_max_residual_row"
+        assert calls == {column: omega * k, row: k}
