@@ -42,11 +42,13 @@ TOMO_DEFAULTS = {
     "budget_factor": 10, "seed": 0, "out": None,
 }
 THEORY_DEFAULTS = {"problem": None, "k_max": 50, "k_step": 1, "out": None}
+# options that name a file or directory: a config file must give them as strings
+_PATH_KEYS = frozenset({"problem", "out", "trace", "spec", "meta"})
 
 
 def _parse_angles(text: str) -> list:
     try:
-        start, step, stop = (float(v) for v in text.split(":"))
+        start, step, stop = (float(v) for v in str(text).split(":"))
     except ValueError as exc:
         raise ConfigError(f"angles must be start:step:stop, got {text!r}") from exc
     if step <= 0:
@@ -54,29 +56,56 @@ def _parse_angles(text: str) -> list:
     return list(np.arange(start, stop + step / 2.0, step))
 
 
-def _parse_methods(text: str) -> list:
+def _parse_methods(value) -> list:
+    """[(name, omega), ...] from "rek,memrk:4" or [["rek", 1], ["memrk", 4]]."""
     methods = []
-    for item in text.split(","):
-        item = item.strip().lower()
-        if ":" in item:
-            name, omega = item.split(":", 1)
-            methods.append((name, int(omega)))
-        else:
-            methods.append((item, 1))
+    try:
+        for item in value.split(",") if isinstance(value, str) else value:
+            if isinstance(item, str):
+                item = item.strip().lower()
+                name, sep, omega = item.partition(":")
+                methods.append((name, int(omega) if sep else 1))
+            else:
+                name, omega = item
+                methods.append((str(name).lower(), int(omega)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"methods must be name[:omega],... or [[name, omega], ...], "
+                          f"got {value!r}") from exc
     if not methods:
         raise ConfigError("empty method list")
     return methods
+
+
+def _num(opt: dict, key: str, kind: type):
+    """opt[key] as `kind` (int or float); a value of the wrong type is a usage
+    error."""
+    try:
+        return kind(opt[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
+                          f"got {opt[key]!r}") from exc
+
+
+def _read_json_object(path, what: str) -> dict:
+    with open(path) as fh:
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return loaded
 
 
 def _merge(defaults: dict, args: argparse.Namespace) -> dict:
     merged = dict(defaults)
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path) as fh:
-            loaded = json.load(fh)
-        for key, value in loaded.items():
+        for key, value in _read_json_object(config_path, "a config file").items():
             if key not in defaults:
                 raise ConfigError(f"unknown config key {key!r}")
+            if key in _PATH_KEYS and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key} must be a path string, got {value!r}")
             merged[key] = value
     for key in defaults:
         value = getattr(args, key, None)
@@ -93,9 +122,9 @@ def _require(merged: dict, *keys):
 
 def _geometry(opt: dict) -> problems.TomoGeometry:
     return problems.TomoGeometry(
-        image_n=int(opt["image_n"]), half_width=float(opt["half_width"]),
-        angles_deg=_parse_angles(opt["angles"]), rays=int(opt["rays"]),
-        span=float(opt["span"]))
+        image_n=_num(opt, "image_n", int), half_width=_num(opt, "half_width", float),
+        angles_deg=_parse_angles(opt["angles"]), rays=_num(opt, "rays", int),
+        span=_num(opt, "span", float))
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -104,18 +133,18 @@ def _geometry(opt: dict) -> problems.TomoGeometry:
 def _cmd_gen(args) -> int:
     opt = _merge(GEN_DEFAULTS, args)
     _require(opt, "seed", "out")
-    seed, out = int(opt["seed"]), Path(opt["out"])
+    seed, out = _num(opt, "seed", int), Path(opt["out"])
     kind = opt["kind"]
     if kind == problems.TOMO:
-        prob = problems.make_tomo(_geometry(opt), float(opt["noise"]), seed)
+        prob = problems.make_tomo(_geometry(opt), _num(opt, "noise", float), seed)
     else:
         mode = str(opt["rank_deficient"]).lower()
         modes = {"auto": None, "yes": True, "no": False}
         if mode not in modes:
             raise ConfigError(f"rank_deficient must be auto/yes/no, got {mode!r}")
-        prob = problems.make_gaussian(kind, int(opt["m"]), int(opt["n"]), seed,
-                                      float(opt["density"]), modes[mode],
-                                      float(opt["scale"]))
+        prob = problems.make_gaussian(kind, _num(opt, "m", int), _num(opt, "n", int),
+                                      seed, _num(opt, "density", float), modes[mode],
+                                      _num(opt, "scale", float))
     problems.save_problem(prob, out)
     print(f"wrote problem ({prob.A.m} x {prob.A.n}, kind={kind}) to {out}",
           file=sys.stderr)
@@ -127,9 +156,9 @@ def _cmd_solve(args) -> int:
     _require(opt, "problem", "method")
     prob = problems.load_problem(opt["problem"])
     config = solvers.SolverConfig(
-        method=str(opt["method"]).lower(), omega=int(opt["omega"]),
-        tol=float(opt["tol"]), max_outer=int(opt["max_it"]),
-        seed=int(opt["seed"]), trace_every=int(opt["trace_every"]))
+        method=str(opt["method"]).lower(), omega=_num(opt, "omega", int),
+        tol=_num(opt, "tol", float), max_outer=_num(opt, "max_it", int),
+        seed=_num(opt, "seed", int), trace_every=_num(opt, "trace_every", int))
     x_ref = None
     if min(prob.A.m, prob.A.n) <= oracle.SCALE_CAP:
         t0 = time.perf_counter()
@@ -161,16 +190,11 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     opt = _merge(BENCH_DEFAULTS, args)
     _require(opt, "spec")
-    with open(opt["spec"]) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{opt['spec']}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("bench spec must be a JSON object")
+    raw = _read_json_object(opt["spec"], "bench spec")
     outputs = raw.pop("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError("bench spec 'outputs' must be a JSON object")
+    if not isinstance(outputs, dict) or \
+            not all(isinstance(v, str) for v in outputs.values()):
+        raise ConfigError("bench spec 'outputs' must be a JSON object of path strings")
     if "seed" not in raw:
         raise ConfigError("bench spec must pin a seed (no wall-clock seeding)")
     spec = bench.ExperimentSpec.from_dict(raw)
@@ -190,11 +214,9 @@ def _cmd_tomo(args) -> int:
     opt = _merge(TOMO_DEFAULTS, args)
     _require(opt, "out")
     geom = _geometry(opt)
-    methods = _parse_methods(opt["methods"]) if isinstance(opt["methods"], str) \
-        else [(str(m).lower(), int(o)) for m, o in opt["methods"]]
     rows, images = bench.tomo_experiment(
-        geom, float(opt["noise"]), methods,
-        iter_budget_factor=int(opt["budget_factor"]), seed=int(opt["seed"]))
+        geom, _num(opt, "noise", float), _parse_methods(opt["methods"]),
+        iter_budget_factor=_num(opt, "budget_factor", int), seed=_num(opt, "seed", int))
     out = Path(opt["out"])
     out.mkdir(parents=True, exist_ok=True)
     bench.emit_results(rows, out / "results.csv")
@@ -222,7 +244,10 @@ def _cmd_theory(args) -> int:
     }, indent=2))
     # no greedy column: oracle.memrk_bound is not positive, so it bounds nothing
     lines = ["k,rek_bound"]
-    for k in range(0, int(opt["k_max"]) + 1, int(opt["k_step"])):
+    k_step = _num(opt, "k_step", int)
+    if k_step < 1:
+        raise ConfigError(f"k_step must be >= 1, got {k_step}")
+    for k in range(0, _num(opt, "k_max", int) + 1, k_step):
         rb = oracle.rek_bound(profile, k, xstar_norm_sq, xstar_norm_sq)
         lines.append(f"{k},{rb:.17g}")
     table = "\n".join(lines) + "\n"

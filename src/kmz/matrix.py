@@ -22,6 +22,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _norm_table(norms_sq: np.ndarray) -> tuple[list, list]:
+    return np.cumsum(norms_sq).tolist(), norms_sq.tolist()
+
+
 class MatrixHandle:
     """Immutable matrix, either dense column-major or CSR (+ CSC mirror).
 
@@ -31,7 +35,7 @@ class MatrixHandle:
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
-                 "col_norms_sq", "frob_sq", "_row_cum", "_col_cum", "_gram")
+                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_gram")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -60,23 +64,31 @@ class MatrixHandle:
                         self.csc.data, self.csc.indices, self.csc.indptr):
                 arr.setflags(write=False)
         self.frob_sq = float(self.row_norms_sq.sum())
-        self._row_cum = None
-        self._col_cum = None
+        self._row_table = None
+        self._col_table = None
         self._gram = None
 
-    # -- lazy cumulative norm tables for inverse-CDF sampling ----------------
+    # -- lazy norm tables for inverse-CDF sampling ---------------------------
 
     @property
-    def row_cumsum(self) -> np.ndarray:
-        if self._row_cum is None:
-            self._row_cum = _readonly(np.cumsum(self.row_norms_sq))
-        return self._row_cum
+    def row_table(self) -> tuple[list, list]:
+        """(cumulative, squared) row norms as Python float lists.
+
+        Built on first use, not at construction.  The sampler bisects and
+        indexes them once per step, which costs less in the interpreter than
+        a numpy call on one scalar.
+        """
+        if self._row_table is None:
+            self._row_table = _norm_table(self.row_norms_sq)
+        return self._row_table
 
     @property
-    def col_cumsum(self) -> np.ndarray:
-        if self._col_cum is None:
-            self._col_cum = _readonly(np.cumsum(self.col_norms_sq))
-        return self._col_cum
+    def col_table(self) -> tuple[list, list]:
+        """(cumulative, squared) column norms as Python float lists; see
+        :attr:`row_table`."""
+        if self._col_table is None:
+            self._col_table = _norm_table(self.col_norms_sq)
+        return self._col_table
 
     @property
     def gram(self) -> np.ndarray:

@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from . import matrix as mx
 from . import oracle
-from .errors import ConfigError, ProblemError
+from .errors import ConfigError, MatrixError, ProblemError
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -111,9 +111,14 @@ def enforce_rank_deficiency(A: mx.MatrixHandle) -> mx.MatrixHandle:
     if A.m < 3:
         raise ProblemError(f"need at least 3 rows, got {A.m}")
     if A.dense is not None:
-        dense = A.dense.copy(order="K")
-        dense[-1] = 0.5 * (dense[0] + dense[1])
-        return mx.from_dense(dense)
+        # one column-major copy, which the handle keeps: from_dense would
+        # copy it again
+        dense = np.array(A.dense, order="F")
+        with np.errstate(over="ignore"):  # an overflow is raised below
+            dense[-1] = 0.5 * (dense[0] + dense[1])
+        if not np.all(np.isfinite(dense)):
+            raise MatrixError("non-finite entry in dense matrix")
+        return mx.MatrixHandle(dense=dense)
     csr = A.csr
     avg = 0.5 * (csr[0] + csr[1])
     return mx.from_scipy(sp.vstack([csr[:-1], avg], format="csr"))

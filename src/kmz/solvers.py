@@ -21,11 +21,21 @@ RESYNC_EVERY iterations, at trace rows, at the last iteration, and whenever
 the carried value is within its error bound of the tolerance.  A solve
 stops only on a RES formed in full, so the iterates, iteration counts and
 trace rows are those of a full recompute after every iteration.
+
+A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
+cumulative squared norms, kept by the matrix handle as Python float lists
+(row_table, col_table), finds the index np.searchsorted(side="right") would
+on the same float64 values.  solve draws its uniforms through a
+UniformStream, which takes them from the generator in blocks; rng.random(B)
+gives the same doubles as B scalar calls, so every index, and with it every
+iterate, is the one scalar draws would give.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import logging
 import math
 import time
@@ -93,18 +103,44 @@ class SolveReport:
     # largest gap between carried and full ||r||^2 at a recompute, over
     # ||b - A x0||^2 (0 when nothing was carried)
     max_drift: float = 0.0
+    # greedy picks of an all-zero row with a zero residual entry, which leave
+    # x as it is
+    zero_row_skips: int = 0
 
 
 # -- selection ----------------------------------------------------------------
 
 
-def _sample_weighted(rng: np.random.Generator, cum: np.ndarray,
-                     norms_sq: np.ndarray, what: str) -> int:
+# Uniforms a UniformStream takes per call of rng.random(B): enough to make
+# the call's cost per draw small, and a solve leaves fewer than one block unused.
+_UNIFORM_BLOCK = 256
+
+
+class UniformStream:
+    """The uniforms of `rng`, drawn _UNIFORM_BLOCK at a time and handed out in
+    order by `random()`.
+
+    `rng.random(B)` yields the same doubles as B calls of `rng.random()`, so
+    a stream gives the same sequence as its generator at a fraction of the
+    interpreter cost per draw.  It stands in for the generator wherever a
+    sampler calls `rng.random()`.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        blocks = iter(lambda: rng.random(_UNIFORM_BLOCK).tolist(), None)
+        self.random = itertools.chain.from_iterable(blocks).__next__
+
+
+def _sample_weighted(rng: np.random.Generator | UniformStream,
+                     table: tuple[list, list], what: str) -> int:
+    cum, norms_sq = table
     total = cum[-1]
     if total <= 0.0:
         raise SolverError(f"cannot sample a {what} of an all-zero matrix")
-    u = rng.random() * total
-    k = int(np.searchsorted(cum, u, side="right"))
+    # bisect_right on the float64 values picks what searchsorted(side="right") does
+    k = bisect.bisect_right(cum, rng.random() * total)
     if k >= len(cum):
         k = len(cum) - 1
     while norms_sq[k] == 0.0:  # exact plateau boundary hit; walk back
@@ -112,14 +148,16 @@ def _sample_weighted(rng: np.random.Generator, cum: np.ndarray,
     return k
 
 
-def sample_column_weighted(rng: np.random.Generator, A: mx.MatrixHandle) -> int:
+def sample_column_weighted(rng: np.random.Generator | UniformStream,
+                           A: mx.MatrixHandle) -> int:
     """Draw column j with probability ||A_(j)||^2 / ||A||_F^2 (inverse CDF)."""
-    return _sample_weighted(rng, A.col_cumsum, A.col_norms_sq, "column")
+    return _sample_weighted(rng, A.col_table, "column")
 
 
-def sample_row_weighted(rng: np.random.Generator, A: mx.MatrixHandle) -> int:
+def sample_row_weighted(rng: np.random.Generator | UniformStream,
+                        A: mx.MatrixHandle) -> int:
     """Draw row i with probability ||A^(i)||^2 / ||A||_F^2."""
-    return _sample_weighted(rng, A.row_cumsum, A.row_norms_sq, "row")
+    return _sample_weighted(rng, A.row_table, "row")
 
 
 class CyclicColumnCursor:
@@ -133,14 +171,14 @@ class CyclicColumnCursor:
         for _ in range(A.n):
             j = self.pos
             self.pos = (self.pos + 1) % A.n
-            if A.col_norms_sq[j] > 0.0:
+            if A.col_table[1][j] > 0.0:
                 return j
         raise SolverError("all columns have zero norm")
 
 
 def select_max_residual_row(r: np.ndarray) -> int:
     """Smallest index attaining max_i |r_i| (argmax ties break low)."""
-    return int(np.argmax(np.abs(r)))
+    return int(abs(r).argmax())
 
 
 # -- projection steps -----------------------------------------------------------
@@ -152,7 +190,7 @@ def z_project_column(z: np.ndarray, A: mx.MatrixHandle, j: int,
 
     `carried`, when given, is moved along with z.
     """
-    nsq = A.col_norms_sq[j]
+    nsq = A.col_table[1][j]
     if nsq <= 0.0:
         raise SolverError(f"column {j} has zero norm; cannot project")
     c = mx.col_dot(A, j, z) / nsq
@@ -167,7 +205,7 @@ def x_project_row(x: np.ndarray, A: mx.MatrixHandle, i: int, rhs_i: float,
 
     `carried`, when given, is moved along with x.
     """
-    nsq = A.row_norms_sq[i]
+    nsq = A.row_table[1][i]
     if nsq <= 0.0:
         raise ZeroRowError(i)
     c = (rhs_i - mx.row_dot(A, i, x)) / nsq
@@ -231,7 +269,7 @@ class CarriedResidual:
         self.H = A.gram
         self.rows = A.dense
         # norms as Python floats: scalar arithmetic on them is cheaper
-        self.col_norms_sq = A.col_norms_sq.tolist()
+        self.col_norms_sq = A.col_table[1]
         self.col_norms = np.sqrt(A.col_norms_sq).tolist()
         self.row_norms = np.sqrt(A.row_norms_sq).tolist()
         self.frob = math.sqrt(A.frob_sq)
@@ -319,7 +357,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     t0 = time.perf_counter()
     z = b.copy()
-    rng = np.random.default_rng(config.seed)
+    rng = UniformStream(np.random.default_rng(config.seed))
     # Built per call, so a selector rebound on this module is the one called.
     if method == PREK:
         next_column = CyclicColumnCursor().next
@@ -361,7 +399,9 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     k = 0
     last_recorded = 0
     resyncs = 0
+    zero_row_skips = 0
     max_drift = 0.0
+    row_norms_sq = A.row_table[1]
     for k in range(1, config.max_outer + 1):
         for _ in range(config.omega):
             z_project_column(z, A, next_column(A), carried)
@@ -369,16 +409,17 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         if greedy:
             r = b - ax - z
             i = select_max_residual_row(r)
-            if A.row_norms_sq[i] == 0.0:
+            if row_norms_sq[i] == 0.0:
                 if abs(r[i]) > 0.0:
                     raise ZeroRowError(i)
                 skip_update = True  # residual is identically zero
+                zero_row_skips += 1
         else:
             i = sample_row_weighted(rng, A)
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:
-            x_project_row(x, A, i, float(b[i] - z[i]), carried)
+            x_project_row(x, A, i, b.item(i) - z.item(i), carried)
             if greedy:
                 ax = mx.matvec(A, x)
 
@@ -397,7 +438,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
             res = s / denom
             resyncs += 1
         if (exact or budget) and \
-                not (np.isfinite(res) and np.max(np.abs(x)) <= DIVERGENCE_CAP):
+                not (math.isfinite(res) and abs(x).max() <= DIVERGENCE_CAP):
             raise DivergenceError(f"iterate diverged at outer iteration {k}")
         if exact and carried is not None:
             max_drift = max(max_drift, abs(carried.s - s) / denom)
@@ -414,9 +455,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     if last_recorded != k:
         record(k, res)
     log.debug("%s: %d iterations, %d full residual recomputes, max carried "
-              "drift %.3g of ||b - A x0||^2", method, k, resyncs, max_drift)
+              "drift %.3g of ||b - A x0||^2, %d zero-row skips", method, k,
+              resyncs, max_drift, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, max_drift)
+                       resyncs, max_drift, zero_row_skips)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -72,6 +72,80 @@ class TestMissingInputPath:
                    missing, capsys)
 
 
+class TestWrongTypedValue:
+    """A value that cannot be read as the option's number type is a usage
+    error (exit 1), not a raw ValueError traceback."""
+
+    def check(self, argv, capsys, expected):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("kmz: usage error: ") and expected in err
+
+    def config(self, tmp_path, values):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(values))
+        return str(path)
+
+    def test_gen(self, tmp_path, capsys):
+        self.check(["gen", "--config", self.config(tmp_path, {"m": "abc"}),
+                    "--seed", "0", "--out", str(tmp_path / "d")], capsys,
+                   "m must be an integer, got 'abc'")
+        assert not (tmp_path / "d").exists()
+
+    def test_gen_tomo_geometry(self, tmp_path, capsys):
+        self.check(["gen", "--kind", "tomo", "--config",
+                    self.config(tmp_path, {"rays": [1]}), "--seed", "0",
+                    "--out", str(tmp_path / "d")], capsys, "rays must be an integer")
+
+    def test_solve(self, tmp_path, capsys):
+        gen_small(tmp_path / "p")
+        capsys.readouterr()
+        self.check(["solve", "--problem", str(tmp_path / "p"), "--method", "rek",
+                    "--config", self.config(tmp_path, {"tol": "tight"})], capsys,
+                   "tol must be a number, got 'tight'")
+
+    @pytest.mark.parametrize("methods", ["rek:x", "memrk:", "memrk:1.5"])
+    def test_tomo_method_list(self, tmp_path, capsys, methods):
+        self.check(["tomo", "--methods", methods, "--out", str(tmp_path / "t")],
+                   capsys, f"got {methods!r}")
+
+    def test_tomo_config_method_pairs(self, tmp_path, capsys):
+        for methods in ([["rek"]], [["memrk", "four"]], 3):
+            self.check(["tomo", "--config", self.config(tmp_path, {"methods": methods}),
+                        "--out", str(tmp_path / "t")], capsys, "methods must be")
+        assert not (tmp_path / "t").exists()
+
+    def test_theory(self, tmp_path, capsys):
+        gen_small(tmp_path / "p")
+        capsys.readouterr()
+        problem = ["theory", "--problem", str(tmp_path / "p")]
+        self.check(problem + ["--config", self.config(tmp_path, {"k_max": None})],
+                   capsys, "k_max must be an integer, got None")
+        self.check(problem + ["--k-step", "0"], capsys, "k_step must be >= 1")
+
+    @pytest.mark.parametrize("text,expected", [
+        ("{not json", "not valid JSON"), ("[1, 2]", "must be a JSON object"),
+        ('{"out": 5}', "out must be a path string, got 5")])
+    def test_gen_config_file(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        self.check(["gen", "--config", str(path), "--seed", "0"], capsys, expected)
+
+    def test_solve_problem_path(self, tmp_path, capsys):
+        self.check(["solve", "--method", "rek",
+                    "--config", self.config(tmp_path, {"problem": 3})], capsys,
+                   "problem must be a path string, got 3")
+
+    def test_bench_output_path(self, tmp_path, capsys):
+        spec = self.config(tmp_path, {"seed": 1, "kind": "dense", "m": 20, "n": 5,
+                                      "methods": ["rek"], "outputs": {"results": 5}})
+        self.check(["bench", "--spec", spec], capsys, "JSON object of path strings")
+
+    def test_method_pairs_from_config(self):
+        assert cli._parse_methods([["REK", 1], ["memrk", "4"]]) == [
+            ("rek", 1), ("memrk", 4)]
+
+
 class TestGen:
     def test_deterministic_output(self, tmp_path):
         gen_small(tmp_path / "a")

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kmz import matrix as mx
 from kmz import oracle
 from kmz import problems as pb
-from kmz.errors import ProblemError
+from kmz.errors import MatrixError, ProblemError
 
 
 class TestDenseGaussian:
@@ -78,6 +80,25 @@ class TestRankDeficiency:
         dense[3] = [4.0, 5.0, 6.0]
         B = pb.enforce_rank_deficiency(mx.from_dense(dense))
         assert np.array_equal(B.dense[-1], [0.0, 0.0, 0.0])
+
+    def test_one_copy_of_the_entries(self):
+        # A and the handle's copy, nothing more: a second copy of 1.6 MB
+        # would show in the peak
+        A = pb.gen_dense_gaussian(1000, 200, seed=6)
+        tracemalloc.start()
+        try:
+            B = pb.enforce_rank_deficiency(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert B.dense.flags.f_contiguous and B.dense.flags.owndata
+        assert not np.shares_memory(B.dense, A.dense)
+        assert A.dense.nbytes <= peak < 1.2 * A.dense.nbytes
+
+    def test_overflowing_average_rejected(self):
+        A = mx.from_dense([[1e308, 1.0], [1e308, 1.0], [0.0, 1.0]])
+        with pytest.raises(MatrixError, match="non-finite"):
+            pb.enforce_rank_deficiency(A)
 
     def test_too_few_rows(self):
         with pytest.raises(ProblemError):

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kmz.solvers as sv
 from kmz import bench
@@ -611,3 +613,158 @@ class TestOneLoop:
         row = "sample_row_weighted" if method in (sv.REK, sv.PREK) \
             else "select_max_residual_row"
         assert calls == {column: omega * k, row: k}
+
+
+def reference_sample(rng, norms_sq):
+    """The weighted sampler as it was before block draws: one scalar draw per
+    call and np.searchsorted over the numpy cumulative sums."""
+    cum = np.cumsum(norms_sq)
+    total = cum[-1]
+    if total <= 0.0:
+        raise SolverError("all-zero matrix")
+    u = rng.random() * total
+    k = int(np.searchsorted(cum, u, side="right"))
+    if k >= len(cum):
+        k = len(cum) - 1
+    while norms_sq[k] == 0.0:
+        k -= 1
+    return k
+
+
+@st.composite
+def sampling_cases(draw):
+    """A small matrix with some all-zero rows and columns, and a sequence of
+    column (True) and row (False) draws."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entry = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False))
+    dense = np.array(draw(st.lists(entry, min_size=m * n, max_size=m * n))).reshape(m, n)
+    dense[sorted(draw(st.sets(st.integers(0, m - 1))))] = 0.0
+    dense[:, sorted(draw(st.sets(st.integers(0, n - 1))))] = 0.0
+    return dense, draw(st.lists(st.booleans(), min_size=1, max_size=600))
+
+
+def sample_sequence(sample, rng, A, columns):
+    """Indices of the given draws; a raised SolverError ends the sequence."""
+    out = []
+    try:
+        for col in columns:
+            out.append(sample(rng, A, col))
+    except SolverError:
+        out.append("raised")
+    return out
+
+
+class FixedDraws:
+    """Stands in for a generator: random() hands out the given values."""
+
+    def __init__(self, values):
+        self.random = iter(values).__next__
+
+
+ZERO_ENDS_AND_MIDDLE = np.array([[0.0, 1.0, 0.0, 2.0, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0, 0.0],
+                                 [0.0, 3.0, 0.0, 0.5, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0, 0.0]])
+INTERLEAVED = [True, False] * 400   # crosses block boundaries of the stream
+
+
+class TestBlockDrawnSampler:
+    """Block-drawn uniforms and bisect over float lists pick, draw for draw,
+    what scalar draws and np.searchsorted picked."""
+
+    @staticmethod
+    def new(rng, A, col):
+        return (sample_column_weighted if col else sample_row_weighted)(rng, A)
+
+    @staticmethod
+    def old(rng, A, col):
+        return reference_sample(rng, A.col_norms_sq if col else A.row_norms_sq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sampling_cases(), seed=st.integers(0, 2**32 - 1))
+    @example(case=(ZERO_ENDS_AND_MIDDLE, INTERLEAVED), seed=0)
+    @example(case=(ZERO_ENDS_AND_MIDDLE.T, INTERLEAVED), seed=1)
+    @example(case=(np.array([[0.5, 0.0, 2.0, 0.0]]), INTERLEAVED), seed=2)
+    @example(case=(np.array([[0.0, 0.0]]), [True]), seed=3)
+    def test_same_indices_as_scalar_draws(self, case, seed):
+        dense, columns = case
+        A = mx.from_dense(dense)
+        expected = sample_sequence(self.old, np.random.default_rng(seed), A, columns)
+        stream = sv.UniformStream(np.random.default_rng(seed))
+        assert sample_sequence(self.new, stream, A, columns) == expected
+        plain = np.random.default_rng(seed)
+        assert sample_sequence(self.new, plain, A, columns) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense=st.integers(1, 12).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, -3.0]), min_size=n, max_size=n),
+        min_size=1, max_size=12)), data=st.data())
+    @example(dense=[[1.0, 2.0, 0.0], [0.0, 0.0, 0.0]], data=None)
+    def test_same_indices_at_exact_boundaries(self, dense, data):
+        """Uniforms that land exactly on a cumulative sum, or round up to the
+        total, reach the bisect side, the clamp and the zero-norm walk-back."""
+        A = mx.from_dense(dense)
+        for col in (True, False):
+            norms_sq = A.col_norms_sq if col else A.row_norms_sq
+            cum = np.cumsum(norms_sq)
+            if cum[-1] <= 0.0:
+                continue
+            edges = [c / cum[-1] for c in cum] + [1.0 - 2.0 ** -53, 0.0]
+            draws = edges if data is None else data.draw(st.lists(
+                st.one_of(st.sampled_from(edges), st.floats(0.0, 1.0, exclude_max=True)),
+                min_size=1, max_size=20))
+            new = sample_sequence(self.new, FixedDraws(draws), A, [col] * len(draws))
+            old = sample_sequence(self.old, FixedDraws(draws), A, [col] * len(draws))
+            assert new == old
+
+    def test_stream_gives_the_generators_doubles(self):
+        stream = sv.UniformStream(np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        assert [stream.random() for _ in range(5000)] == \
+            [rng.random() for _ in range(5000)]
+
+    @pytest.mark.parametrize("kind", ["dense-rank-deficient", "csr"])
+    def test_solve_matches_scalar_draw_reference(self, kind, monkeypatch):
+        if kind == "csr":
+            prob = pb.make_gaussian(pb.SPARSE, 300, 60, 3, density=0.2)
+        else:
+            prob = pb.make_gaussian(pb.DENSE, 200, 50, 110, rank_deficient=True)
+        assert prob.A.is_dense == (kind != "csr")
+        cells = [(sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4), (sv.MEMRK, 6)]
+        for index, (method, omega) in enumerate(cells):
+            cfg = SolverConfig(method=method, omega=omega, tol=1e-8,
+                               seed=100 + index, trace_every=50)
+            new = solve(cfg, prob.A, prob.b, x_star=prob.x_star)
+            gen = np.random.default_rng(cfg.seed)   # one generator, as before
+            with monkeypatch.context() as patch:
+                patch.setattr(sv, "sample_column_weighted",
+                              lambda rng, A: reference_sample(gen, A.col_norms_sq))
+                patch.setattr(sv, "sample_row_weighted",
+                              lambda rng, A: reference_sample(gen, A.row_norms_sq))
+                old = solve(cfg, prob.A, prob.b, x_star=prob.x_star)
+            assert new.x_final.tobytes() == old.x_final.tobytes(), (method, omega)
+            assert (new.outer_iters, new.final_res, new.trace, new.resyncs,
+                    new.max_drift) == (old.outer_iters, old.final_res, old.trace,
+                                       old.resyncs, old.max_drift)
+
+
+class TestZeroRowSkips:
+    def test_counted(self, caplog):
+        # as in test_zero_row_greedy_pick_is_skipped: r_0 is exactly zero on
+        # the zero row 0, which the argmax picks when r is all zero
+        A = handle([[0.0, 0.0], [1.0, 0.0]])
+        b = np.array([5.0, 0.0])
+        steps = []
+        with caplog.at_level("DEBUG", logger="kmz.solvers"):
+            rep = solve(SolverConfig(method=sv.EMRK, seed=0), A, b,
+                        callback=lambda k, i, x_prev, x, z: steps.append(
+                            (i, np.array_equal(x_prev, x))))
+        assert steps == [(0, True)]
+        assert rep.zero_row_skips == 1
+        assert "1 zero-row skips" in caplog.text
+
+    def test_zero_without_zero_rows(self):
+        prob = pb.make_gaussian(pb.DENSE, 60, 12, 4)
+        for method in (sv.REK, sv.EMRK):
+            assert solve(SolverConfig(method=method, seed=0), prob.A,
+                         prob.b).zero_row_skips == 0
