@@ -242,7 +242,6 @@ def _cmd_theory(args) -> int:
         "alpha": profile.alpha, "gamma": profile.gamma,
         "min_row_norm_sq": profile.min_row_norm_sq,
     }, indent=2))
-    # no greedy column: oracle.memrk_bound is not positive, so it bounds nothing
     lines = ["k,rek_bound"]
     k_step = _num(opt, "k_step", int)
     if k_step < 1:

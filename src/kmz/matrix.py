@@ -35,7 +35,7 @@ class MatrixHandle:
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
-                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_gram")
+                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -66,7 +66,7 @@ class MatrixHandle:
         self.frob_sq = float(self.row_norms_sq.sum())
         self._row_table = None
         self._col_table = None
-        self._gram = None
+        self._row_reach = None
 
     # -- lazy norm tables for inverse-CDF sampling ---------------------------
 
@@ -91,16 +91,16 @@ class MatrixHandle:
         return self._col_table
 
     @property
-    def gram(self) -> np.ndarray:
-        """The n x n Gram matrix AᵀA of a dense handle, built on first use.
+    def row_reach(self) -> list:
+        """Upper bounds on ||A a_i^T||, one per row i, as Python floats.
 
-        It is symmetric, so its contiguous row j serves as column j.
+        An x-step x += d a_i^T moves A x by exactly d A a_i^T, so this is how
+        far one unit of step along row i can move r = b - A x - z.  Built on
+        first use; see :func:`_row_reach`.
         """
-        if self.dense is None:
-            raise MatrixError("the Gram matrix is kept for dense handles only")
-        if self._gram is None:
-            self._gram = _readonly(self.dense.T @ self.dense)
-        return self._gram
+        if self._row_reach is None:
+            self._row_reach = _row_reach(self)
+        return self._row_reach
 
     @property
     def is_dense(self) -> bool:
@@ -115,6 +115,70 @@ class MatrixHandle:
         if self.dense is not None:
             return self.dense.copy(order="K")
         return self.csr.toarray()
+
+
+# Entries of the largest temporary block that _row_reach forms at once.
+_REACH_BLOCK = 1 << 17
+
+
+def _row_reach(A: MatrixHandle) -> list:
+    """sqrt(q_i + margin_i) (1 + 4 eps), q_i = ||A a_i^T||^2, computed in row
+    blocks of at most _REACH_BLOCK entries or one row each: as a_i H a_i^T,
+    H = A^T A (dense, freed on return), when H takes no more bytes than the
+    stored entries of A (for a dense A, when n <= m); else as the squared
+    norm of row i of A A^T, sparse for a CSR handle, whose entries and flops
+    number sum_j nnz(A_(j)) over the columns j that row i touches.
+
+    margin_i = 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2 covers the rounding of q_i:
+    every product above is a dot product of at most max(m, n) terms, each
+    off by at most gamma_max(m,n) |A| |a_i^T| entrywise, and
+    || |A| |a_i^T| || <= ||A||_F ||a_i||; the H path errs by at most
+    (m + 2n) eps and the A A^T path by (2m + 2n) eps, to first order, times
+    ||A||_F^2 ||a_i||^2.  The factor 4 eps covers the final sum and sqrt.
+    """
+    m, n = A.m, A.n
+    eps = float(np.finfo(np.float64).eps)
+    if A.dense is not None:
+        stored, stored_t, nbytes = A.dense, A.dense.T, A.dense.nbytes
+    else:
+        stored, stored_t = A.csr, A.csc.T  # A.csc.T is A^T in CSR form
+        nbytes = A.csr.data.nbytes + A.csr.indices.nbytes
+        nbytes += A.csc.data.nbytes + A.csc.indices.nbytes
+    gram = 8 * n * n <= nbytes
+    if gram:
+        H = stored_t @ stored
+        H = H if A.dense is not None else H.toarray()
+        width = np.full(m, n)  # entries of a row of blk @ H
+    elif A.dense is not None:
+        width = np.full(m, m)  # entries of a row of A A^T
+    else:
+        width = np.bincount(np.repeat(np.arange(m), np.diff(A.csr.indptr)),
+                            np.diff(A.csc.indptr)[A.csr.indices], minlength=m)
+    q = np.empty(m)
+    cum = np.cumsum(width)
+    s = 0
+    # An overflow leaves an inf or NaN bound, which only forces the solver
+    # to form r in full.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while s < m:
+            e = max(s + 1, int(np.searchsorted(
+                cum, cum[s] - width[s] + _REACH_BLOCK, side="right")))
+            blk = stored[s:e]
+            if gram:
+                q[s:e] = _row_dots(blk, blk @ H)
+            else:
+                G = blk @ stored_t  # the block's rows of A A^T
+                q[s:e] = _row_dots(G, G)
+            s = e
+        margin = 4.0 * (m + n + 8) * eps * A.frob_sq * A.row_norms_sq
+        return (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
+
+
+def _row_dots(P, Q) -> np.ndarray:
+    """Row sums of the entrywise product P * Q; P dense or sparse."""
+    if sp.issparse(P):
+        return np.asarray(P.multiply(Q).sum(axis=1)).ravel()
+    return np.einsum("ij,ij->i", P, Q)
 
 
 def from_dense(entries) -> MatrixHandle:

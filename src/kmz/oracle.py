@@ -103,64 +103,6 @@ def young_pair(alpha1: float) -> float:
     return alpha1 / (alpha1 - 1.0)
 
 
-@dataclass
-class BoundInputs:
-    alpha1: float
-    beta1: float
-    omega: int
-    profile: SpectralProfile
-    x0_err_sq: float
-    xstar_norm_sq: float
-
-    def validate(self) -> None:
-        if not 0.5 <= self.alpha1 < 1.0:
-            raise ConfigError(f"alpha1 must lie in [1/2, 1), got {self.alpha1}")
-        if self.beta1 > -1.0:
-            raise ConfigError(f"beta1 must be <= -1, got {self.beta1}")
-        pair = self.alpha1 + self.beta1 - self.alpha1 * self.beta1
-        if abs(pair) > 1e-9 * max(1.0, abs(self.beta1)):
-            raise ConfigError("alpha1 + beta1 = alpha1*beta1 violated")
-        if self.omega < 1:
-            raise ConfigError(f"omega must be >= 1, got {self.omega}")
-
-
-@dataclass
-class GreedyBound:
-    value: float
-    nu: float
-    mu: float
-    alpha: float
-    gamma: float
-    kappa: float
-
-
-def memrk_bound(inputs: BoundInputs, k: int) -> GreedyBound:
-    """Greedy multi-step error bound at outer iteration k.
-
-    value = nu^k x0_err + (nu^(k - floor(k/2)) + alpha^(omega floor(k/2)))
-            * mu * gamma / alpha1^2 * kappa^2 * ||x*||^2
-    with nu = 1 - alpha1^2 sigma_min^2 / gamma and
-    mu = (1 + beta1) / min_i ||A^(i)||^2 + alpha1 beta1 / gamma.
-
-    Diagnostic only: under the repaired parameter pairing mu is nonpositive,
-    so the value is reported without asserting positivity.
-    """
-    inputs.validate()
-    p = inputs.profile
-    if p.min_row_norm_sq <= 0.0:
-        raise KmzError("bound undefined with a zero-norm row (mu divides by it)")
-    nu = 1.0 - inputs.alpha1 ** 2 * p.sigma_min ** 2 / p.gamma
-    if not 0.0 < nu < 1.0:
-        raise KmzError(f"nu = {nu} outside (0, 1); bound is meaningless")
-    mu = (1.0 + inputs.beta1) / p.min_row_norm_sq + inputs.alpha1 * inputs.beta1 / p.gamma
-    k1 = k // 2
-    value = (nu ** k * inputs.x0_err_sq
-             + (nu ** (k - k1) + p.alpha ** (inputs.omega * k1))
-             * mu * p.gamma / inputs.alpha1 ** 2 * p.kappa ** 2 * inputs.xstar_norm_sq)
-    return GreedyBound(value=value, nu=nu, mu=mu, alpha=p.alpha,
-                       gamma=p.gamma, kappa=p.kappa)
-
-
 def rek_bound(profile: SpectralProfile, k: int, x0_err_sq: float,
               xstar_norm_sq: float) -> float:
     """Two-sequence randomized baseline bound:
@@ -181,6 +123,8 @@ def contraction_rate_check(A, b, omega: int, trials: int, k_max: int, seed: int)
     """
     if trials < 30:
         raise ConfigError(f"trials must be >= 30 for a stable mean, got {trials}")
+    if omega < 1:
+        raise ConfigError(f"omega must be >= 1, got {omega}")
     if isinstance(A, mx.MatrixHandle):
         handle = A
     else:
@@ -197,7 +141,9 @@ def contraction_rate_check(A, b, omega: int, trials: int, k_max: int, seed: int)
         z = b.copy()
         sums[0] += float(np.sum((z - b_perp) ** 2))
         for k in range(1, k_max + 1):
-            solvers.z_multi_step(rng, z, handle, omega)
+            for _ in range(omega):
+                solvers.z_project_column(
+                    z, handle, solvers.sample_column_weighted(rng, handle))
             sums[k] += float(np.sum((z - b_perp) ** 2))
     means = sums / trials
     return [(k, float(means[k]), profile.alpha ** (omega * k) * b_range_sq)

@@ -87,6 +87,10 @@ def gen_dense_gaussian(m: int, n: int, seed: int) -> mx.MatrixHandle:
     return mx.from_dense(rng.standard_normal((m, n)))
 
 
+# Uniforms per block of the sparse presence mask.
+_MASK_BLOCK = 1 << 16
+
+
 def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> mx.MatrixHandle:
     """CSR matrix with each entry present independently with probability
     `density` and standard-normal value.
@@ -99,8 +103,16 @@ def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> mx.MatrixH
     if not 0.0 < density <= 1.0:
         raise ProblemError(f"density must lie in (0, 1], got {density}")
     mask_seq, value_seq = np.random.SeedSequence(seed).spawn(2)
-    mask = np.random.default_rng(mask_seq).random((m, n)) < density
-    rows, cols = np.nonzero(mask)
+    # The mask is drawn in blocks of rows, so no m x n array exists at once;
+    # stacked rng.random((k, n)) blocks are the doubles of one (m, n) draw.
+    mask_rng = np.random.default_rng(mask_seq)
+    step = max(1, _MASK_BLOCK // n)
+    rows, cols = [], []
+    for start in range(0, m, step):
+        r, c = np.nonzero(mask_rng.random((min(step, m - start), n)) < density)
+        rows.append(r + start)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     values = np.random.default_rng(value_seq).standard_normal(rows.size)
     coo = sp.coo_matrix((values, (rows, cols)), shape=(m, n))
     return mx.from_scipy(coo)

@@ -15,12 +15,13 @@ x-step; the methods differ only in how they pick the column and the row:
 The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2.
 The greedy methods need all of r = b - A x - z to pick a row, so they form
 it after every outer iteration, from one full mat-vec.  REK and PREK never
-read r: on dense matrices with m >= CARRY_MIN_ASPECT n they carry ||r||^2 and A^T r through the
-n x n Gram matrix (CarriedResidual) and form r in full only every
-RESYNC_EVERY iterations, at trace rows, at the last iteration, and whenever
-the carried value is within its error bound of the tolerance.  A solve
-stops only on a RES formed in full, so the iterates, iteration counts and
-trace rows are those of a full recompute after every iteration.
+read r, and the stop test needs only a bound on it: they carry a certified
+lower bound on ||r|| (ResidualFloor), moved by the triangle inequality at
+O(1) scalar cost per step, on dense and CSR matrices of any shape.  They
+form r in full only when that bound cannot prove RES >= tol, at trace rows,
+at the last iteration, and at least every RESYNC_EVERY iterations.  A
+solve stops only on a RES formed in full, so the iterates, iteration counts
+and trace rows are those of a full recompute after every iteration.
 
 A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
 cumulative squared norms, kept by the matrix handle as Python float lists
@@ -54,13 +55,15 @@ MEMRK = "memrk"
 METHODS = (REK, PREK, EMRK, MEMRK)
 
 DIVERGENCE_CAP = 1e150
-# Iterations between full recomputes of r while REK/PREK carry the statistic.
+# Most iterations between full recomputes of r while REK/PREK skip them on
+# the floor, so a diverging run raises within this many iterations.
 RESYNC_EVERY = 64
-# REK/PREK carry the statistic only on dense matrices with m >= 4 n.  The
-# carried x-step costs n^2 flops against the m n of the mat-vec it saves, and
-# H = A^T A costs n^2 more memory; 4 is the smallest ratio measured (200 x 50:
-# 7% faster, 6000 x 500: 4x).  Nearer to square the gain is unmeasured.
-CARRY_MIN_ASPECT = 4
+
+_EPS = float(np.finfo(np.float64).eps)
+# Factors that round a stored upper (lower) bound up (down): a product with
+# them stays on the safe side after its own rounding and that of two adds.
+_UP = 1.0 + 4.0 * _EPS
+_DOWN = 1.0 - 4.0 * _EPS
 
 log = logging.getLogger(__name__)
 
@@ -100,9 +103,6 @@ class SolveReport:
     wall_seconds: float
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
     resyncs: int = 0          # times r = b - A x - z was formed in full
-    # largest gap between carried and full ||r||^2 at a recompute, over
-    # ||b - A x0||^2 (0 when nothing was carried)
-    max_drift: float = 0.0
     # greedy picks of an all-zero row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
@@ -185,43 +185,33 @@ def select_max_residual_row(r: np.ndarray) -> int:
 
 
 def z_project_column(z: np.ndarray, A: mx.MatrixHandle, j: int,
-                     carried: "CarriedResidual | None" = None) -> np.ndarray:
+                     floor: "ResidualFloor | None" = None) -> np.ndarray:
     """z -= (A_(j)^T z / ||A_(j)||^2) A_(j), in place; kills column j from z.
 
-    `carried`, when given, is moved along with z.
+    `floor`, when given, is moved along with z.
     """
     nsq = A.col_table[1][j]
     if nsq <= 0.0:
         raise SolverError(f"column {j} has zero norm; cannot project")
     c = mx.col_dot(A, j, z) / nsq
-    if carried is not None:
-        carried.column_step(j, c)
+    if floor is not None:
+        floor.column_step(j, c)
     return mx.axpy_col(z, A, j, -c)
 
 
 def x_project_row(x: np.ndarray, A: mx.MatrixHandle, i: int, rhs_i: float,
-                  carried: "CarriedResidual | None" = None) -> np.ndarray:
+                  floor: "ResidualFloor | None" = None) -> np.ndarray:
     """x += ((rhs_i - A^(i) x) / ||A^(i)||^2) (A^(i))^T, in place.
 
-    `carried`, when given, is moved along with x.
+    `floor`, when given, is moved along with x.
     """
     nsq = A.row_table[1][i]
     if nsq <= 0.0:
         raise ZeroRowError(i)
     c = (rhs_i - mx.row_dot(A, i, x)) / nsq
-    if carried is not None:
-        carried.row_step(i, c)
+    if floor is not None:
+        floor.row_step(i, c)
     return mx.axpy_row(x, A, i, c)
-
-
-def z_multi_step(rng: np.random.Generator, z: np.ndarray, A: mx.MatrixHandle,
-                 omega: int) -> np.ndarray:
-    """omega successive weighted-random column projections of z, in place."""
-    if omega < 1:
-        raise ConfigError(f"omega must be >= 1, got {omega}")
-    for _ in range(omega):
-        z_project_column(z, A, sample_column_weighted(rng, A))
-    return z
 
 
 def residual(A: mx.MatrixHandle, x: np.ndarray, b: np.ndarray,
@@ -234,88 +224,83 @@ def residual(A: mx.MatrixHandle, x: np.ndarray, b: np.ndarray,
     return b - mx.matvec(A, x) - z
 
 
-# -- carried stopping statistic ---------------------------------------------------
+# -- residual floor ------------------------------------------------------------
 
 
-class CarriedResidual:
-    """s = ||r||^2 and g = A^T r for r = b - A x - z, kept up to date through
-    the n x n Gram matrix H = A^T A of a dense handle instead of forming r.
+class ResidualFloor:
+    """A lower bound L on ||r||, r = b - A x - z of the stored iterates, with
+    upper bounds xi >= ||x|| and zeta >= ||z||, moved along with x and z at
+    O(1) scalar cost per step instead of forming r.
 
-    A column step z -= c A_(j) adds c A_(j) to r:
-        s += 2 c g_j + c^2 ||A_(j)||^2,   g += c H_j            O(n)
-    A row step x += d a_i^T subtracts d A a_i^T from r; with w = H a_i^T:
-        s += -2 d a_i.g + d^2 a_i.w,      g -= d w              O(n^2)
-
-    Error bound.  `bound()` bounds |s - fl(||b - A x - z||^2)|, the gap
-    between the carried value and a full recompute of the current iterates.
-    It is a first-order rounding bound: terms of second order in gamma are
-    left out, so it is not rigorous, only far from tight.  It is kept in units of
-    gamma = (m + n + 8) eps, from the norms F = ||A||_F >= ||A||_2,
-    beta = ||b|| >= ||z|| (column steps are orthogonal projections), R >= ||r||
-    and xi >= ||x||, with step lengths l = |c| ||A_(j)|| and l = |d| ||a_i||:
-      - a full recompute is off by at most 2 R (F xi + 2 beta) + R^2, once
-        at the last reset and once now;
-      - a column step adds 2 R beta + 2 (R + l)^2 + 2 |c| G, where G bounds
-        the error of g, which grows by F (3 l + beta + R);
-      - a row step adds 3 (R + F l)^2 + 2 R F xi + 2 l G, and G grows by
-        F (F (3 l + xi) + R).
-    These cover the rounding of the stored x and z, of H and w, of the dot
-    products and of the updates of s and g.  R grows by the length of each
-    step of r (l, or F l for a row step) and xi by l, so both stay upper
-    bounds between resets.
+    With gamma = (m + n + 8) eps and F >= ||A||_F, the terms are:
+      - Reset, after a full recompute r^ = fl(fl(b - fl(A x)) - z) and
+        s^ = fl(r^.r^).  fl(A x) errs by at most gamma_n |A| |x| entrywise,
+        and || |A| |x| || <= F ||x||; fl(b - fl(A x)) errs by at most
+        eps (|b| + |fl(A x)|).  The last subtraction errs by at most eps |r^|,
+        relative to its own result, so z adds no term: r^ is within
+        gamma (||b|| + F ||x||) + eps ||r^|| of r.  With s^ <= ||r^||^2
+        (1 + gamma_m), the factor 1 - gamma takes both relative terms:
+        L = sqrt(s^) (1 - gamma) - gamma (||b|| + F ||x||).
+      - Column step, z' = fl(z - c A_(j)).  r moves by c A_(j), of length
+        t = |c| ||A_(j)||, and by the rounding of the stored z', at most
+        3 eps (||z|| + t) <= e = gamma (zeta + t).  Here ||z|| does count:
+        z' is rounded relative to its own size, which may dwarf ||r||.
+        L -= t + e; zeta += t + e.
+      - Row step, x' = fl(x + d a_i^T).  r moves by d A a_i^T, of length at
+        most |d| reach_i (MatrixHandle.row_reach), and by A times the
+        rounding of the stored x', at most F e, e = gamma (xi + |d| ||a_i||).
+        L -= |d| reach_i + F e; xi += |d| ||a_i|| + e.
+      - Stop test.  A full recompute here would give, by the reset's
+        argument, ||r^|| (1 + eps) >= M = L - gamma (||b|| + F xi), so if
+        M > 0 then s^ >= M^2 (1 - gamma), and M^2 (1 - gamma) >=
+        tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol: the recompute
+        may be skipped.
+    The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at a reset are
+    stored times 1 + gamma, which covers their own rounding.  Each update
+    rounds L down and xi, zeta up (_DOWN, _UP).  gamma exceeds the gamma_m
+    and (n + 3) eps needed above by at least 8 eps, which covers the few
+    roundings inside each formula.  A NaN or inf fails the stop test, so it
+    forces a recompute.
     """
 
-    def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
-        self.H = A.gram
-        self.rows = A.dense
-        # norms as Python floats: scalar arithmetic on them is cheaper
-        self.col_norms_sq = A.col_table[1]
-        self.col_norms = np.sqrt(A.col_norms_sq).tolist()
-        self.row_norms = np.sqrt(A.row_norms_sq).tolist()
-        self.frob = math.sqrt(A.frob_sq)
-        self.b_norm = float(np.linalg.norm(b))
-        self.gamma = (A.m + A.n + 8) * float(np.finfo(np.float64).eps)
-        # g and w = H a_i share one buffer, so a row step reads a_i.g and
-        # a_i.w off a single product
-        self.gw = np.empty((2, A.n))
-        self.g, self.w = self.gw
+    __slots__ = ("gamma", "reach", "col_norms", "row_norms", "frob", "b_norm",
+                 "L", "xi", "zeta")
 
-    def reset(self, r: np.ndarray, s: float, x: np.ndarray) -> None:
-        """Restart from the full residual r of iterate x, with s = r.r."""
-        self.s = s
-        np.matmul(self.rows.T, r, out=self.g)
-        self.xi = float(np.linalg.norm(x))
-        recompute = self.frob * self.xi + 2.0 * self.b_norm
-        self.R = math.sqrt(s) * (1.0 + self.gamma) + self.gamma * recompute
-        self.G = self.frob * (self.R + recompute)
-        self.D = (2.0 * recompute + self.R) * self.R
+    def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
+        self.gamma = g = (A.m + A.n + 8) * _EPS
+        self.reach = A.row_reach
+        # norms as Python floats: scalar arithmetic on them is cheaper
+        self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)).tolist()
+        self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)).tolist()
+        self.frob = math.sqrt(A.frob_sq) * (1.0 + g)
+        self.b_norm = float(np.linalg.norm(b)) * (1.0 + g)
+
+    def reset(self, s: float, x: np.ndarray, z: np.ndarray) -> None:
+        """Restart from a full recompute of the current iterates, s = fl(r.r)."""
+        g = self.gamma
+        self.xi = float(np.linalg.norm(x)) * (1.0 + g)
+        self.zeta = float(np.linalg.norm(z)) * (1.0 + g)
+        rounding = g * (self.b_norm + self.frob * self.xi)
+        self.L = (math.sqrt(s) * (1.0 - g) - rounding) * _DOWN
 
     def column_step(self, j: int, c: float) -> None:
-        c = float(c)
-        g, R = self.g, self.R
-        step = abs(c) * self.col_norms[j]
-        self.s += c * (2.0 * g.item(j) + c * self.col_norms_sq[j])
-        g += c * self.H[j]
-        self.D += 2.0 * (R * self.b_norm + (R + step) ** 2 + abs(c) * self.G)
-        self.G += self.frob * (3.0 * step + self.b_norm + R)
-        self.R = R + step
+        t = abs(c) * self.col_norms[j]
+        e = self.gamma * (self.zeta + t)
+        self.L = (self.L - (t + e)) * _DOWN
+        self.zeta = (self.zeta + t + e) * _UP
 
     def row_step(self, i: int, d: float) -> None:
-        d = float(d)
-        a, g, w, R, F = self.rows[i], self.g, self.w, self.R, self.frob
-        np.matmul(self.H, a, out=w)
-        ag, aw = (self.gw @ a).tolist()
-        step = abs(d) * self.row_norms[i]
-        self.xi += step
-        self.s += d * (d * aw - 2.0 * ag)
-        g -= d * w
-        self.D += 3.0 * (R + F * step) ** 2 + 2.0 * (R * F * self.xi + step * self.G)
-        self.G += F * (F * (3.0 * step + self.xi) + R)
-        self.R = R + F * step
+        t = abs(d) * self.row_norms[i]
+        e = self.gamma * (self.xi + t)
+        self.L = (self.L - (abs(d) * self.reach[i] + self.frob * e)) * _DOWN
+        self.xi = (self.xi + t + e) * _UP
 
-    def bound(self) -> float:
-        R = self.R
-        return self.gamma * (self.D + (2.0 * (self.frob * self.xi + 2.0 * self.b_norm) + R) * R)
+    def excludes_stop(self, tol_denom: float) -> bool:
+        """True when a full recompute now is certain to give RES >= tol;
+        `tol_denom` is tol * denom * (1 + 4 eps)."""
+        g = self.gamma
+        M = self.L - g * (self.b_norm + self.frob * self.xi)
+        return M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
 
 
 # -- driver ---------------------------------------------------------------------
@@ -333,8 +318,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     With `config.tol` None the run never stops on RES and forms it only for
     trace rows and the report.  Elsewhere RES is formed in full where the
     stop is decided (see the module docstring).  The divergence test runs on
-    each full RES, so a carried run that diverges raises at its next full
-    recompute at the latest; a run without RES stop tests x every iteration.
+    each full RES, so a REK/PREK run that diverges raises within
+    RESYNC_EVERY iterations; a run without RES stop tests x every iteration.
     A non-finite entry of b or x0 is rejected before the first iteration.
     """
     config.validate()
@@ -381,17 +366,16 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(0, 0.0)
         return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
 
-    # The greedy argmax needs all of r, and without an m x m Gram matrix
-    # keeping r current costs a mat-vec; so only REK/PREK on tall dense
-    # matrices (CARRY_MIN_ASPECT) carry the statistic.  Every other run with
-    # a RES stop recomputes every iteration (period 1, so `carried` is never
-    # read below).
-    carried = None
-    if not (greedy or budget) and A.is_dense and A.m >= CARRY_MIN_ASPECT * A.n:
-        carried = CarriedResidual(A, b)
+    # The greedy argmax needs all of r, so only REK/PREK skip recomputes on
+    # the floor.  A greedy run recomputes every iteration (period 1, so
+    # `floor` is never read below).
+    floor = None
+    if not (greedy or budget):
+        floor = ResidualFloor(A, b)
         rvec = b - ax - z
-        carried.reset(rvec, float(rvec @ rvec), x)
-    period = RESYNC_EVERY if carried is not None else 1
+        floor.reset(float(rvec @ rvec), x, z)
+        tol_denom = config.tol * denom * _UP
+    period = RESYNC_EVERY if floor is not None else 1
 
     record(0, 1.0)
     res = 1.0
@@ -400,11 +384,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     last_recorded = 0
     resyncs = 0
     zero_row_skips = 0
-    max_drift = 0.0
     row_norms_sq = A.row_table[1]
     for k in range(1, config.max_outer + 1):
         for _ in range(config.omega):
-            z_project_column(z, A, next_column(A), carried)
+            z_project_column(z, A, next_column(A), floor)
         skip_update = False
         if greedy:
             r = b - ax - z
@@ -419,17 +402,14 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:
-            x_project_row(x, A, i, b.item(i) - z.item(i), carried)
+            x_project_row(x, A, i, b.item(i) - z.item(i), floor)
             if greedy:
                 ax = mx.matvec(A, x)
 
         traced = config.trace_every and k % config.trace_every == 0
         exact = traced or k == config.max_outer
         if not budget:
-            # Divided like RES, so a skip implies the full RES >= tol; `not >=`
-            # so that a NaN carried value also forces a recompute.
-            exact = exact or k % period == 0 or \
-                not (carried.s - carried.bound()) / denom >= config.tol
+            exact = exact or k % period == 0 or not floor.excludes_stop(tol_denom)
         if exact:
             if not greedy:
                 ax = mx.matvec(A, x)
@@ -440,9 +420,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         if (exact or budget) and \
                 not (math.isfinite(res) and abs(x).max() <= DIVERGENCE_CAP):
             raise DivergenceError(f"iterate diverged at outer iteration {k}")
-        if exact and carried is not None:
-            max_drift = max(max_drift, abs(carried.s - s) / denom)
-            carried.reset(rvec, s, x)
+        if exact and floor is not None:
+            floor.reset(s, x, z)
         if callback is not None:
             callback(k, i, x_prev, x, z)
         if traced:
@@ -454,11 +433,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     if last_recorded != k:
         record(k, res)
-    log.debug("%s: %d iterations, %d full residual recomputes, max carried "
-              "drift %.3g of ||b - A x0||^2, %d zero-row skips", method, k,
-              resyncs, max_drift, zero_row_skips)
+    log.debug("%s: %d iterations, %d full residual recomputes, %d zero-row "
+              "skips", method, k, resyncs, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, max_drift, zero_row_skips)
+                       resyncs, zero_row_skips)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kmz import bench, cli, oracle, problems, solvers
+from kmz import matrix as mx
 from kmz.errors import ConfigError
 
 
@@ -214,6 +216,26 @@ class TestGen:
             prob = problems.make_tomo(geom, 0.02, 6)
         problems.save_problem(prob, tmp_path / "lib")
         assert dir_digest(tmp_path / "cli") == dir_digest(tmp_path / "lib")
+
+
+    def test_sparse_directory_equals_one_mask_draw(self, tmp_path, monkeypatch):
+        # the mask is drawn in row blocks (three here, the last one short);
+        # the files must be those of the single (m, n) draw it replaced
+        argv = ["gen", "--kind", "sparse", "--m", "4000", "--n", "40",
+                "--density", "0.02", "--rank-deficient", "yes", "--seed", "8"]
+        assert cli.main([*argv, "--out", str(tmp_path / "blocks")]) == 0
+        monkeypatch.setattr(problems, "gen_sparse_gaussian", one_draw_sparse_gaussian)
+        assert cli.main([*argv, "--out", str(tmp_path / "one")]) == 0
+        assert dir_digest(tmp_path / "blocks") == dir_digest(tmp_path / "one")
+
+
+def one_draw_sparse_gaussian(m, n, density, seed):
+    """gen_sparse_gaussian as it was, with its mask from one (m, n) draw."""
+    mask_seq, value_seq = np.random.SeedSequence(seed).spawn(2)
+    mask = np.random.default_rng(mask_seq).random((m, n)) < density
+    rows, cols = np.nonzero(mask)
+    values = np.random.default_rng(value_seq).standard_normal(rows.size)
+    return mx.from_scipy(sp.coo_matrix((values, (rows, cols)), shape=(m, n)))
 
 
 class TestSolve:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -204,18 +206,58 @@ class TestMatrixMarket:
         assert np.allclose(A.to_dense(), [[1, 3], [3, 0]])
 
 
-class TestGram:
-    def test_gram(self):
+class TestRowReach:
+    """row_reach bounds ||A a_i^T|| from above, tightly, for every shape."""
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "csr_tall", "csr_wide",
+                                       "badly_scaled"])
+    def test_upper_bound_on_every_row_image(self, shape, monkeypatch):
         rng = np.random.default_rng(0)
-        entries = rng.standard_normal((30, 7))
-        A = mx.from_dense(entries)
-        H = A.gram
-        assert H is A.gram  # built once per handle
-        assert np.array_equal(H, H.T)
-        assert np.allclose(H, entries.T @ entries)
-        assert not H.flags.writeable
-        with pytest.raises(MatrixError):
-            mx.from_scipy(sp.csr_matrix(entries)).gram
+        m, n = (37, 7) if "tall" in shape or shape == "badly_scaled" else (7, 37)
+        entries = rng.standard_normal((m, n))
+        entries[3] = 0.0  # a zero row
+        if shape == "badly_scaled":
+            entries *= np.logspace(-3, 3, n) * np.logspace(-2, 2, m)[:, None]
+        if shape.startswith("csr"):
+            entries[rng.random((m, n)) < 0.5] = 0.0
+            A = mx.from_scipy(sp.csr_matrix(entries))
+        else:
+            A = mx.from_dense(entries)
+        # several row blocks, the last one short; tall shapes take the A^T A
+        # path and wide ones the A A^T path, for CSR too (the 7 x 7 Gram is
+        # smaller than the stored entries, the 37 x 37 one is not), and a
+        # CSR row of A A^T wider than a block gets a block of its own
+        monkeypatch.setattr(mx, "_REACH_BLOCK", 3 * min(m, n) - 1)
+        ld = entries.astype(np.longdouble)
+        exact = np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))  # column i is A a_i^T
+        reach = A.row_reach
+        assert reach is A.row_reach and all(type(v) is float for v in reach)
+        assert reach[3] == 0.0
+        assert np.all(np.array(reach, dtype=np.longdouble) >= exact)
+        assert np.all(np.array(reach) <= exact * (1 + 1e-9) + 1e-300)
+        assert not hasattr(A, "gram")
+
+    def test_large_sparse_stays_sparse(self):
+        # A^T A would be 5000 x 5000, 200 MB dense; the reach must cost memory
+        # in proportion to the stored entries instead
+        rng = np.random.default_rng(1)
+        csr = sp.random(20000, 5000, density=1e-3, format="csr", random_state=rng)
+        A = mx.from_scipy(csr)
+        tracemalloc.start()
+        try:
+            reach = np.array(A.row_reach)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        rows = rng.choice(A.m, 40, replace=False)
+        cols = A.csc.astype(np.longdouble)
+        for i in rows:
+            a = csr.getrow(i)
+            image = cols[:, a.indices] @ a.data.astype(np.longdouble)  # A a_i^T
+            exact = np.sqrt(np.sum(image ** 2))
+            # the rounding margin is 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
+            assert exact <= reach[i] <= exact * (1 + 1e-6)
 
 
 class TestLayout:

@@ -138,39 +138,6 @@ class TestYoungPairing:
 
 
 class TestBounds:
-    def identity_inputs(self, alpha1=0.5, omega=1):
-        profile = oracle.spectral_profile(np.eye(2))
-        return oracle.BoundInputs(alpha1=alpha1, beta1=oracle.young_pair(alpha1),
-                                  omega=omega, profile=profile,
-                                  x0_err_sq=4.0, xstar_norm_sq=1.0)
-
-    def test_greedy_constants_identity(self):
-        g = oracle.memrk_bound(self.identity_inputs(), k=4)
-        assert g.nu == pytest.approx(0.875)          # 1 - 0.25 * 1 / 2
-        assert g.mu == pytest.approx(-0.25)          # 0/1 + 0.5*(-1)/2
-        assert g.alpha == pytest.approx(0.5)
-        assert g.gamma == pytest.approx(2.0)
-
-    def test_greedy_value_by_hand(self):
-        g = oracle.memrk_bound(self.identity_inputs(), k=4)
-        nu, mu = 0.875, -0.25
-        expect = nu ** 4 * 4.0 + (nu ** 2 + 0.5 ** 2) * mu * 2.0 / 0.25 * 1.0 * 1.0
-        assert g.value == pytest.approx(expect, rel=1e-12)
-
-    def test_inconsistent_pairing_rejected(self):
-        inputs = self.identity_inputs()
-        inputs.beta1 = -2.0  # does not pair with alpha1 = 0.5
-        with pytest.raises(ConfigError):
-            oracle.memrk_bound(inputs, k=1)
-
-    def test_zero_row_rejected(self):
-        profile = oracle.spectral_profile(np.eye(2))
-        profile.min_row_norm_sq = 0.0
-        inputs = oracle.BoundInputs(alpha1=0.5, beta1=-1.0, omega=1,
-                                    profile=profile, x0_err_sq=1.0, xstar_norm_sq=1.0)
-        with pytest.raises(KmzError):
-            oracle.memrk_bound(inputs, k=1)
-
     def test_rek_bound_identity(self):
         profile = oracle.spectral_profile(np.eye(2))
         v = oracle.rek_bound(profile, k=4, x0_err_sq=1.0, xstar_norm_sq=1.0)
@@ -206,6 +173,11 @@ class TestContractionRateCheck:
                                            k_max=30, seed=1)
             for k, mean, env in rows:
                 assert mean <= env * 1.10
+
+    def test_omega_floor(self):
+        with pytest.raises(ConfigError):
+            oracle.contraction_rate_check(np.eye(3), np.ones(3), omega=0, trials=30,
+                                          k_max=2, seed=0)
 
     def test_trials_floor(self):
         with pytest.raises(ConfigError):

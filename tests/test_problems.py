@@ -47,6 +47,19 @@ class TestSparseGaussian:
             with pytest.raises(ProblemError):
                 pb.gen_sparse_gaussian(5, 5, bad, seed=0)
 
+    def test_mask_is_never_whole(self):
+        # one m x n boolean mask alone takes m n bytes; the mask used to be
+        # a whole m x n draw of doubles, eight times that
+        m, n = 20_000, 500
+        tracemalloc.start()
+        try:
+            A = pb.gen_sparse_gaussian(m, n, 1e-3, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m * n
+        assert abs(A.csr.nnz / (m * n) - 1e-3) < 1e-4
+
     def test_pattern_substream_independent_of_values(self):
         A = pb.gen_sparse_gaussian(50, 30, 0.2, seed=7)
         B = pb.gen_sparse_gaussian(50, 30, 0.2, seed=7)

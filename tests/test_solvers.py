@@ -17,11 +17,18 @@ from kmz.errors import (ConfigError, DivergenceError, NonFiniteInputError,
 from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
                          sample_column_weighted, sample_row_weighted,
                          select_max_residual_row, solve, x_project_row,
-                         z_multi_step, z_project_column)
+                         z_project_column)
 
 
 def handle(rows):
     return mx.from_dense(np.asarray(rows, dtype=float))
+
+
+def z_multi_step(rng, z, A, omega):
+    """omega successive weighted-random column projections of z, in place."""
+    for _ in range(omega):
+        z_project_column(z, A, sample_column_weighted(rng, A))
+    return z
 
 
 class TestSampling:
@@ -347,41 +354,66 @@ def tall_problem(seed, m=1200, n=100, rank_deficient=False):
     return A, b
 
 
-def rek_steps(A, b, x, z, carried, rng, steps):
-    """Yields after each REK outer iteration, moving `carried` along."""
+def rek_steps(A, b, x, z, floor, rng, steps):
+    """Yields after each REK outer iteration, moving `floor` along."""
     for _ in range(steps):
-        z_project_column(z, A, sample_column_weighted(rng, A), carried)
+        z_project_column(z, A, sample_column_weighted(rng, A), floor)
         i = sample_row_weighted(rng, A)
-        x_project_row(x, A, i, float(b[i] - z[i]), carried)
+        x_project_row(x, A, i, float(b[i] - z[i]), floor)
         yield
 
 
-class TestCarriedResidual:
-    """REK/PREK carry ||r||^2 through the Gram matrix; the shortcut must not
-    change a single iterate, count or reported RES."""
+def floor_case(case, seed):
+    """(A, b, tol) for the shapes on which REK/PREK skip recomputes."""
+    if case == "tall":
+        return (*tall_problem(seed), 1e-6)
+    if case == "rank_deficient":
+        return (*tall_problem(seed, m=200, n=50, rank_deficient=True), 1e-8)
+    if case == "near_square":  # one row short of the old m >= 4n cutoff
+        return (*tall_problem(seed, m=4 * 25 - 1, n=25), 1e-6)
+    if case == "wide":
+        rng = np.random.default_rng(seed)
+        return handle(rng.standard_normal((30, 60))), rng.standard_normal(30), 1e-6
+    A = pb.gen_sparse_gaussian(300, 60, 0.2, seed)
+    b, _ = pb.build_inconsistent_rhs(A, np.ones(60), seed + 1, 0.25)
+    return A, b, 1e-6
 
-    @pytest.mark.parametrize("case", ["tall", "rank_deficient"])
+
+def exact_residual_norm(entries, x, b, z):
+    """||b - A x - z|| for A's `entries` in long double, far closer to the
+    exact value than the float64 rounding the floor allows for."""
+    ld = np.longdouble
+    r = b.astype(ld) - entries @ x.astype(ld) - z.astype(ld)
+    return float(np.sqrt(np.sum(r * r)))
+
+
+class TestCarriedResidual:
+    """REK/PREK carry a lower bound on ||r|| (ResidualFloor) and skip the full
+    recompute while it proves RES >= tol; the shortcut must not change a
+    single iterate, count or reported RES."""
+
+    @pytest.mark.parametrize("case", ["tall", "rank_deficient", "near_square",
+                                      "wide", "csr"])
     def test_matches_full_recompute(self, case, monkeypatch):
-        tol, kw = (1e-6, {}) if case == "tall" else \
-            (1e-8, dict(m=200, n=50, rank_deficient=True))
         for seed in range(10):
-            A, b = tall_problem(seed, **kw)
+            A, b, tol = floor_case(case, seed)
             for method in (sv.REK, sv.PREK):
                 cfg = SolverConfig(method=method, tol=tol, seed=seed, trace_every=97)
                 with monkeypatch.context() as mp:
                     mp.setattr(sv, "RESYNC_EVERY", 1)
                     full = solve(cfg, A, b)
-                carried = solve(cfg, A, b)
-                assert full.converged and carried.converged
-                assert carried.outer_iters == full.outer_iters, (seed, method)
-                assert carried.final_res == full.final_res
-                assert np.array_equal(carried.x_final, full.x_final)
-                assert carried.trace == full.trace
-                # the shortcut ran: few full recomputes beyond the periodic ones
+                floor = solve(cfg, A, b)
+                assert full.converged and floor.converged
+                assert floor.outer_iters == full.outer_iters, (seed, method)
+                assert floor.final_res == full.final_res
+                assert np.array_equal(floor.x_final, full.x_final)
+                assert floor.trace == full.trace
+                # the shortcut ran: measured 0.12-0.27 recomputes per
+                # iteration over these cases, trace rows included
                 assert full.resyncs == full.outer_iters
-                periodic = carried.outer_iters // sv.RESYNC_EVERY
-                trace_rows = carried.outer_iters // 97
-                assert carried.resyncs <= periodic + trace_rows + 3
+                assert floor.resyncs <= floor.outer_iters / 3
+        greedy = solve(SolverConfig(method=sv.EMRK, tol=tol, seed=0), A, b)
+        assert greedy.resyncs == greedy.outer_iters
 
     def test_first_iteration_stop_is_kept(self, monkeypatch):
         # small-200x50 seed 48 of the benchmark stops at k = 1 (RES_1 < tol
@@ -396,68 +428,127 @@ class TestCarriedResidual:
                [(r.iters, r.final_res) for r in full]
         assert min(r.iters for r in carried) == 1
 
-    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled"])
-    def test_drift_within_stated_bound(self, kind):
-        # 300 iterations without a reset: more than four times RESYNC_EVERY
+    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled",
+                                      "wide", "csr"])
+    def test_floor_below_recomputed_norm(self, kind):
+        # 2000 iterations without a reset: far past RESYNC_EVERY
         rng = np.random.default_rng(11)
-        if kind == "tall":
-            A, b = tall_problem(3)
-            x = np.zeros(A.n)
-        elif kind == "rank_deficient":
-            A, b = tall_problem(4, m=200, n=50, rank_deficient=True)
-            x = rng.standard_normal(A.n)
-        else:
+        if kind == "badly_scaled":
             entries = rng.standard_normal((300, 40)) * np.logspace(-3, 3, 40) \
                 * np.logspace(-2, 2, 300)[:, None]
             A, b = handle(entries), 100.0 * rng.standard_normal(300)
-            x = rng.standard_normal(A.n)
-        z = b.copy()
-        carried = sv.CarriedResidual(A, b)
-        r = residual(A, x, b, z)
-        carried.reset(r, float(r @ r), x)
-        denom = float(np.sum((b - mx.matvec(A, x)) ** 2))
-        worst_ratio = 0.0
-        for k, _ in enumerate(rek_steps(A, b, x, z, carried, rng, 300), start=1):
+        else:
+            A, b, _ = floor_case(kind, 3)
+        x0 = rng.standard_normal(A.n)
+        entries = A.to_dense().astype(np.longdouble)
+        # Without a reset the floor runs out after a few steps; so the same
+        # 2000 steps run a second time with a reset whenever L <= 0, as solve
+        # would, and then most steps test a positive floor.
+        for reset_when_spent in (False, True):
+            x, z = x0.copy(), b.copy()
+            floor = sv.ResidualFloor(A, b)
             r = residual(A, x, b, z)
-            drift = abs(carried.s - float(r @ r))
-            bound = carried.bound()
-            assert drift <= bound, (k, drift, bound)
-            worst_ratio = max(worst_ratio, drift / bound)
-            if k == sv.RESYNC_EVERY:
-                # the bound at a resync is far below any tolerance used here
-                assert bound <= 1e-6 * denom
-        assert 0.0 < worst_ratio < 1.0
+            floor.reset(float(r @ r), x, z)
+            norm = exact_residual_norm(entries, x, b, z)
+            assert 0.0 < floor.L <= norm and floor.L > (1.0 - 1e-9) * norm
+            positive = 0
+            steps = rek_steps(A, b, x, z, floor, np.random.default_rng(12), 2000)
+            for k, _ in enumerate(steps, start=1):
+                norm = exact_residual_norm(entries, x, b, z)
+                assert floor.L <= norm, (k, floor.L, norm)
+                assert floor.xi >= np.linalg.norm(x)
+                assert floor.zeta >= np.linalg.norm(z)
+                positive += floor.L > 0.0
+                if reset_when_spent and floor.L <= 0.0:
+                    r = residual(A, x, b, z)
+                    floor.reset(float(r @ r), x, z)
+            assert positive >= (1000 if reset_when_spent else 2), positive
 
-    def test_reported_drift(self):
-        A, b = tall_problem(5)
-        rep = solve(SolverConfig(method=sv.REK, tol=1e-6, seed=5), A, b)
-        assert 0.0 < rep.max_drift < 1e-12
-        greedy = solve(SolverConfig(method=sv.EMRK, tol=1e-6, seed=5), A, b)
-        assert greedy.resyncs == greedy.outer_iters
-        assert greedy.max_drift == 0.0
+    def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
+        A, b, _ = floor_case("rank_deficient", 0)
+        floor = sv.ResidualFloor(A, b)
+        x = np.zeros(A.n)
+        r = residual(A, x, b, np.zeros(A.m))
+        floor.reset(float(r @ r), x, np.zeros(A.m))
+        assert floor.excludes_stop(1e-8 * float(r @ r))
+        # a negative floor proves nothing, however large its square
+        for L in (-1e10, float("nan"), float("inf")):
+            floor.L = L
+            assert not floor.excludes_stop(1e-8 * float(r @ r)), L
 
-    def test_wide_square_and_sparse_recompute_every_iteration(self):
+    # The four tests below build 1x1 systems whose rounding moves r by as much
+    # as the step itself.  Each starts from the tightest sound floor, the
+    # exact ||r||, and fails if the rounding term it names is dropped.
+
+    @staticmethod
+    def tight_floor(entry, x, b, z):
+        A, x, b, z = handle([[entry]]), np.array([x]), np.array([b]), np.array([z])
+        floor = sv.ResidualFloor(A, b)
+        floor.L = exact_residual_norm(A.to_dense().astype(np.longdouble), x, b, z)
+        floor.xi, floor.zeta = abs(x[0]), abs(z[0])
+        return A, x, b, z, floor
+
+    def test_reset_covers_the_rounding_of_the_recompute(self):
+        # fl(0.1 * 3) = 0.30000000000000004 is 2.8e-17 above 0.1 * 3, so
+        # fl(0.3 - fl(0.1 * 3)) is twice the exact residual
+        A, x, b, z, floor = self.tight_floor(0.1, 3.0, 0.3, 0.0)
+        exact = floor.L
+        r = residual(A, x, b, z)
+        assert abs(r[0]) > 1.9 * exact
+        floor.reset(float(r @ r), x, z)
+        assert floor.L <= exact
+
+    def test_column_step_covers_the_rounding_of_a_large_z(self):
+        # ||z|| = 1 dwarfs ||r|| = 8 eps: z - 0.8 eps rounds to 1 - eps, so r
+        # moves by eps, more than the step's own 0.8 eps
+        eps = np.finfo(float).eps
+        A, x, b, z, floor = self.tight_floor(1.0, 0.0, 1.0 - 8 * eps, 1.0)
+        floor.column_step(0, 0.8 * eps)
+        mx.axpy_col(z, A, 0, -0.8 * eps)
+        assert z[0] == 1.0 - eps
+        assert floor.L <= exact_residual_norm(A.to_dense().astype(np.longdouble),
+                                              x, b, z)
+
+    def test_row_step_covers_the_rounding_of_x(self):
+        # x + 0.75 eps rounds to 1 + eps, so A x moves by eps
+        eps = np.finfo(float).eps
+        A, x, b, z, floor = self.tight_floor(1.0, 1.0, 1.0 + 8 * eps, 0.0)
+        floor.row_step(0, 0.75 * eps)
+        mx.axpy_row(x, A, 0, 0.75 * eps)
+        assert x[0] == 1.0 + eps
+        assert floor.L <= exact_residual_norm(A.to_dense().astype(np.longdouble),
+                                              x, b, z)
+
+    def test_stop_test_covers_the_rounding_of_the_recompute(self):
+        # r = fl(0.1 * 3) - 0.1 * 3 = 2.8e-17 is exact ||r||, yet a recompute
+        # gives RES = 0: no tolerance may be certified
+        b = float(np.float64(0.1) * 3.0)
+        A, x, b, z, floor = self.tight_floor(0.1, 3.0, b, 0.0)
+        assert floor.L > 0.0 and float(residual(A, x, b, z)[0]) == 0.0
+        assert not floor.excludes_stop(1e-300)
+
+    def test_wide_square_and_sparse_use_the_floor(self):
         rng = np.random.default_rng(6)
         wide = handle(rng.standard_normal((20, 40)))
-        # one row short of the CARRY_MIN_ASPECT cutoff
-        near_square = handle(rng.standard_normal((sv.CARRY_MIN_ASPECT * 20 - 1, 20)))
+        near_square = handle(rng.standard_normal((4 * 20 - 1, 20)))
         sparse = mx.from_scipy(scipy.sparse.random(80, 20, density=0.3, random_state=6))
         for A in (wide, near_square, sparse):
             for method in (sv.REK, sv.PREK):
                 rep = solve(SolverConfig(method=method, tol=1e-300, max_outer=50),
                             A, rng.standard_normal(A.m))
-                assert rep.resyncs == 50
-        assert wide._gram is None and near_square._gram is None
-        at_cutoff = handle(rng.standard_normal((sv.CARRY_MIN_ASPECT * 20, 20)))
-        rep = solve(SolverConfig(method=sv.REK, tol=1e-300, max_outer=50),
-                    at_cutoff, rng.standard_normal(at_cutoff.m))
-        assert rep.resyncs == 1
+                assert rep.resyncs < 25
+            assert len(A.row_reach) == A.m and not hasattr(A, "gram")
 
     def test_divergence_still_raised(self, monkeypatch):
         A, b = tall_problem(7)
         monkeypatch.setattr(sv, "DIVERGENCE_CAP", 1e-12)
+        cfg = SolverConfig(method=sv.REK, seed=0, max_outer=1000, tol=1e-300)
+        with pytest.raises(DivergenceError, match=r"iteration (\d|[1-5]\d|6[0-4])$"):
+            solve(cfg, A, b)
+        # a floor that never asks for a recompute still meets the ceiling
+        monkeypatch.setattr(sv.ResidualFloor, "excludes_stop", lambda self, t: True)
         with pytest.raises(DivergenceError, match=f"iteration {sv.RESYNC_EVERY}$"):
-            solve(SolverConfig(method=sv.REK, seed=0, max_outer=1000, tol=1e-300), A, b)
+            solve(cfg, A, b)
 
     def test_nan_forces_immediate_recompute(self):
         A, b = tall_problem(8)
@@ -743,9 +834,8 @@ class TestBlockDrawnSampler:
                               lambda rng, A: reference_sample(gen, A.row_norms_sq))
                 old = solve(cfg, prob.A, prob.b, x_star=prob.x_star)
             assert new.x_final.tobytes() == old.x_final.tobytes(), (method, omega)
-            assert (new.outer_iters, new.final_res, new.trace, new.resyncs,
-                    new.max_drift) == (old.outer_iters, old.final_res, old.trace,
-                                       old.resyncs, old.max_drift)
+            assert (new.outer_iters, new.final_res, new.trace, new.resyncs) == \
+                (old.outer_iters, old.final_res, old.trace, old.resyncs)
 
 
 class TestZeroRowSkips:
