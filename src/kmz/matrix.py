@@ -35,7 +35,8 @@ class MatrixHandle:
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
-                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach")
+                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach",
+                 "_gram")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -67,6 +68,8 @@ class MatrixHandle:
         self._row_table = None
         self._col_table = None
         self._row_reach = None
+        # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
+        self._gram = None
 
     # -- lazy norm tables for inverse-CDF sampling ---------------------------
 
@@ -99,7 +102,7 @@ class MatrixHandle:
         first use; see :func:`_row_reach`.
         """
         if self._row_reach is None:
-            self._row_reach = _row_reach(self)
+            self._row_reach, self._gram = _row_reach(self)
         return self._row_reach
 
     @property
@@ -119,22 +122,46 @@ class MatrixHandle:
 
 # Entries of the largest temporary block that _row_reach forms at once.
 _REACH_BLOCK = 1 << 17
+# A CSR handle's A^T A is built from dense row blocks when sum_i nnz(a_i)^2,
+# the flops of the sparse product, reaches m n^2 / _DENSE_GRAM_RATIO.  For
+# n = 400-500 the dense blocks were measured faster from density 0.1 on,
+# where that sum is about m n^2 / 100.
+_DENSE_GRAM_RATIO = 100
+# Fewest stored entries for which the handle keeps its A^T A; see _keeps_gram.
+_GRAM_MIN_ENTRIES = 1 << 17
 
 
-def _row_reach(A: MatrixHandle) -> list:
-    """sqrt(q_i + margin_i) (1 + 4 eps), q_i = ||A a_i^T||^2, computed in row
-    blocks of at most _REACH_BLOCK entries or one row each: as a_i H a_i^T,
-    H = A^T A (dense, freed on return), when H takes no more bytes than the
-    stored entries of A (for a dense A, when n <= m); else as the squared
-    norm of row i of A A^T, sparse for a CSR handle, whose entries and flops
-    number sum_j nnz(A_(j)) over the columns j that row i touches.
+def _keeps_gram(A: MatrixHandle) -> bool:
+    """Whether a product with the n x n A^T A and a few m-vectors of work,
+    n^2 + 4m flops and a fixed interpreter cost, runs well under one
+    mat-vec with A: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES.
+    The stored entries are m n for a dense handle and nnz for CSR.  Such a
+    Gram matrix takes at most half the bytes of A's stored entries."""
+    entries = A.m * A.n if A.dense is not None else A.csr.nnz
+    return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
+
+
+def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
+    """(reach, H): reach_i = sqrt(q_i + margin_i) (1 + 4 eps), q_i =
+    ||A a_i^T||^2, computed in row blocks of at most _REACH_BLOCK entries or
+    one row each: as a_i H a_i^T, H = A^T A (dense), when H takes no more
+    bytes than the stored entries of A (for a dense A, when n <= m); else as
+    the squared norm of row i of A A^T, sparse for a CSR handle, whose
+    entries and flops number sum_j nnz(A_(j)) over the columns j that row i
+    touches.  H is returned when _keeps_gram holds, else None (freed).
+
+    A CSR handle on the H path forms H as a sparse product, which costs
+    sum_i nnz(a_i)^2 flops at sparse-product speed, unless that sum reaches
+    m n^2 / _DENSE_GRAM_RATIO; then it densifies each row block (toarray)
+    and forms H and q from BLAS products, 2 m n^2 flops in all.
 
     margin_i = 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2 covers the rounding of q_i:
     every product above is a dot product of at most max(m, n) terms, each
     off by at most gamma_max(m,n) |A| |a_i^T| entrywise, and
     || |A| |a_i^T| || <= ||A||_F ||a_i||; the H path errs by at most
     (m + 2n) eps and the A A^T path by (2m + 2n) eps, to first order, times
-    ||A||_F^2 ||a_i||^2.  The factor 4 eps covers the final sum and sqrt.
+    ||A||_F^2 ||a_i||^2, whatever the order of the sums (so also for H
+    summed over row blocks).  The factor 4 eps covers the final sum and sqrt.
     """
     m, n = A.m, A.n
     eps = float(np.finfo(np.float64).eps)
@@ -145,33 +172,53 @@ def _row_reach(A: MatrixHandle) -> list:
         nbytes = A.csr.data.nbytes + A.csr.indices.nbytes
         nbytes += A.csc.data.nbytes + A.csc.indices.nbytes
     gram = 8 * n * n <= nbytes
+    densify = False
     if gram:
-        H = stored_t @ stored
-        H = H if A.dense is not None else H.toarray()
         width = np.full(m, n)  # entries of a row of blk @ H
+        if A.dense is None:
+            nnz_sq = np.diff(A.csr.indptr).astype(np.float64) ** 2
+            densify = _DENSE_GRAM_RATIO * nnz_sq.sum() >= float(m) * n * n
     elif A.dense is not None:
         width = np.full(m, m)  # entries of a row of A A^T
     else:
         width = np.bincount(np.repeat(np.arange(m), np.diff(A.csr.indptr)),
                             np.diff(A.csc.indptr)[A.csr.indices], minlength=m)
-    q = np.empty(m)
     cum = np.cumsum(width)
+    bounds = []
     s = 0
+    while s < m:
+        e = max(s + 1, int(np.searchsorted(
+            cum, cum[s] - width[s] + _REACH_BLOCK, side="right")))
+        bounds.append((s, e))
+        s = e
+
+    def blocks():
+        for s, e in bounds:
+            blk = stored[s:e]
+            yield s, e, (blk.toarray() if densify else blk)
+
+    q = np.empty(m)
     # An overflow leaves an inf or NaN bound, which only forces the solver
     # to form r in full.
     with np.errstate(over="ignore", invalid="ignore"):
-        while s < m:
-            e = max(s + 1, int(np.searchsorted(
-                cum, cum[s] - width[s] + _REACH_BLOCK, side="right")))
-            blk = stored[s:e]
-            if gram:
-                q[s:e] = _row_dots(blk, blk @ H)
-            else:
+        if not gram:
+            for s, e, blk in blocks():
                 G = blk @ stored_t  # the block's rows of A A^T
                 q[s:e] = _row_dots(G, G)
-            s = e
+        else:
+            if A.dense is not None:
+                H = stored_t @ stored
+            elif densify:
+                H = np.zeros((n, n))
+                for _, _, blk in blocks():
+                    H += blk.T @ blk
+            else:
+                H = (stored_t @ stored).toarray()
+            for s, e, blk in blocks():
+                q[s:e] = _row_dots(blk, blk @ H)
         margin = 4.0 * (m + n + 8) * eps * A.frob_sq * A.row_norms_sq
-        return (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
+        reach = (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
+    return reach, (_readonly(H) if gram and _keeps_gram(A) else None)
 
 
 def _row_dots(P, Q) -> np.ndarray:

@@ -16,12 +16,15 @@ The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2.
 The greedy methods need all of r = b - A x - z to pick a row, so they form
 it after every outer iteration, from one full mat-vec.  REK and PREK never
 read r, and the stop test needs only a bound on it: they carry a certified
-lower bound on ||r|| (ResidualFloor), moved by the triangle inequality at
-O(1) scalar cost per step, on dense and CSR matrices of any shape.  They
-form r in full only when that bound cannot prove RES >= tol, at trace rows,
-at the last iteration, and at least every RESYNC_EVERY iterations.  A
-solve stops only on a RES formed in full, so the iterates, iteration counts
-and trace rows are those of a full recompute after every iteration.
+lower bound on ||r|| (ResidualFloor), on dense and CSR matrices of any
+shape, in two tiers.  The triangle inequality moves it at O(1) scalar cost
+per step.  When that has spent it, and the matrix handle kept A^T A (a
+product with it costs well under a mat-vec; see matrix._keeps_gram), the
+bound is rebuilt from the last full recompute in O(m + n^2).  They form r
+in full only when neither tier can prove RES >= tol, at trace rows, at the
+last iteration, and at least every RESYNC_EVERY iterations.  A solve stops
+only on a RES formed in full, so the iterates, iteration counts and trace
+rows are those of a full recompute after every iteration.
 
 A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
 cumulative squared norms, kept by the matrix handle as Python float lists
@@ -103,6 +106,7 @@ class SolveReport:
     wall_seconds: float
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
     resyncs: int = 0          # times r = b - A x - z was formed in full
+    floor_refreshes: int = 0  # O(m + n^2) rebuilds of the REK/PREK floor
     # greedy picks of an all-zero row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
@@ -250,6 +254,24 @@ class ResidualFloor:
         most |d| reach_i (MatrixHandle.row_reach), and by A times the
         rounding of the stored x', at most F e, e = gamma (xi + |d| ||a_i||).
         L -= |d| reach_i + F e; xi += |d| ||a_i|| + e.
+      - Refresh (`refresh`, only with H^ = fl(A^T A) kept by the handle).
+        Let x_r be x at the last reset and u^ = fl(b - fl(A x_r)) the vector
+        that reset formed.  Exactly r = rho - A delta, rho = b - A x_r - z,
+        delta = x - x_r, so ||r|| >= ||rho|| - ||A delta||.  rho^ =
+        fl(u^ - z) is the r^ of a reset at x_r with the current z, so by the
+        reset's argument ||rho|| >= sqrt(p^) (1 - gamma) - gamma (||b|| +
+        F xi_r), p^ = fl(rho^.rho^) and xi_r the xi of that reset.  For
+        delta^ = fl(x - x_r), ||A (delta - delta^)|| <= eps F ||delta^||.
+        q^ = fl(delta^.fl(H^ delta^)) is within (gamma_m + 2 gamma_n)
+        || |A| |delta^| ||^2 <= (m + 2n) eps F^2 ||delta^||^2 of
+        ||A delta^||^2, to first order: gamma_m for H^, gamma_n for each
+        product.  With a = ||A delta^|| <= F ||delta^||, the first term
+        adds at most (a + eps F ||delta^||)^2 - a^2 <= 3 eps F^2
+        ||delta^||^2, so ||A delta||^2 <= q^ + 2 gamma F^2 e^, e^ =
+        fl(delta^.delta^): 2 gamma exceeds the (m + 2n + 3) eps needed by
+        (m + 13) eps, which covers e^'s own rounding and second-order
+        terms.  L = max(L, sqrt(p^) (1 - gamma) - gamma (||b|| + F xi_r) -
+        sqrt(q^ + 2 gamma F^2 e^) (1 + 4 eps)); xi and zeta stay.
       - Stop test.  A full recompute here would give, by the reset's
         argument, ||r^|| (1 + eps) >= M = L - gamma (||b|| + F xi), so if
         M > 0 then s^ >= M^2 (1 - gamma), and M^2 (1 - gamma) >=
@@ -263,25 +285,46 @@ class ResidualFloor:
     forces a recompute.
     """
 
-    __slots__ = ("gamma", "reach", "col_norms", "row_norms", "frob", "b_norm",
-                 "L", "xi", "zeta")
+    __slots__ = ("gamma", "reach", "H", "col_norms", "row_norms", "frob",
+                 "b_norm", "L", "xi", "zeta", "x_r", "u", "rho_margin")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         self.gamma = g = (A.m + A.n + 8) * _EPS
         self.reach = A.row_reach
+        self.H = A._gram  # built with row_reach; None where a refresh won't pay
         # norms as Python floats: scalar arithmetic on them is cheaper
         self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)).tolist()
         self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)).tolist()
         self.frob = math.sqrt(A.frob_sq) * (1.0 + g)
         self.b_norm = float(np.linalg.norm(b)) * (1.0 + g)
 
-    def reset(self, s: float, x: np.ndarray, z: np.ndarray) -> None:
-        """Restart from a full recompute of the current iterates, s = fl(r.r)."""
+    def reset(self, s: float, x: np.ndarray, z: np.ndarray,
+              u: np.ndarray | None = None) -> None:
+        """Restart from a full recompute of the current iterates, s = fl(r.r).
+
+        `u` = fl(b - fl(A x)), the recompute's r before z was subtracted, is
+        kept with a copy of x for `refresh` (when the handle kept H)."""
         g = self.gamma
         self.xi = float(np.linalg.norm(x)) * (1.0 + g)
         self.zeta = float(np.linalg.norm(z)) * (1.0 + g)
-        rounding = g * (self.b_norm + self.frob * self.xi)
-        self.L = (math.sqrt(s) * (1.0 - g) - rounding) * _DOWN
+        self.rho_margin = g * (self.b_norm + self.frob * self.xi)
+        self.L = (math.sqrt(s) * (1.0 - g) - self.rho_margin) * _DOWN
+        if self.H is not None and u is not None:
+            self.x_r, self.u = x.copy(), u
+
+    def refresh(self, x: np.ndarray, z: np.ndarray) -> None:
+        """Raise L to the bound rebuilt from the last reset, which must have
+        been given `u`; O(m + n^2)."""
+        g = self.gamma
+        rho = self.u - z
+        d = x - self.x_r
+        p = float(rho @ rho)
+        e = float(d @ d)
+        q = float(d @ (self.H @ d))
+        far = math.sqrt(max(q + 2.0 * g * self.frob * self.frob * e, 0.0))
+        L = (math.sqrt(p) * (1.0 - g) - self.rho_margin - far * _UP) * _DOWN
+        if L > self.L:
+            self.L = L
 
     def column_step(self, j: int, c: float) -> None:
         t = abs(c) * self.col_norms[j]
@@ -372,8 +415,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     floor = None
     if not (greedy or budget):
         floor = ResidualFloor(A, b)
-        rvec = b - ax - z
-        floor.reset(float(rvec @ rvec), x, z)
+        rvec = r0 - z
+        floor.reset(float(rvec @ rvec), x, z, r0)
         tol_denom = config.tol * denom * _UP
     period = RESYNC_EVERY if floor is not None else 1
 
@@ -383,6 +426,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     k = 0
     last_recorded = 0
     resyncs = 0
+    refreshes = 0
     zero_row_skips = 0
     row_norms_sq = A.row_table[1]
     for k in range(1, config.max_outer + 1):
@@ -407,13 +451,18 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
                 ax = mx.matvec(A, x)
 
         traced = config.trace_every and k % config.trace_every == 0
-        exact = traced or k == config.max_outer
-        if not budget:
-            exact = exact or k % period == 0 or not floor.excludes_stop(tol_denom)
+        exact = traced or k == config.max_outer or (not budget and k % period == 0)
+        if not (exact or budget or floor.excludes_stop(tol_denom)):
+            exact = True
+            if floor.H is not None:
+                refreshes += 1
+                floor.refresh(x, z)
+                exact = not floor.excludes_stop(tol_denom)
         if exact:
             if not greedy:
                 ax = mx.matvec(A, x)
-            rvec = b - ax - z
+            u = b - ax
+            rvec = u - z
             s = float(rvec @ rvec)
             res = s / denom
             resyncs += 1
@@ -421,7 +470,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
                 not (math.isfinite(res) and abs(x).max() <= DIVERGENCE_CAP):
             raise DivergenceError(f"iterate diverged at outer iteration {k}")
         if exact and floor is not None:
-            floor.reset(s, x, z)
+            floor.reset(s, x, z, u)
         if callback is not None:
             callback(k, i, x_prev, x, z)
         if traced:
@@ -433,10 +482,11 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     if last_recorded != k:
         record(k, res)
-    log.debug("%s: %d iterations, %d full residual recomputes, %d zero-row "
-              "skips", method, k, resyncs, zero_row_skips)
+    log.debug("%s: %d iterations, %d full residual recomputes, %d floor "
+              "refreshes, %d zero-row skips", method, k, resyncs, refreshes,
+              zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, zero_row_skips)
+                       resyncs, refreshes, zero_row_skips)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -237,6 +237,46 @@ class TestRowReach:
         assert np.all(np.array(reach) <= exact * (1 + 1e-9) + 1e-300)
         assert not hasattr(A, "gram")
 
+    @pytest.mark.parametrize("ratio", [0, 10 ** 12], ids=["sparse_product",
+                                                       "dense_blocks"])
+    def test_csr_and_dense_handles_agree(self, ratio, monkeypatch):
+        # both ways a CSR handle forms A^T A, against the dense handle of the
+        # same matrix: each reach is an upper bound, and the two differ by at
+        # most the stated margin 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
+        monkeypatch.setattr(mx, "_DENSE_GRAM_RATIO", ratio)
+        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        monkeypatch.setattr(mx, "_REACH_BLOCK", 3 * 40 - 1)  # two rows a block
+        rng = np.random.default_rng(2)
+        entries = rng.standard_normal((301, 40))
+        entries[rng.random(entries.shape) < 0.7] = 0.0
+        dense, csr = mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))
+        rd, rc = np.array(dense.row_reach), np.array(csr.row_reach)
+        ld = entries.astype(np.longdouble)
+        exact = np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))
+        assert np.all(rd >= exact) and np.all(rc >= exact)
+        eps = np.finfo(float).eps
+        margin = 4 * (301 + 40 + 8) * eps * dense.frob_sq * dense.row_norms_sq
+        assert np.all(abs(rc ** 2 - rd ** 2) <= margin * (1 + 1e-9))
+        # the kept Gram matrices agree within gamma_m |A|^T |A|
+        absg = abs(entries).T @ abs(entries)
+        assert np.all(abs(csr._gram - dense._gram) <= 2 * 301 * eps * absg)
+        assert not csr._gram.flags.writeable
+
+    def test_gram_kept_only_where_a_refresh_pays(self):
+        # kept when the stored entries reach 2 (n^2 + 4m) and 2^17
+        rng = np.random.default_rng(3)
+        cases = [((3000, 50), True), ((2000, 50), False),  # 2^17 = 131072
+                 ((700, 400), False), ((1200, 300), True)]  # 2 (n^2 + 4m)
+        for (m, n), kept in cases:
+            A = mx.from_dense(rng.standard_normal((m, n)))
+            A.row_reach
+            assert (A._gram is not None) == kept, (m, n)
+            if kept:
+                assert np.allclose(A._gram, A.dense.T @ A.dense, rtol=0, atol=1e-9)
+        dense_csr = mx.from_scipy(sp.random(3000, 50, density=0.9, random_state=rng))
+        dense_csr.row_reach
+        assert dense_csr._gram is not None
+
     def test_large_sparse_stays_sparse(self):
         # A^T A would be 5000 x 5000, 200 MB dense; the reach must cost memory
         # in proportion to the stored entries instead

@@ -374,6 +374,8 @@ def floor_case(case, seed):
     if case == "wide":
         rng = np.random.default_rng(seed)
         return handle(rng.standard_normal((30, 60))), rng.standard_normal(30), 1e-6
+    if case == "gated":  # 140000 stored entries: the handle keeps A^T A
+        return (*tall_problem(seed, m=1400, n=100), 1e-6)
     A = pb.gen_sparse_gaussian(300, 60, 0.2, seed)
     b, _ = pb.build_inconsistent_rhs(A, np.ones(60), seed + 1, 0.25)
     return A, b, 1e-6
@@ -393,7 +395,7 @@ class TestCarriedResidual:
     single iterate, count or reported RES."""
 
     @pytest.mark.parametrize("case", ["tall", "rank_deficient", "near_square",
-                                      "wide", "csr"])
+                                      "wide", "csr", "gated"])
     def test_matches_full_recompute(self, case, monkeypatch):
         for seed in range(10):
             A, b, tol = floor_case(case, seed)
@@ -412,6 +414,16 @@ class TestCarriedResidual:
                 # iteration over these cases, trace rows included
                 assert full.resyncs == full.outer_iters
                 assert floor.resyncs <= floor.outer_iters / 3
+                if A._gram is None:  # below the cost gate: the O(1) tier only
+                    assert floor.floor_refreshes == 0
+                    continue
+                with monkeypatch.context() as mp:
+                    mp.setattr(A, "_gram", None)
+                    o1 = solve(cfg, A, b)
+                assert np.array_equal(o1.x_final, floor.x_final)
+                assert floor.floor_refreshes > 0
+                assert floor.resyncs < o1.resyncs, (seed, method)
+        assert (A._gram is not None) == (case == "gated")
         greedy = solve(SolverConfig(method=sv.EMRK, tol=tol, seed=0), A, b)
         assert greedy.resyncs == greedy.outer_iters
 
@@ -463,6 +475,80 @@ class TestCarriedResidual:
                     r = residual(A, x, b, z)
                     floor.reset(float(r @ r), x, z)
             assert positive >= (1000 if reset_when_spent else 2), positive
+
+    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled",
+                                      "csr"])
+    def test_refreshed_floor_below_recomputed_norm(self, kind, monkeypatch):
+        # the handle keeps its own A^T A below the cost gate too, so the
+        # refresh runs on the H that row_reach built (densified CSR blocks
+        # for "csr")
+        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        rng = np.random.default_rng(13)
+        if kind == "badly_scaled":
+            entries = rng.standard_normal((300, 40)) * np.logspace(-3, 3, 40) \
+                * np.logspace(-2, 2, 300)[:, None]
+            A, b = handle(entries), 100.0 * rng.standard_normal(300)
+        else:
+            A, b, _ = floor_case(kind, 4)
+        floor = sv.ResidualFloor(A, b)
+        assert floor.H is not None
+        x, z = rng.standard_normal(A.n), b.copy()
+        entries = A.to_dense().astype(np.longdouble)
+
+        def reset():
+            u = b - mx.matvec(A, x)
+            r = u - z
+            floor.reset(float(r @ r), x, z, u)
+
+        reset()
+        raised = resets = 0
+        for k, _ in enumerate(rek_steps(A, b, x, z, floor,
+                                        np.random.default_rng(14), 2000), start=1):
+            before, xi, zeta = floor.L, floor.xi, floor.zeta
+            floor.refresh(x, z)
+            norm = exact_residual_norm(entries, x, b, z)
+            assert floor.L <= norm, (k, floor.L, norm)
+            assert floor.L >= before and (floor.xi, floor.zeta) == (xi, zeta)
+            raised += floor.L > before
+            if floor.L <= 0.0:  # the bound from this reset is spent
+                reset()
+                resets += 1
+        # most steps raise the O(1) floor; measured 1-2 resets (262 badly
+        # scaled) in 2000 steps, against 172-599 for the O(1) floor alone
+        assert raised >= 1000 and resets < 300, (raised, resets)
+
+    # Each 1 x n case below fails if the rounding term it names is dropped
+    # from ResidualFloor.refresh; L starts at -inf, so it is the refresh's.
+
+    @staticmethod
+    def refreshed_floor(entries, x_r, x, b, z):
+        A = handle(entries)
+        x_r, x, b, z = (np.array(v, dtype=float) for v in (x_r, x, b, z))
+        floor = sv.ResidualFloor(A, b)
+        floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
+        u = b - mx.matvec(A, x_r)
+        r = u - z
+        floor.reset(float(r @ r), x_r, z, u)
+        floor.L = -np.inf
+        floor.refresh(x, z)
+        exact = exact_residual_norm(A.to_dense().astype(np.longdouble), x, b, z)
+        return floor.L, exact
+
+    def test_refresh_covers_the_rounding_of_the_stored_a_x(self):
+        # x = x_r: fl(0.3 - fl(0.1 * 3)) is twice the exact residual, so the
+        # rebuilt ||rho|| needs the reset's gamma (||b|| + F xi_r) term
+        L, exact = self.refreshed_floor([[0.1]], [3.0], [3.0], [0.3], [0.0])
+        assert 0.0 < exact and L <= exact
+
+    def test_refresh_covers_the_rounding_of_the_gram_product(self):
+        # A = [1, c], c = 1 + 2^-27, delta = (1, -1): A delta = -2^-27, but
+        # fl(c^2) drops 2^-54, so fl(delta.fl(H delta)) = 0.  With z = 2^-27
+        # r = 0 exactly, yet ||rho|| = 2^-27; only the 2 gamma F^2 ||delta||^2
+        # term keeps L <= 0
+        t = 2.0 ** -27
+        L, exact = self.refreshed_floor([[1.0, 1.0 + t]], [0.0, 0.0], [1.0, -1.0],
+                                        [0.0], [t])
+        assert exact == 0.0 and L <= exact
 
     def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
         A, b, _ = floor_case("rank_deficient", 0)
@@ -567,10 +653,15 @@ class TestCarriedResidual:
                 solve(SolverConfig(method=method, seed=0), A, b * 1e200)
 
     def test_debug_log(self, caplog):
-        A, b = tall_problem(9, m=200, n=50)
-        with caplog.at_level("DEBUG", logger="kmz.solvers"):
-            rep = solve(SolverConfig(method=sv.PREK, seed=0), A, b)
-        assert f"{rep.resyncs} full residual recomputes" in caplog.text
+        # 200 x 50 is below the cost gate; 1400 x 100 above it
+        for m, n in ((200, 50), (1400, 100)):
+            A, b = tall_problem(9, m=m, n=n)
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="kmz.solvers"):
+                rep = solve(SolverConfig(method=sv.PREK, seed=0), A, b)
+            assert f"{rep.resyncs} full residual recomputes, " \
+                   f"{rep.floor_refreshes} floor refreshes" in caplog.text
+            assert (rep.floor_refreshes > 0) == (m == 1400)
 
 
 class TestFixedBudget:
