@@ -120,6 +120,7 @@ class MatrixHandle:
         return self.csr.toarray()
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
 # Entries of the largest temporary block that _row_reach forms at once.
 _REACH_BLOCK = 1 << 17
 # A CSR handle's A^T A is built from dense row blocks when sum_i nnz(a_i)^2,
@@ -303,6 +304,24 @@ def matvec(A: MatrixHandle, x: np.ndarray) -> np.ndarray:
     if A.dense is not None:
         return A.dense @ x
     return A.csr @ x
+
+
+def single_copy(A: MatrixHandle) -> np.ndarray | None:
+    """A column-major float32 copy of a dense handle's entries, for
+    :func:`matvec_single`; None when an entry lies beyond the float32 range
+    (checked before the cast, which would overflow) or the handle is CSR."""
+    if A.dense is None:
+        return None
+    if not max(A.dense.max(), -A.dense.min()) <= _F32_MAX:
+        return None
+    return A.dense.astype(np.float32, order="F")
+
+
+def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """w = A32 fl32(d) in float32: one pass over a :func:`single_copy`, half
+    the bytes of :func:`matvec`.  The caller keeps d small enough that
+    neither fl32(d) nor the product overflows."""
+    return A32 @ d.astype(np.float32)
 
 
 def row_dot(A: MatrixHandle, i: int, x: np.ndarray) -> float:

@@ -13,18 +13,23 @@ x-step; the methods differ only in how they pick the column and the row:
   EMRK   MEMRK with omega 1
 
 The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2.
-The greedy methods need all of r = b - A x - z to pick a row, so they form
-it after every outer iteration, from one full mat-vec.  REK and PREK never
-read r, and the stop test needs only a bound on it: they carry a certified
-lower bound on ||r|| (ResidualFloor), on dense and CSR matrices of any
-shape, in two tiers.  The triangle inequality moves it at O(1) scalar cost
+The greedy methods need the argmax of |r|, r = b - A x - z, to pick a row.
+On a dense matrix of at least _SHADOW_MIN_ENTRIES entries they take it, and
+their stop test, from a float32 pass over a float32 copy of A, anchored at
+the last float64 pass and bounded entrywise (ResidualShadow); they make a
+float64 pass only where that bound cannot certify the pick or prove
+RES >= tol.  Elsewhere they form r after every x-step from one full float64
+mat-vec.  REK and PREK never read r, and the stop test needs only a bound
+on it: they carry a certified lower bound on ||r|| (ResidualFloor), on
+dense and CSR matrices of any shape, in two tiers.  The triangle inequality moves it at O(1) scalar cost
 per step.  When that has spent it, and the matrix handle kept A^T A (a
 product with it costs well under a mat-vec; see matrix._keeps_gram), the
 bound is rebuilt from the last full recompute in O(m + n^2).  They form r
 in full only when neither tier can prove RES >= tol, at trace rows, at the
 last iteration, and at least every RESYNC_EVERY iterations.  A solve stops
-only on a RES formed in full, so the iterates, iteration counts and trace
-rows are those of a full recompute after every iteration.
+only on a RES formed in full, and every pick is the float64 argmax, so the
+iterates, iteration counts and trace rows are those of a full recompute
+after every iteration.
 
 A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
 cumulative squared norms, kept by the matrix handle as Python float lists
@@ -110,6 +115,7 @@ class SolveReport:
     # greedy picks of an all-zero row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
+    shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
 
 
 # -- selection ----------------------------------------------------------------
@@ -346,6 +352,175 @@ class ResidualFloor:
         return M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
 
 
+# -- float32 shadow of the greedy residual ------------------------------------
+
+_U32 = 2.0 ** -24   # float32 unit roundoff
+_TINY = 2.0 ** -126  # float32's smallest normal number
+# Covers 1 / (1 - eps) and the few roundings of each shadow margin formula.
+_FAC = 1.0 + 8.0 * _EPS
+# Fewest dense entries for which EMRK/MEMRK use a ResidualShadow: below it a
+# float32 pass and its bound save less than they cost (BENCH_greedy_shadow.json).
+_SHADOW_MIN_ENTRIES = 1 << 18
+
+
+class ResidualShadow:
+    """The greedy pick and the stop test of EMRK/MEMRK on a dense handle,
+    certified from a float32 pass over A instead of a float64 one.
+
+    Each float64 pass at an iterate x_a forms u_a = fl(b - fl(A x_a)); the
+    shadow keeps x_a and u_a (`anchor`).  After an x-step to x, `advance`
+    forms d^ = fl(x - x_a), w = fl32(A32 fl32(d^)) (matrix.matvec_single,
+    A32 = fl32(A) column-major) and v~ = fl(u_a - w).  With the current z,
+    r~ = fl(v~ - z) stands in for the r^ = fl(fl(b - fl(A x)) - z) that a
+    float64 pass forms.  With eps = 2^-52 (twice float64's unit roundoff),
+    u32 = 2^-24, tau = 2^-126, g32 = (n + 3) u32 / (1 - (n + 3) u32) and
+    a_i row i of A, the bound is
+      |r~_i - r^_i| <= e_i = alpha ||a_i|| + beta0 + 3 eps |r~_i|,
+      alpha = (g32 + 2 eps) ||d^|| + (n + 1) eps (||x|| + ||x_a||)
+              + 3 tau sqrt(n),
+      beta0 = 2 eps ||u_a||_inf + 2 tau (||d^||_1 + 3 n).
+    Exactly, b_i - a_i x = (b_i - a_i x_a) - a_i d; term by term:
+      - The float32 pass.  fl32 rounds each entry of A and d^ by at most
+        u32 relative, and the n-term product errs by at most
+        gamma_n(u32) |A32| |fl32(d^)| entrywise (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, sec. 3.1), in any order of
+        summation: |w_i - a_i d^| <= ((n + 2) u32 + u32^2) / (1 - n u32)
+        ||a_i|| ||d^|| <= g32 ||a_i|| ||d^||.
+      - Underflow.  An entry of A or d^, a product or a partial sum below
+        tau may turn subnormal or, under flush-to-zero, zero; each errs by
+        at most tau absolutely.  That adds at most 2 tau (||a_i||_1 +
+        ||d^||_1 + 2n) <= 2 tau (sqrt(n) ||a_i|| + ||d^||_1 + 2n), the
+        factor 2 covering the relative terms on top; float64 underflow in
+        the two float64 passes adds well under tau n more.
+      - The anchor distance.  d^ rounds d = x - x_a: |a_i (d - d^)| <=
+        eps/2 ||a_i|| ||d^|| (1 + eps).
+      - The two float64 passes.  fl(a_i x) and fl(a_i x_a) err by at most
+        gamma_n(eps/2) |a_i| |x| <= n eps ||a_i|| ||x||, and the same with
+        x_a.  fl(b_i - p) errs by at most eps/2 |b_i - p|, and |b_i - p| is
+        at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1 + eps) + ||a_i||
+        ||d|| + n eps ||a_i|| (||x|| + ||x_a||) for r^: together
+        eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||d|| and a second-order
+        term.
+      - v~'s subtraction errs by at most eps/2 (|u_a_i| + |w_i|), with
+        |w_i| <= 2 ||a_i|| ||d^|| + (the underflow) as g32 <= 1.  The last
+        subtractions of r~ and r^ err by at most eps/2 |r~_i| and eps/2
+        |r^_i| (relative to their results), and |r^_i| <= |r~_i| + e_i;
+        solved for e_i this puts 1 / (1 - eps) on the sum and adds
+        2 eps |r~_i| / (1 - eps) <= 3 eps |r~_i|.
+    Summed: g32 + 2 eps on ||a_i|| ||d^||, (n + 1) eps on ||a_i|| (||x|| +
+    ||x_a||) and 2 eps on ||u_a||_inf, each with slack for the
+    second-order terms.  The norms are stored times 1 + gamma,
+    gamma = (m + n + 8) eps, which covers their rounding; alpha and beta0
+    times _FAC.
+      - Pick (`pick`).  i* = argmax |r~| is certified when |r~_i*| - e_i* >
+        |r~_j| + e_j for every j != i*, using |r~_j| <= |r~_i*| in e_j; then
+        |r^_i*| > |r^_j|, so argmax |r^| = i* with no tie.  e_i* and the
+        right side are each taken times 1 + 4 eps, which covers the
+        roundings of both sides.  Else, or if row i* is all zero, -1.
+      - Stop test (`excludes_stop`).  ||r^|| >= ||r~|| - ||e|| and ||e|| <=
+        alpha F + beta0 sqrt(m) + 3 eps ||r~||, F >= ||(||a_i||)_i||; with
+        M = ||r~|| - ||e|| > 0, a float64 pass would give s^ >= M^2 (1 -
+        gamma), so M^2 (1 - gamma) >= tol denom (1 + 4 eps) proves
+        fl(s^ / denom) >= tol, as in ResidualFloor.  It also needs
+        2 (||r~|| + ||e||)^2 / denom finite, which bounds the RES a float64
+        pass would form, and max |x| <= DIVERGENCE_CAP, so the pass it
+        skips would neither stop the run nor raise.
+    `advance` makes no pass, and sets beta0 = inf so that neither test
+    passes, when ||d^||_1 max(1, max |A32|) > float32 max / 2, which keeps
+    fl32(d^), every product and every partial sum of the pass in range, or
+    when max |x| > DIVERGENCE_CAP.  A NaN fails both tests.
+    """
+
+    __slots__ = ("A32", "gamma", "norms", "frob", "root_m", "c_delta",
+                 "c_x", "tau_row", "tau_fixed", "limit", "buf", "passes",
+                 "x_a", "u_a", "x_a_norm", "u_a_term", "v", "alpha", "beta0")
+
+    def __init__(self, A: mx.MatrixHandle, A32: np.ndarray):
+        m, n = A.m, A.n
+        self.A32 = A32
+        self.gamma = g = (m + n + 8) * _EPS
+        self.norms = np.sqrt(A.row_norms_sq) * (1.0 + g)
+        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
+        self.root_m = math.sqrt(m) * (1.0 + g)
+        g32 = (n + 3) * _U32 / (1.0 - (n + 3) * _U32)
+        self.c_delta = g32 + 2.0 * _EPS
+        self.c_x = (n + 1) * _EPS
+        self.tau_row = 3.0 * _TINY * math.sqrt(n) * (1.0 + g)
+        self.tau_fixed = 6.0 * _TINY * n
+        amax = max(float(A32.max()), -float(A32.min()), 1.0)
+        self.limit = mx._F32_MAX / 2.0 / amax * _DOWN
+        self.buf = np.empty(m)
+        self.passes = 0
+
+    def anchor(self, x: np.ndarray, u: np.ndarray) -> None:
+        """Restart from a float64 pass at x, u = fl(b - fl(A x))."""
+        self.x_a = x.copy()
+        self.u_a = u
+        self.x_a_norm = float(np.linalg.norm(x)) * (1.0 + self.gamma)
+        self.u_a_term = 2.0 * _EPS * float(abs(u).max())
+
+    def advance(self, x: np.ndarray) -> None:
+        """One float32 pass at x: sets v~, alpha and beta0."""
+        g = self.gamma
+        d = x - self.x_a
+        d1 = float(abs(d).sum()) * (1.0 + g)
+        if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
+            self.v, self.alpha, self.beta0 = self.u_a, 0.0, math.inf
+            return
+        self.passes += 1
+        self.v = self.u_a - mx.matvec_single(self.A32, d)
+        nd = float(np.linalg.norm(d)) * (1.0 + g)
+        nx = float(np.linalg.norm(x)) * (1.0 + g)
+        self.alpha = (self.c_delta * nd + self.c_x * (nx + self.x_a_norm)
+                      + self.tau_row) * _FAC
+        self.beta0 = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
+
+    def bound(self, r: np.ndarray) -> np.ndarray:
+        """e, entrywise, for r = r~ = fl(v~ - z)."""
+        return self.alpha * self.norms + self.beta0 + 3.0 * _EPS * abs(r)
+
+    def pick(self, z: np.ndarray) -> int:
+        """The row a float64 pass would pick, argmax |r^|, or -1 when the
+        float32 pass cannot certify it."""
+        r = self.v - z
+        i = select_max_residual_row(r)
+        a = np.abs(r, out=r)
+        top, norm = a.item(i), self.norms.item(i)
+        if not (top < math.inf and norm > 0.0):
+            return -1
+        beta = self.beta0 + 3.0 * _EPS * top
+        others = np.multiply(self.norms, self.alpha, out=self.buf)
+        others += a
+        others[i] = -math.inf
+        lo = top - (self.alpha * norm + beta) * _UP
+        return i if lo > (float(others.max()) + beta) * _UP else -1
+
+    def excludes_stop(self, z: np.ndarray, tol_denom: float,
+                      denom: float) -> bool:
+        """True when a float64 pass now is certain to give a finite RES >=
+        tol and x within DIVERGENCE_CAP; `tol_denom` is tol * denom *
+        (1 + 4 eps)."""
+        g = self.gamma
+        r = self.v - z
+        norm = math.sqrt(float(r @ r))
+        e = (self.alpha * self.frob + self.beta0 * self.root_m
+             + 3.0 * _EPS * norm * (1.0 + g)) * _UP
+        M = (norm * (1.0 - g) - e) * _DOWN
+        U = (norm * (1.0 + g) + e) * _UP
+        return M > 0.0 and tol_denom <= M * M * (1.0 - g) \
+            and 2.0 * U * U / denom < math.inf
+
+
+def _shadow(A: mx.MatrixHandle) -> ResidualShadow | None:
+    """A ResidualShadow for a dense handle of at least _SHADOW_MIN_ENTRIES
+    entries whose float32 copy is finite, else None.  n < 2^22 keeps g32
+    below 1."""
+    if A.dense is None or A.m * A.n < _SHADOW_MIN_ENTRIES or A.n >= 1 << 22:
+        return None
+    A32 = mx.single_copy(A)
+    return None if A32 is None else ResidualShadow(A, A32)
+
+
 # -- driver ---------------------------------------------------------------------
 
 
@@ -362,7 +537,9 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     trace rows and the report.  Elsewhere RES is formed in full where the
     stop is decided (see the module docstring).  The divergence test runs on
     each full RES, so a REK/PREK run that diverges raises within
-    RESYNC_EVERY iterations; a run without RES stop tests x every iteration.
+    RESYNC_EVERY iterations, and a greedy run at the iteration where a
+    float64 pass after every x-step would; a run without RES stop tests x
+    every iteration.
     A non-finite entry of b or x0 is rejected before the first iteration.
     """
     config.validate()
@@ -394,11 +571,19 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     greedy = method in (EMRK, MEMRK)
     budget = config.tol is None
 
-    ax = mx.matvec(A, x)
-    r0 = b - ax
-    denom = float(r0 @ r0)
+    # u = fl(b - fl(A x)) at the current x while `fresh`
+    u = b - mx.matvec(A, x)
+    fresh = True
+    denom = float(u @ u)
 
     trace: list = []
+
+    def full_pass() -> np.ndarray:
+        """u = fl(b - fl(A x)), a float64 pass at the current x."""
+        u = b - mx.matvec(A, x)
+        if shadow is not None:
+            shadow.anchor(x, u)
+        return u
 
     def record(k: int, res: float) -> None:
         err = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
@@ -409,16 +594,20 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(0, 0.0)
         return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
 
-    # The greedy argmax needs all of r, so only REK/PREK skip recomputes on
-    # the floor.  A greedy run recomputes every iteration (period 1, so
-    # `floor` is never read below).
-    floor = None
-    if not (greedy or budget):
+    # REK/PREK skip float64 passes on the floor, greedy methods on a dense
+    # matrix above _SHADOW_MIN_ENTRIES on a float32 shadow of r; other greedy
+    # runs make one after every x-step.
+    floor = shadow = None
+    if greedy:
+        shadow = _shadow(A)
+        if shadow is not None:
+            shadow.anchor(x, u)
+    elif not budget:
         floor = ResidualFloor(A, b)
-        rvec = r0 - z
-        floor.reset(float(rvec @ rvec), x, z, r0)
+        rvec = u - z
+        floor.reset(float(rvec @ rvec), x, z, u)
+    if not budget:
         tol_denom = config.tol * denom * _UP
-    period = RESYNC_EVERY if floor is not None else 1
 
     record(0, 1.0)
     res = 1.0
@@ -434,34 +623,46 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
             z_project_column(z, A, next_column(A), floor)
         skip_update = False
         if greedy:
-            r = b - ax - z
-            i = select_max_residual_row(r)
-            if row_norms_sq[i] == 0.0:
-                if abs(r[i]) > 0.0:
-                    raise ZeroRowError(i)
-                skip_update = True  # residual is identically zero
-                zero_row_skips += 1
+            if not fresh:  # only with a shadow
+                i = shadow.pick(z)
+                if i < 0:
+                    u, fresh = full_pass(), True
+                    resyncs += 1
+            if fresh:
+                r = u - z
+                i = select_max_residual_row(r)
+                if row_norms_sq[i] == 0.0:
+                    if abs(r[i]) > 0.0:
+                        raise ZeroRowError(i)
+                    skip_update = True  # residual is identically zero
+                    zero_row_skips += 1
         else:
             i = sample_row_weighted(rng, A)
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:
             x_project_row(x, A, i, b.item(i) - z.item(i), floor)
-            if greedy:
-                ax = mx.matvec(A, x)
+            fresh = False
 
         traced = config.trace_every and k % config.trace_every == 0
-        exact = traced or k == config.max_outer or (not budget and k % period == 0)
-        if not (exact or budget or floor.excludes_stop(tol_denom)):
-            exact = True
-            if floor.H is not None:
+        exact = traced or k == config.max_outer or (fresh and not budget)
+        if exact or fresh:
+            pass
+        elif shadow is not None:
+            shadow.advance(x)
+            exact = not (budget or shadow.excludes_stop(z, tol_denom, denom))
+        elif greedy:  # without a shadow the next pick needs all of r
+            u, fresh = full_pass(), True
+            exact = not budget
+        elif not budget:
+            exact = k % RESYNC_EVERY == 0 or not floor.excludes_stop(tol_denom)
+            if exact and k % RESYNC_EVERY and floor.H is not None:
                 refreshes += 1
                 floor.refresh(x, z)
                 exact = not floor.excludes_stop(tol_denom)
         if exact:
-            if not greedy:
-                ax = mx.matvec(A, x)
-            u = b - ax
+            if not fresh:
+                u, fresh = full_pass(), True
             rvec = u - z
             s = float(rvec @ rvec)
             res = s / denom
@@ -482,11 +683,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     if last_recorded != k:
         record(k, res)
+    shadow_passes = shadow.passes if shadow is not None else 0
     log.debug("%s: %d iterations, %d full residual recomputes, %d floor "
-              "refreshes, %d zero-row skips", method, k, resyncs, refreshes,
-              zero_row_skips)
+              "refreshes, %d float32 shadow passes, %d zero-row skips", method,
+              k, resyncs, refreshes, shadow_passes, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, refreshes, zero_row_skips)
+                       resyncs, refreshes, zero_row_skips, shadow_passes)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,38 @@ class TestKernels:
             c = (beta - mx.row_dot(A, i, x)) / A.row_norms_sq[i]
             mx.axpy_row(x, A, i, c)
             assert mx.row_dot(A, i, x) == pytest.approx(beta, rel=1e-10, abs=1e-10)
+
+
+class TestSinglePrecision:
+    def test_copy_is_column_major_float32(self):
+        rng = np.random.default_rng(3)
+        A = mx.from_dense(rng.standard_normal((40, 7)))
+        A32 = mx.single_copy(A)
+        assert A32.dtype == np.float32 and A32.flags.f_contiguous
+        assert np.array_equal(A32, A.dense.astype(np.float32))
+
+    def test_no_copy_beyond_float32_range_or_for_csr(self):
+        big = np.eye(3)
+        big[1, 2] = -1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mx.single_copy(mx.from_dense(big)) is None
+        assert mx.single_copy(mx.from_scipy(sp.eye(3, format="csr"))) is None
+        edge = np.eye(3)
+        edge[0, 0] = float(np.finfo(np.float32).max)
+        assert np.isfinite(mx.single_copy(mx.from_dense(edge))).all()
+
+    def test_product_within_the_float32_dot_product_bound(self):
+        rng = np.random.default_rng(4)
+        A = mx.from_dense(rng.standard_normal((300, 50)))
+        d = rng.standard_normal(50)
+        w = mx.matvec_single(mx.single_copy(A), d)
+        assert w.dtype == np.float32
+        # |fl32(A) fl32(d)| products summed in float32: gamma_n on |A||d|,
+        # plus 2 u32 for the two roundings to float32
+        u32 = 2.0 ** -24
+        slack = ((50 + 2) * u32 / (1 - 52 * u32)) * (abs(A.dense) @ abs(d))
+        assert np.all(abs(w.astype(np.float64) - A.dense @ d) <= slack * 1.01)
 
 
 class TestMatrixMarket:

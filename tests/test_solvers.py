@@ -346,6 +346,11 @@ class TestSolve:
         assert len(lines) == 7
 
 
+# A _SHADOW_MIN_ENTRIES no matrix reaches: greedy runs make a float64 pass
+# after every x-step, as they did before the shadow.
+SHADOW_OFF = 1 << 62
+
+
 def tall_problem(seed, m=1200, n=100, rank_deficient=False):
     A = pb.gen_dense_gaussian(m, n, seed)
     if rank_deficient:
@@ -424,8 +429,19 @@ class TestCarriedResidual:
                 assert floor.floor_refreshes > 0
                 assert floor.resyncs < o1.resyncs, (seed, method)
         assert (A._gram is not None) == (case == "gated")
-        greedy = solve(SolverConfig(method=sv.EMRK, tol=tol, seed=0), A, b)
-        assert greedy.resyncs == greedy.outer_iters
+        # greedy runs on the float32 shadow (gate patched to take any dense
+        # shape) take the float64 path's iterates
+        runs = {}
+        for gate in (0, SHADOW_OFF):
+            with monkeypatch.context() as mp:
+                mp.setattr(sv, "_SHADOW_MIN_ENTRIES", gate)
+                runs[gate] = solve(SolverConfig(method=sv.EMRK, tol=tol, seed=0), A, b)
+        greedy, plain = runs[0], runs[SHADOW_OFF]
+        assert greedy.x_final.tobytes() == plain.x_final.tobytes()
+        assert (greedy.outer_iters, greedy.final_res) == \
+            (plain.outer_iters, plain.final_res)
+        assert greedy.resyncs + greedy.shadow_passes >= greedy.outer_iters
+        assert (greedy.shadow_passes > 0) == A.is_dense
 
     def test_first_iteration_stop_is_kept(self, monkeypatch):
         # small-200x50 seed 48 of the benchmark stops at k = 1 (RES_1 < tol
@@ -949,3 +965,218 @@ class TestZeroRowSkips:
         for method in (sv.REK, sv.EMRK):
             assert solve(SolverConfig(method=method, seed=0), prob.A,
                          prob.b).zero_row_skips == 0
+
+
+def shadow_case(kind):
+    """(A, b) on which the float32 shadow's bound is checked."""
+    if kind == "tall":
+        return tall_problem(21, m=600, n=60)
+    if kind == "rank_deficient":
+        return tall_problem(22, m=400, n=80, rank_deficient=True)
+    rng = np.random.default_rng(23)  # row_scaled: row norms 1e-3 ... 1e3
+    entries = rng.standard_normal((400, 40)) * np.logspace(-3, 3, 400)[:, None]
+    return handle(entries), 100.0 * rng.standard_normal(400)
+
+
+def new_shadow(A, x, b):
+    shadow = sv.ResidualShadow(A, mx.single_copy(A))
+    shadow.anchor(x, b - mx.matvec(A, x))
+    return shadow
+
+
+def covered(shadow, A, x, b, z):
+    """Whether e_i >= |r~_i - r^_i| for every i, r^ as a float64 pass forms it."""
+    r_tilde = shadow.v - z
+    r_hat = b - mx.matvec(A, x) - z
+    return bool(np.all(abs(r_tilde - r_hat) <= shadow.bound(r_tilde)))
+
+
+class TestResidualShadow:
+    """EMRK/MEMRK on a dense matrix above _SHADOW_MIN_ENTRIES pick rows and
+    test the stop from a float32 pass (ResidualShadow), bounded so that
+    every pick, iterate and count is the float64 path's."""
+
+    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "row_scaled"])
+    def test_bound_covers_the_float64_residual(self, kind):
+        # 2000 MEMRK(omega 2) iterations picking exactly, the shadow
+        # advanced after each x-step and re-anchored where solve would be
+        A, b = shadow_case(kind)
+        rng = np.random.default_rng(24)
+        x, z = np.zeros(A.n), b.copy()
+        shadow = new_shadow(A, x, b)
+        denom = float(b @ b)
+        certified = skips = 0
+        for k in range(2000):
+            for _ in range(2):
+                z_project_column(z, A, sample_column_weighted(rng, A))
+            r = b - mx.matvec(A, x) - z
+            i = select_max_residual_row(r)
+            if k:
+                assert covered(shadow, A, x, b, z), k  # at the pick's z
+                pick = shadow.pick(z)
+                assert pick in (-1, i), k
+                if pick < 0:
+                    shadow.anchor(x, b - mx.matvec(A, x))
+                certified += pick >= 0
+            x_project_row(x, A, i, b[i] - z[i])
+            shadow.advance(x)
+            assert covered(shadow, A, x, b, z), k  # at the stop test's z
+            # a float64 pass would give RES = res; a tol one ulp above it
+            # stops there, so the shadow must not skip that pass
+            r_hat = b - mx.matvec(A, x) - z
+            res = float(r_hat @ r_hat) / denom
+            stopping = np.nextafter(res, np.inf) * denom * sv._UP
+            assert not shadow.excludes_stop(z, stopping, denom), k
+            skips += shadow.excludes_stop(z, 0.5 * res * denom * sv._UP, denom)
+        assert shadow.passes == 2000
+        # and both bounds are tight enough to pay: measured 1662-2000 skips,
+        # the fewest on tall, whose RES falls to 1e-26, into float64 noise
+        assert skips >= 1500
+        assert certified >= 1500  # measured 1575-1995 of 1999
+
+    def test_near_tie_falls_back_to_the_low_index(self):
+        # r^ is 0 in both rows, a tie that argmax breaks to row 0.  Row 1's
+        # u_a rounds 1 - x_a up and v~ = fl(u_a - w) rounds once more, so
+        # r~ = (0, 2^-53): the float32 and distance terms are below 1e-21,
+        # and only the float64 rounding terms of e keep row 1 uncertified.
+        A, b = handle(np.eye(2)), np.ones(2)
+        x_a = np.array([8.05432829873957e-10, 8.054334257692587e-10])
+        x = np.full(2, 8.054335817834102e-10)
+        shadow = new_shadow(A, x_a, b)
+        shadow.advance(x)
+        z = b - mx.matvec(A, x)
+        r_tilde = shadow.v - z
+        assert select_max_residual_row(r_tilde) == 1
+        assert select_max_residual_row(b - mx.matvec(A, x) - z) == 0
+        assert covered(shadow, A, x, b, z)
+        assert shadow.pick(z) == -1
+
+    def test_pick_subtracts_the_picked_rows_margin(self):
+        # fl32(1000.1) is 2.4e-5 low, so r~_0 exceeds r^_0 by that much and
+        # passes r^_1 = r~_1, which a float64 pass picks; only e_0 on the
+        # left side of the pick's test keeps row 0 uncertified
+        A = handle([[1000.1], [1.0]])
+        b = np.array([2000.1, 1001.00001])
+        shadow = new_shadow(A, np.zeros(1), b)
+        x, z = np.ones(1), np.zeros(2)
+        shadow.advance(x)
+        assert select_max_residual_row(shadow.v - z) == 0
+        assert select_max_residual_row(b - mx.matvec(A, x) - z) == 1
+        assert covered(shadow, A, x, b, z)
+        assert shadow.pick(z) == -1
+
+    def test_bound_covers_the_rounding_of_a_large_r(self):
+        # r ~ -1.7e8 while u_a = 0 and A d ~ 0.08: r~ and r^ round to
+        # neighbouring doubles, one ulp of r apart, which only the
+        # 3 eps |r~_i| term covers
+        A, b = handle([[0.1]]), np.zeros(1)
+        shadow = new_shadow(A, np.zeros(1), b)
+        x, z = np.array([0.8228604197502136]), np.array([171990938.3508693])
+        shadow.advance(x)
+        assert abs(shadow.v - z - (b - mx.matvec(A, x) - z))[0] == 2.0 ** -25
+        assert covered(shadow, A, x, b, z)
+
+    def test_exact_ties_fall_back(self, monkeypatch):
+        # every row twice: r^ and r~ tie in each pair, so no pick certifies
+        # and each falls back to the float64 argmax, which breaks ties low
+        rng = np.random.default_rng(25)
+        half = rng.standard_normal((150, 30))
+        A = handle(np.vstack([half, half]))
+        b = np.concatenate([np.ones(150), np.ones(150)]) + \
+            np.tile(rng.standard_normal(150), 2)
+        cfg = SolverConfig(method=sv.MEMRK, omega=2, seed=3, tol=1e-6)
+        with monkeypatch.context() as mp:
+            mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+            tied = solve(cfg, A, b)
+        plain = solve(cfg, A, b)
+        assert plain.shadow_passes == 0
+        assert tied.x_final.tobytes() == plain.x_final.tobytes()
+        assert (tied.outer_iters, tied.final_res) == (plain.outer_iters, plain.final_res)
+        assert tied.resyncs >= tied.outer_iters
+
+    def test_bound_covers_subnormal_float32_entries(self):
+        # A and b near 1e-41: A's entries are subnormal in float32 and keep
+        # about 4 digits, far below the (n + 3) u32 relative term; only the
+        # absolute underflow term of e covers them
+        rng = np.random.default_rng(26)
+        A = handle(1e-41 * rng.standard_normal((60, 8)))
+        b = 1e-41 * rng.standard_normal(60)
+        x, z = np.zeros(8), b.copy()
+        shadow = new_shadow(A, x, b)
+        for k in range(300):
+            z_project_column(z, A, sample_column_weighted(rng, A))
+            i = select_max_residual_row(b - mx.matvec(A, x) - z)
+            x_project_row(x, A, i, b[i] - z[i])
+            shadow.advance(x)
+            assert covered(shadow, A, x, b, z), k
+        assert shadow.passes == 300
+
+    def test_entry_beyond_float32_turns_the_shadow_off(self, monkeypatch):
+        A, b = tall_problem(27, m=300, n=40)
+        entries = A.to_dense()
+        entries[3, 7] = 1e39  # float32 max is 3.4e38
+        big = mx.from_dense(entries)
+        cfg = SolverConfig(method=sv.EMRK, seed=0, max_outer=50, tol=1e-300)
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mx.single_copy(big) is None
+            rep = solve(cfg, big, b)
+        assert rep.shadow_passes == 0 and rep.resyncs == rep.outer_iters == 50
+
+    def test_far_iterate_makes_no_pass(self):
+        # ||d||_1 max |A| beyond float32 range: fl32(A d) could overflow, so
+        # advance makes no pass and neither test passes
+        A = handle(np.full((3, 2), 1e30))
+        b = np.ones(3)
+        shadow = new_shadow(A, np.zeros(2), b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shadow.advance(np.array([1e10, -1e10]))
+            assert shadow.passes == 0
+            assert shadow.pick(b) == -1
+            assert not shadow.excludes_stop(b, 1e-300, 1.0)
+
+    @pytest.mark.parametrize("mode", ["tol", "budget", "trace"])
+    def test_bit_identical_to_the_float64_path(self, mode, monkeypatch):
+        for seed in range(3):
+            A, b = tall_problem(30 + seed, m=2200, n=120)
+            assert A.m * A.n >= sv._SHADOW_MIN_ENTRIES
+            x_ls = oracle.svd_least_squares(A, b) if mode == "trace" else None
+            for method, omega in ((sv.EMRK, 1), (sv.MEMRK, 4), (sv.MEMRK, 6)):
+                cfg = SolverConfig(method=method, omega=omega, seed=seed,
+                                   tol=None if mode == "budget" else 1e-6,
+                                   max_outer=700 if mode == "budget" else 50_000,
+                                   trace_every=37 if mode == "trace" else 0)
+                shadowed = solve(cfg, A, b, x_star=x_ls)
+                with monkeypatch.context() as mp:
+                    mp.setattr(sv, "_SHADOW_MIN_ENTRIES", SHADOW_OFF)
+                    plain = solve(cfg, A, b, x_star=x_ls)
+                key = (seed, method, omega)
+                assert shadowed.x_final.tobytes() == plain.x_final.tobytes(), key
+                assert (shadowed.outer_iters, shadowed.final_res, shadowed.converged,
+                        shadowed.trace) == (plain.outer_iters, plain.final_res,
+                                            plain.converged, plain.trace), key
+                assert plain.shadow_passes == 0
+                assert shadowed.shadow_passes > 0
+                if mode == "tol":
+                    assert plain.resyncs == plain.outer_iters
+                    assert shadowed.resyncs <= shadowed.outer_iters / 20, key
+                    assert shadowed.resyncs + shadowed.shadow_passes >= \
+                        shadowed.outer_iters
+
+    def test_below_the_gate_every_iteration_is_float64(self):
+        A, b = tall_problem(28, m=200, n=50)
+        assert A.m * A.n < sv._SHADOW_MIN_ENTRIES
+        for method, omega in ((sv.EMRK, 1), (sv.MEMRK, 4)):
+            rep = solve(SolverConfig(method=method, omega=omega, seed=1), A, b)
+            assert rep.shadow_passes == 0
+            assert rep.resyncs == rep.outer_iters
+
+    def test_debug_log_counts_both_passes(self, caplog):
+        A, b = tall_problem(29, m=2200, n=120)
+        with caplog.at_level("DEBUG", logger="kmz.solvers"):
+            rep = solve(SolverConfig(method=sv.EMRK, seed=0), A, b)
+        assert 0 < rep.resyncs < rep.shadow_passes
+        assert f"{rep.resyncs} full residual recomputes, 0 floor refreshes, " \
+               f"{rep.shadow_passes} float32 shadow passes" in caplog.text
