@@ -133,11 +133,14 @@ _GRAM_MIN_ENTRIES = 1 << 17
 
 
 def _keeps_gram(A: MatrixHandle) -> bool:
-    """Whether a product with the n x n A^T A and a few m-vectors of work,
-    n^2 + 4m flops and a fixed interpreter cost, runs well under one
-    mat-vec with A: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES.
-    The stored entries are m n for a dense handle and nnz for CSR.  Such a
-    Gram matrix takes at most half the bytes of A's stored entries."""
+    """Whether the handle keeps its n x n A^T A for the REK/PREK floor
+    refresh: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES, m n
+    for a dense handle and nnz for CSR.  The rule was measured for a
+    refresh that also did a few m-vectors of work, n^2 + 4m flops and a
+    fixed interpreter cost, to run well under one mat-vec with A; the
+    refresh now touches no m-vector, only A^T A and n-vectors, and the rule
+    is kept as measured.  Such a Gram matrix takes at most half the bytes
+    of A's stored entries."""
     entries = A.m * A.n if A.dense is not None else A.csr.nnz
     return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
 

@@ -21,15 +21,17 @@ float64 pass only where that bound cannot certify the pick or prove
 RES >= tol.  Elsewhere they form r after every x-step from one full float64
 mat-vec.  REK and PREK never read r, and the stop test needs only a bound
 on it: they carry a certified lower bound on ||r|| (ResidualFloor), on
-dense and CSR matrices of any shape, in two tiers.  The triangle inequality moves it at O(1) scalar cost
-per step.  When that has spent it, and the matrix handle kept A^T A (a
-product with it costs well under a mat-vec; see matrix._keeps_gram), the
-bound is rebuilt from the last full recompute in O(m + n^2).  They form r
-in full only when neither tier can prove RES >= tol, at trace rows, at the
-last iteration, and at least every RESYNC_EVERY iterations.  A solve stops
-only on a RES formed in full, and every pick is the float64 argmax, so the
-iterates, iteration counts and trace rows are those of a full recompute
-after every iteration.
+dense and CSR matrices of any shape, in two tiers.  The triangle inequality
+moves it at O(1) scalar cost per step.  When that has spent it, and the
+matrix handle kept A^T A (see matrix._keeps_gram), the bound is rebuilt in
+O(n^2) from r = A (g - x) - Delta, g the sums of the z-step coefficients
+per column and Delta the rounding of the stored z.  They form r in full
+only when neither tier can prove that a full recompute would give
+RES >= tol and not raise, at trace rows and at the last iteration.  A
+solve stops only on a RES formed in full, and every pick is the float64
+argmax, so the iterates, iteration counts, trace rows and the iteration
+a divergence is raised at are those of a full recompute after every
+iteration.
 
 A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
 cumulative squared norms, kept by the matrix handle as Python float lists
@@ -63,9 +65,6 @@ MEMRK = "memrk"
 METHODS = (REK, PREK, EMRK, MEMRK)
 
 DIVERGENCE_CAP = 1e150
-# Most iterations between full recomputes of r while REK/PREK skip them on
-# the floor, so a diverging run raises within this many iterations.
-RESYNC_EVERY = 64
 
 _EPS = float(np.finfo(np.float64).eps)
 # Factors that round a stored upper (lower) bound up (down): a product with
@@ -111,11 +110,12 @@ class SolveReport:
     wall_seconds: float
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
     resyncs: int = 0          # times r = b - A x - z was formed in full
-    floor_refreshes: int = 0  # O(m + n^2) rebuilds of the REK/PREK floor
+    floor_refreshes: int = 0  # O(n^2) rebuilds of the REK/PREK floor
     # greedy picks of an all-zero row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
+    full_passes: int = 0      # float64 passes over A (mat-vecs), x0's included
 
 
 # -- selection ----------------------------------------------------------------
@@ -240,7 +240,7 @@ def residual(A: mx.MatrixHandle, x: np.ndarray, b: np.ndarray,
 class ResidualFloor:
     """A lower bound L on ||r||, r = b - A x - z of the stored iterates, with
     upper bounds xi >= ||x|| and zeta >= ||z||, moved along with x and z at
-    O(1) scalar cost per step instead of forming r.
+    O(1) scalar cost per step instead of forming r.  z must start at b.
 
     With gamma = (m + n + 8) eps and F >= ||A||_F, the terms are:
       - Reset, after a full recompute r^ = fl(fl(b - fl(A x)) - z) and
@@ -255,81 +255,87 @@ class ResidualFloor:
         t = |c| ||A_(j)||, and by the rounding of the stored z', at most
         3 eps (||z|| + t) <= e = gamma (zeta + t).  Here ||z|| does count:
         z' is rounded relative to its own size, which may dwarf ||r||.
-        L -= t + e; zeta += t + e.
+        L -= t + e; zeta += t + e.  Where the floor refreshes, also
+        c^_j = fl(c^_j + c) and D += e + eps ||A_(j)|| |c^_j| (see Refresh).
       - Row step, x' = fl(x + d a_i^T).  r moves by d A a_i^T, of length at
         most |d| reach_i (MatrixHandle.row_reach), and by A times the
         rounding of the stored x', at most F e, e = gamma (xi + |d| ||a_i||).
         L -= |d| reach_i + F e; xi += |d| ||a_i|| + e.
       - Refresh (`refresh`, only with H^ = fl(A^T A) kept by the handle).
-        Let x_r be x at the last reset and u^ = fl(b - fl(A x_r)) the vector
-        that reset formed.  Exactly r = rho - A delta, rho = b - A x_r - z,
-        delta = x - x_r, so ||r|| >= ||rho|| - ||A delta||.  rho^ =
-        fl(u^ - z) is the r^ of a reset at x_r with the current z, so by the
-        reset's argument ||rho|| >= sqrt(p^) (1 - gamma) - gamma (||b|| +
-        F xi_r), p^ = fl(rho^.rho^) and xi_r the xi of that reset.  For
-        delta^ = fl(x - x_r), ||A (delta - delta^)|| <= eps F ||delta^||.
-        q^ = fl(delta^.fl(H^ delta^)) is within (gamma_m + 2 gamma_n)
-        || |A| |delta^| ||^2 <= (m + 2n) eps F^2 ||delta^||^2 of
-        ||A delta^||^2, to first order: gamma_m for H^, gamma_n for each
-        product.  With a = ||A delta^|| <= F ||delta^||, the first term
-        adds at most (a + eps F ||delta^||)^2 - a^2 <= 3 eps F^2
-        ||delta^||^2, so ||A delta||^2 <= q^ + 2 gamma F^2 e^, e^ =
-        fl(delta^.delta^): 2 gamma exceeds the (m + 2n + 3) eps needed by
-        (m + 13) eps, which covers e^'s own rounding and second-order
-        terms.  L = max(L, sqrt(p^) (1 - gamma) - gamma (||b|| + F xi_r) -
-        sqrt(q^ + 2 gamma F^2 e^) (1 + 4 eps)); xi and zeta stay.
+        z starts at b, and every column step subtracts c A_(j) exactly and
+        adds its rounding, so b - z = A g - Delta exactly, g_j the exact sum
+        of the coefficients c of the steps on column j and ||Delta|| at most
+        the sum of their e.  Hence r = A (g - x) - Delta for the stored x,
+        whose own rounding needs no term.  The floor keeps c^, the float
+        sums of the same c's; each add errs by at most eps/2 |c^_j| of its
+        result (Higham, Accuracy and Stability of Numerical Algorithms,
+        2002, sec. 2.2), so ||A (g - c^)|| is at most the sum of the
+        eps/2 ||A_(j)|| |c^_j|.  So ||r|| >= ||A (c^ - x)|| - D, D the sum
+        over the column steps of e + eps ||A_(j)|| |c^_j| (eps, not eps/2,
+        covers the roundings of the sum).  For eta^ = fl(c^ - x),
+        ||A (c^ - x - eta^)|| <= eps/2 F ||eta^||.  q^ = fl(eta^.fl(H^ eta^))
+        is within (gamma_m + 2 gamma_n) || |A| |eta^| ||^2 <= (m + 2n) eps
+        F^2 ||eta^||^2 of ||A eta^||^2, to first order: gamma_m for H^,
+        gamma_n for each product, in any order of summation (sec. 3.1).
+        With a = ||A eta^|| <= F ||eta^||, (a - eps/2 F ||eta^||)^2 >= a^2 -
+        eps F^2 ||eta^||^2, so ||A (c^ - x)||^2 >= q^ - 2 gamma F^2 e^, e^ =
+        fl(eta^.eta^): 2 gamma exceeds the (m + 2n + 1) eps needed by
+        (m + 15) eps, which covers e^'s own rounding and second-order terms.
+        L = max(L, sqrt(max(q^ - 2 gamma F^2 e^, 0)) (1 - gamma) - D), the
+        factor 1 - gamma covering the difference and the square root (a NaN
+        or inf leaves L as it is); xi and zeta stay.  Unlike the step
+        terms, no term here grows with the lengths of the steps: only D
+        grows, by about gamma (zeta + t) per column step.
       - Stop test.  A full recompute here would give, by the reset's
         argument, ||r^|| (1 + eps) >= M = L - gamma (||b|| + F xi), so if
         M > 0 then s^ >= M^2 (1 - gamma), and M^2 (1 - gamma) >=
-        tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol: the recompute
-        may be skipped.
+        tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol.  The recompute
+        is skipped only if it would not raise either: xi <= DIVERGENCE_CAP
+        bounds max |x|, and with U = ||b|| + F xi + zeta every entry and
+        partial sum of fl(A x) and r^ is at most U (1 + gamma) in size and
+        s^ <= U^2 (1 + 3 gamma), so 2 U^2 / denom finite keeps its RES
+        finite.
     The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at a reset are
     stored times 1 + gamma, which covers their own rounding.  Each update
-    rounds L down and xi, zeta up (_DOWN, _UP).  gamma exceeds the gamma_m
-    and (n + 3) eps needed above by at least 8 eps, which covers the few
-    roundings inside each formula.  A NaN or inf fails the stop test, so it
-    forces a recompute.
+    rounds L down and xi, zeta, D up (_DOWN, _UP).  gamma exceeds the
+    gamma_m and (n + 3) eps needed above by at least 8 eps, which covers
+    the few roundings inside each formula.  A NaN or inf fails the stop
+    test, so it forces a recompute.
     """
 
     __slots__ = ("gamma", "reach", "H", "col_norms", "row_norms", "frob",
-                 "b_norm", "L", "xi", "zeta", "x_r", "u", "rho_margin")
+                 "b_norm", "L", "xi", "zeta", "coef", "drift")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         self.gamma = g = (A.m + A.n + 8) * _EPS
         self.reach = A.row_reach
         self.H = A._gram  # built with row_reach; None where a refresh won't pay
+        # c^ and D, kept only where a refresh can use them
+        self.coef = None if self.H is None else np.zeros(A.n)
+        self.drift = 0.0
         # norms as Python floats: scalar arithmetic on them is cheaper
         self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)).tolist()
         self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)).tolist()
         self.frob = math.sqrt(A.frob_sq) * (1.0 + g)
         self.b_norm = float(np.linalg.norm(b)) * (1.0 + g)
 
-    def reset(self, s: float, x: np.ndarray, z: np.ndarray,
-              u: np.ndarray | None = None) -> None:
-        """Restart from a full recompute of the current iterates, s = fl(r.r).
-
-        `u` = fl(b - fl(A x)), the recompute's r before z was subtracted, is
-        kept with a copy of x for `refresh` (when the handle kept H)."""
+    def reset(self, s: float, x: np.ndarray, z: np.ndarray) -> None:
+        """Restart from a full recompute of the current iterates, s = fl(r.r)."""
         g = self.gamma
         self.xi = float(np.linalg.norm(x)) * (1.0 + g)
         self.zeta = float(np.linalg.norm(z)) * (1.0 + g)
-        self.rho_margin = g * (self.b_norm + self.frob * self.xi)
-        self.L = (math.sqrt(s) * (1.0 - g) - self.rho_margin) * _DOWN
-        if self.H is not None and u is not None:
-            self.x_r, self.u = x.copy(), u
+        self.L = (math.sqrt(s) * (1.0 - g)
+                  - g * (self.b_norm + self.frob * self.xi)) * _DOWN
 
-    def refresh(self, x: np.ndarray, z: np.ndarray) -> None:
-        """Raise L to the bound rebuilt from the last reset, which must have
-        been given `u`; O(m + n^2)."""
+    def refresh(self, x: np.ndarray) -> None:
+        """Raise L to the bound rebuilt from H^ and c^; O(n^2)."""
         g = self.gamma
-        rho = self.u - z
-        d = x - self.x_r
-        p = float(rho @ rho)
+        d = self.coef - x
         e = float(d @ d)
         q = float(d @ (self.H @ d))
-        far = math.sqrt(max(q + 2.0 * g * self.frob * self.frob * e, 0.0))
-        L = (math.sqrt(p) * (1.0 - g) - self.rho_margin - far * _UP) * _DOWN
-        if L > self.L:
+        near = math.sqrt(max(q - 2.0 * g * self.frob * self.frob * e, 0.0))
+        L = (near * (1.0 - g) - self.drift) * _DOWN
+        if self.L < L < math.inf:
             self.L = L
 
     def column_step(self, j: int, c: float) -> None:
@@ -337,6 +343,11 @@ class ResidualFloor:
         e = self.gamma * (self.zeta + t)
         self.L = (self.L - (t + e)) * _DOWN
         self.zeta = (self.zeta + t + e) * _UP
+        if self.coef is not None:
+            s = self.coef.item(j) + c
+            self.coef[j] = s
+            self.drift = (self.drift + e
+                          + _EPS * abs(s) * self.col_norms[j]) * _UP
 
     def row_step(self, i: int, d: float) -> None:
         t = abs(d) * self.row_norms[i]
@@ -344,12 +355,16 @@ class ResidualFloor:
         self.L = (self.L - (abs(d) * self.reach[i] + self.frob * e)) * _DOWN
         self.xi = (self.xi + t + e) * _UP
 
-    def excludes_stop(self, tol_denom: float) -> bool:
-        """True when a full recompute now is certain to give RES >= tol;
-        `tol_denom` is tol * denom * (1 + 4 eps)."""
+    def excludes_stop(self, tol_denom: float, denom: float) -> bool:
+        """True when a full recompute now is certain to give a finite RES >=
+        tol and x within DIVERGENCE_CAP; `tol_denom` is tol * denom *
+        (1 + 4 eps)."""
         g = self.gamma
-        M = self.L - g * (self.b_norm + self.frob * self.xi)
-        return M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
+        far = self.b_norm + self.frob * self.xi
+        M = self.L - g * far
+        U = (far + self.zeta) * _UP
+        return M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf \
+            and self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf
 
 
 # -- float32 shadow of the greedy residual ------------------------------------
@@ -536,10 +551,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     With `config.tol` None the run never stops on RES and forms it only for
     trace rows and the report.  Elsewhere RES is formed in full where the
     stop is decided (see the module docstring).  The divergence test runs on
-    each full RES, so a REK/PREK run that diverges raises within
-    RESYNC_EVERY iterations, and a greedy run at the iteration where a
-    float64 pass after every x-step would; a run without RES stop tests x
-    every iteration.
+    each full RES, and a pass is skipped only where it is proven not to
+    raise, so a run that diverges raises at the iteration where a float64
+    pass after every iteration would; a run without RES stop tests x every
+    iteration.
     A non-finite entry of b or x0 is rejected before the first iteration.
     """
     config.validate()
@@ -574,12 +589,15 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     # u = fl(b - fl(A x)) at the current x while `fresh`
     u = b - mx.matvec(A, x)
     fresh = True
+    passes = 1
     denom = float(u @ u)
 
     trace: list = []
 
     def full_pass() -> np.ndarray:
         """u = fl(b - fl(A x)), a float64 pass at the current x."""
+        nonlocal passes
+        passes += 1
         u = b - mx.matvec(A, x)
         if shadow is not None:
             shadow.anchor(x, u)
@@ -592,7 +610,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     if denom == 0.0:
         # x0 already solves the consistent system exactly
         record(0, 0.0)
-        return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
+        return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace,
+                           full_passes=passes)
 
     # REK/PREK skip float64 passes on the floor, greedy methods on a dense
     # matrix above _SHADOW_MIN_ENTRIES on a float32 shadow of r; other greedy
@@ -605,7 +624,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     elif not budget:
         floor = ResidualFloor(A, b)
         rvec = u - z
-        floor.reset(float(rvec @ rvec), x, z, u)
+        floor.reset(float(rvec @ rvec), x, z)
     if not budget:
         tol_denom = config.tol * denom * _UP
 
@@ -655,11 +674,11 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
             u, fresh = full_pass(), True
             exact = not budget
         elif not budget:
-            exact = k % RESYNC_EVERY == 0 or not floor.excludes_stop(tol_denom)
-            if exact and k % RESYNC_EVERY and floor.H is not None:
+            exact = not floor.excludes_stop(tol_denom, denom)
+            if exact and floor.H is not None:
                 refreshes += 1
-                floor.refresh(x, z)
-                exact = not floor.excludes_stop(tol_denom)
+                floor.refresh(x)
+                exact = not floor.excludes_stop(tol_denom, denom)
         if exact:
             if not fresh:
                 u, fresh = full_pass(), True
@@ -671,7 +690,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
                 not (math.isfinite(res) and abs(x).max() <= DIVERGENCE_CAP):
             raise DivergenceError(f"iterate diverged at outer iteration {k}")
         if exact and floor is not None:
-            floor.reset(s, x, z, u)
+            floor.reset(s, x, z)
         if callback is not None:
             callback(k, i, x_prev, x, z)
         if traced:
@@ -684,11 +703,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     if last_recorded != k:
         record(k, res)
     shadow_passes = shadow.passes if shadow is not None else 0
-    log.debug("%s: %d iterations, %d full residual recomputes, %d floor "
-              "refreshes, %d float32 shadow passes, %d zero-row skips", method,
-              k, resyncs, refreshes, shadow_passes, zero_row_skips)
+    log.debug("%s: %d iterations, %d float64 passes, %d full residual "
+              "recomputes, %d floor refreshes, %d float32 shadow passes, %d "
+              "zero-row skips", method, k, passes, resyncs, refreshes,
+              shadow_passes, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, refreshes, zero_row_skips, shadow_passes)
+                       resyncs, refreshes, zero_row_skips, shadow_passes, passes)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

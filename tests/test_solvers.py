@@ -386,6 +386,12 @@ def floor_case(case, seed):
     return A, b, 1e-6
 
 
+def form_r_every_iteration(mp):
+    """Patches ResidualFloor.excludes_stop to False, so REK/PREK form r after
+    every iteration: the reference their skipped recomputes must match."""
+    mp.setattr(sv.ResidualFloor, "excludes_stop", lambda self, *args: False)
+
+
 def exact_residual_norm(entries, x, b, z):
     """||b - A x - z|| for A's `entries` in long double, far closer to the
     exact value than the float64 rounding the floor allows for."""
@@ -407,7 +413,7 @@ class TestCarriedResidual:
             for method in (sv.REK, sv.PREK):
                 cfg = SolverConfig(method=method, tol=tol, seed=seed, trace_every=97)
                 with monkeypatch.context() as mp:
-                    mp.setattr(sv, "RESYNC_EVERY", 1)
+                    form_r_every_iteration(mp)
                     full = solve(cfg, A, b)
                 floor = solve(cfg, A, b)
                 assert full.converged and floor.converged
@@ -450,7 +456,7 @@ class TestCarriedResidual:
                                     methods=[("rek", 1), ("prek", 1)], seed=48,
                                     rank_deficient=True)
         carried = bench.run_experiment(spec)
-        monkeypatch.setattr(sv, "RESYNC_EVERY", 1)
+        form_r_every_iteration(monkeypatch)
         full = bench.run_experiment(spec)
         assert [(r.iters, r.final_res) for r in carried] == \
                [(r.iters, r.final_res) for r in full]
@@ -459,7 +465,7 @@ class TestCarriedResidual:
     @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled",
                                       "wide", "csr"])
     def test_floor_below_recomputed_norm(self, kind):
-        # 2000 iterations without a reset: far past RESYNC_EVERY
+        # 2000 iterations without a reset
         rng = np.random.default_rng(11)
         if kind == "badly_scaled":
             entries = rng.standard_normal((300, 40)) * np.logspace(-3, 3, 40) \
@@ -511,72 +517,117 @@ class TestCarriedResidual:
         x, z = rng.standard_normal(A.n), b.copy()
         entries = A.to_dense().astype(np.longdouble)
 
-        def reset():
-            u = b - mx.matvec(A, x)
-            r = u - z
-            floor.reset(float(r @ r), x, z, u)
-
-        reset()
-        raised = resets = 0
+        r = residual(A, x, b, z)
+        floor.reset(float(r @ r), x, z)
+        raised, worst = 0, 1.0
         for k, _ in enumerate(rek_steps(A, b, x, z, floor,
                                         np.random.default_rng(14), 2000), start=1):
             before, xi, zeta = floor.L, floor.xi, floor.zeta
-            floor.refresh(x, z)
+            floor.refresh(x)
             norm = exact_residual_norm(entries, x, b, z)
             assert floor.L <= norm, (k, floor.L, norm)
             assert floor.L >= before and (floor.xi, floor.zeta) == (xi, zeta)
             raised += floor.L > before
-            if floor.L <= 0.0:  # the bound from this reset is spent
-                reset()
-                resets += 1
-        # most steps raise the O(1) floor; measured 1-2 resets (262 badly
-        # scaled) in 2000 steps, against 172-599 for the O(1) floor alone
-        assert raised >= 1000 and resets < 300, (raised, resets)
+            worst = min(worst, floor.L / norm)
+        # measured: every refresh raised L, to at least 0.99996 ||r||; the
+        # O(1) floor alone needed 172-599 resets in these 2000 steps
+        assert raised >= 1900 and worst > 0.999, (raised, worst)
 
-    # Each 1 x n case below fails if the rounding term it names is dropped
-    # from ResidualFloor.refresh; L starts at -inf, so it is the refresh's.
+    # Each case below fails if the rounding term it names is dropped from
+    # ResidualFloor.refresh or the D it subtracts; L is -inf before the
+    # refresh, so it is the refresh's.  Where a test sets c^, z and D by hand,
+    # they are the state that exact column steps from z = b leave.
 
     @staticmethod
-    def refreshed_floor(entries, x_r, x, b, z):
+    def gram_floor(entries, b):
         A = handle(entries)
-        x_r, x, b, z = (np.array(v, dtype=float) for v in (x_r, x, b, z))
+        b = np.array(b, dtype=float)
         floor = sv.ResidualFloor(A, b)
         floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
-        u = b - mx.matvec(A, x_r)
-        r = u - z
-        floor.reset(float(r @ r), x_r, z, u)
+        floor.coef = np.zeros(A.n)
+        return A, b, floor
+
+    @staticmethod
+    def refreshed(A, floor, x, b, z):
         floor.L = -np.inf
-        floor.refresh(x, z)
+        floor.refresh(x)
         exact = exact_residual_norm(A.to_dense().astype(np.longdouble), x, b, z)
         return floor.L, exact
 
-    def test_refresh_covers_the_rounding_of_the_stored_a_x(self):
-        # x = x_r: fl(0.3 - fl(0.1 * 3)) is twice the exact residual, so the
-        # rebuilt ||rho|| needs the reset's gamma (||b|| + F xi_r) term
-        L, exact = self.refreshed_floor([[0.1]], [3.0], [3.0], [0.3], [0.0])
-        assert 0.0 < exact and L <= exact
+    def test_refresh_covers_the_rounding_of_a_large_z(self):
+        # z = b = 1 dwarfs r: z - 0.8 eps rounds to 1 - eps, so b - z is 0.2
+        # eps more than A c^.  At x = 8 eps, r = -7 eps but A (c^ - x) =
+        # -7.2 eps: D needs the column step's gamma (zeta + t)
+        eps = np.finfo(float).eps
+        A, b, floor = self.gram_floor([[1.0]], [1.0])
+        x, z = np.array([8 * eps]), b.copy()
+        r = residual(A, x, b, z)
+        floor.reset(float(r @ r), x, z)
+        floor.column_step(0, 0.8 * eps)
+        mx.axpy_col(z, A, 0, -0.8 * eps)
+        assert z[0] == 1.0 - eps
+        L, exact = self.refreshed(A, floor, x, b, z)
+        assert exact == 7 * eps and L <= exact
+
+    def test_refresh_covers_the_rounding_of_the_coefficient_sums(self):
+        # b = 1 and an exact step c = 1 leave z = 0 and c^ = 1.  The step c =
+        # 0.6 eps then moves z exactly, to -0.6 eps, but c^ = fl(1 + 0.6 eps)
+        # = 1 + eps.  At x = 1, r = 0.6 eps while c^ - x = eps: D needs the
+        # eps ||A_(j)|| |c^_j| term
+        eps = np.finfo(float).eps
+        A, b, floor = self.gram_floor([[1.0]], [1.0])
+        x, z = np.array([1.0]), np.zeros(1)
+        floor.coef[0] = 1.0
+        floor.L = floor.zeta = 0.0
+        c = 0.6 * eps
+        floor.column_step(0, c)
+        mx.axpy_col(z, A, 0, -c)
+        assert z[0] == -c and floor.coef[0] == 1.0 + eps
+        L, exact = self.refreshed(A, floor, x, b, z)
+        assert exact == c and L <= exact
 
     def test_refresh_covers_the_rounding_of_the_gram_product(self):
-        # A = [1, c], c = 1 + 2^-27, delta = (1, -1): A delta = -2^-27, but
-        # fl(c^2) drops 2^-54, so fl(delta.fl(H delta)) = 0.  With z = 2^-27
-        # r = 0 exactly, yet ||rho|| = 2^-27; only the 2 gamma F^2 ||delta||^2
-        # term keeps L <= 0
-        t = 2.0 ** -27
-        L, exact = self.refreshed_floor([[1.0, 1.0 + t]], [0.0, 0.0], [1.0, -1.0],
-                                        [0.0], [t])
-        assert exact == 0.0 and L <= exact
+        # A = [1, c], c = 1 + h, h = 3 * 2^-28: fl(c^2) rounds 7 * 2^-56 up,
+        # so for eta^ = (1, -1) q^ = 2^-52 while ||A eta^||^2 = h^2 = 9 *
+        # 2^-56.  b = 0 and exact steps c^ = (1, -1) leave z = h; at x = 0,
+        # r = -h.  Only the 2 gamma F^2 e^ term keeps L <= h < sqrt(q^)
+        h = 3 * 2.0 ** -28
+        A, b, floor = self.gram_floor([[1.0, 1.0 + h]], [0.0])
+        x, z = np.zeros(2), np.array([h])
+        floor.coef[:] = (1.0, -1.0)
+        eta = floor.coef - x
+        assert float(eta @ (floor.H @ eta)) == 2.0 ** -52
+        L, exact = self.refreshed(A, floor, x, b, z)
+        assert exact == h and L <= exact
 
     def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
         A, b, _ = floor_case("rank_deficient", 0)
         floor = sv.ResidualFloor(A, b)
         x = np.zeros(A.n)
         r = residual(A, x, b, np.zeros(A.m))
-        floor.reset(float(r @ r), x, np.zeros(A.m))
-        assert floor.excludes_stop(1e-8 * float(r @ r))
+        s = float(r @ r)
+        floor.reset(s, x, np.zeros(A.m))
+        assert floor.excludes_stop(1e-8 * s, s)
         # a negative floor proves nothing, however large its square
         for L in (-1e10, float("nan"), float("inf")):
             floor.L = L
-            assert not floor.excludes_stop(1e-8 * float(r @ r)), L
+            assert not floor.excludes_stop(1e-8 * s, s), L
+
+    def test_stop_test_rejects_a_pass_that_would_raise(self, monkeypatch):
+        # the floor proves RES >= tol, but the recompute it would skip raises:
+        # for x beyond DIVERGENCE_CAP, or for a RES that may overflow
+        A, b, _ = floor_case("rank_deficient", 0)
+        floor = sv.ResidualFloor(A, b)
+        x, z = np.full(A.n, 0.5), b.copy()
+        r = residual(A, x, b, z)
+        s = float(r @ r)
+        floor.reset(s, x, z)
+        assert floor.excludes_stop(1e-8 * s, s)
+        with monkeypatch.context() as mp:
+            mp.setattr(sv, "DIVERGENCE_CAP", floor.xi * 0.99)
+            assert not floor.excludes_stop(1e-8 * s, s)
+        tiny = 5e-324  # s / tiny overflows
+        assert not floor.excludes_stop(1e-8 * tiny, tiny)
 
     # The four tests below build 1x1 systems whose rounding moves r by as much
     # as the step itself.  Each starts from the tightest sound floor, the
@@ -627,7 +678,7 @@ class TestCarriedResidual:
         b = float(np.float64(0.1) * 3.0)
         A, x, b, z, floor = self.tight_floor(0.1, 3.0, b, 0.0)
         assert floor.L > 0.0 and float(residual(A, x, b, z)[0]) == 0.0
-        assert not floor.excludes_stop(1e-300)
+        assert not floor.excludes_stop(1e-300, 1.0)
 
     def test_wide_square_and_sparse_use_the_floor(self):
         rng = np.random.default_rng(6)
@@ -647,10 +698,47 @@ class TestCarriedResidual:
         cfg = SolverConfig(method=sv.REK, seed=0, max_outer=1000, tol=1e-300)
         with pytest.raises(DivergenceError, match=r"iteration (\d|[1-5]\d|6[0-4])$"):
             solve(cfg, A, b)
-        # a floor that never asks for a recompute still meets the ceiling
-        monkeypatch.setattr(sv.ResidualFloor, "excludes_stop", lambda self, t: True)
-        with pytest.raises(DivergenceError, match=f"iteration {sv.RESYNC_EVERY}$"):
+
+    @staticmethod
+    def raised_at(cfg, A, b):
+        with pytest.raises(DivergenceError) as info:
             solve(cfg, A, b)
+        return int(str(info.value).rsplit(" ", 1)[1])
+
+    def test_divergence_raised_where_a_full_recompute_raises(self, monkeypatch):
+        # A skipped recompute must not skip a raise: each run raises at the
+        # iteration at which one that forms r after every iteration does,
+        # past k = 64 and far from any trace row or the last iteration.
+        step = sv.x_project_row
+
+        def overshoot(x, A, i, rhs_i, floor=None):  # 11 times the step
+            ax = mx.row_dot(A, i, x)
+            return step(x, A, i, ax + 11.0 * (rhs_i - ax), floor)
+
+        for case in ("gated", "rank_deficient", "csr"):
+            A, b, tol = floor_case(case, 1)
+            for method in (sv.REK, sv.PREK):
+                cfg = SolverConfig(method=method, tol=tol, seed=1)
+                # x first crosses the cap set at its largest entry up to
+                # k = 64: needs the floor's xi <= DIVERGENCE_CAP
+                peaks = []
+                solve(cfg, A, b, callback=lambda k, i, xp, x, z:
+                      peaks.append(abs(x).max()))
+                cap = max(peaks[:64])
+                first = next(k for k, p in enumerate(peaks, 1) if p > cap)
+                # x diverges, and with b scaled down RES overflows while x is
+                # still far below the cap: needs the finiteness test
+                for cap, rhs, x_step in ((cap, b, step),
+                                         (sv.DIVERGENCE_CAP, b * 2.0 ** -300,
+                                          overshoot)):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(sv, "DIVERGENCE_CAP", cap)
+                        mp.setattr(sv, "x_project_row", x_step)
+                        k = self.raised_at(cfg, A, rhs)
+                        form_r_every_iteration(mp)
+                        assert k == self.raised_at(cfg, A, rhs) > 64, \
+                            (case, method, cap)
+                    assert k == first or x_step is overshoot
 
     def test_nan_forces_immediate_recompute(self):
         A, b = tall_problem(8)
@@ -675,7 +763,8 @@ class TestCarriedResidual:
             caplog.clear()
             with caplog.at_level("DEBUG", logger="kmz.solvers"):
                 rep = solve(SolverConfig(method=sv.PREK, seed=0), A, b)
-            assert f"{rep.resyncs} full residual recomputes, " \
+            assert f"{rep.full_passes} float64 passes, " \
+                   f"{rep.resyncs} full residual recomputes, " \
                    f"{rep.floor_refreshes} floor refreshes" in caplog.text
             assert (rep.floor_refreshes > 0) == (m == 1400)
 
@@ -723,6 +812,31 @@ class TestFixedBudget:
         plain = solve(replace(cfg, tol=1e-300), A, b)
         assert budget.trace == plain.trace
         assert budget.resyncs == 6
+
+
+class TestFullPasses:
+    @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "csr"])
+    def test_counts_every_matvec(self, shape, monkeypatch):
+        if shape == "csr":
+            A, b, _ = floor_case("csr", 2)
+        else:  # 1400 x 200 is above the shadow gate and keeps A^T A
+            A, b = tall_problem(2, *((200, 50) if shape == "below_gates"
+                                     else (1400, 200)))
+        assert (A.m * A.n >= sv._SHADOW_MIN_ENTRIES) == (shape == "above_gates")
+        calls = []
+        matvec = mx.matvec
+        monkeypatch.setattr(mx, "matvec",
+                            lambda A, x: calls.append(1) or matvec(A, x))
+        for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
+                              (sv.MEMRK, 4), (sv.MEMRK, 6)):
+            for tol, max_outer, trace_every in ((1e-6, 3000, 0),
+                                                (None, 300, 100)):
+                calls.clear()
+                rep = solve(SolverConfig(method=method, omega=omega, tol=tol,
+                                         max_outer=max_outer, seed=3,
+                                         trace_every=trace_every), A, b)
+                assert rep.full_passes == len(calls) >= 1, (method, omega, tol)
+        assert (A._gram is not None) == (shape == "above_gates")
 
 
 class TestNonFiniteInput:
