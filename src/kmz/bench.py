@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import platform
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -300,8 +302,28 @@ def emit_results(rows: list[ResultRow], path) -> None:
             fh.write(result_line(r) + "\n")
 
 
+def environment() -> dict:
+    """What a result depends on beyond the spec: interpreter, numpy, scipy,
+    the BLAS numpy calls (its strided ddot decides the row-dot bits) and
+    the processors this process may run on."""
+    import scipy
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):
+        blas = {"name": None, "version": None}
+    try:
+        nproc = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        nproc = os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "blas": blas, "nproc": nproc}
+
+
 def emit_meta(spec: ExperimentSpec, path) -> None:
-    meta = {"spec": spec.to_dict(), "kmz_version": __version__}
+    meta = {"spec": spec.to_dict(), "kmz_version": __version__,
+            "environment": environment()}
     with open(path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")

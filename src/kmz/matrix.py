@@ -4,8 +4,14 @@ A :class:`MatrixHandle` keeps the squared row norms, squared column norms and
 the squared Frobenius norm alongside the entries, because the solvers consume
 those quantities on every single step.  Column access is the inner hot loop
 of the auxiliary-vector sweep, so it is the contiguous one: dense handles
-keep their single copy of the entries column-major (Fortran order), and CSR
-handles carry a CSC mirror that touches only the stored entries of a column.
+store their entries column-major (Fortran order), and CSR handles carry a
+CSC mirror that touches only the stored entries of a column.  A row of a
+column-major array has a stride of m entries, one cache line per entry, so
+a dense handle with long rows and too many entries for a core's cache
+(_keeps_rows) also keeps a read-only row-major copy for the x-step, built on
+its first row read.  Its rows are dotted with a stride-2 copy of x, which
+keeps BLAS on the loop a strided row takes, and so every row dot, and every
+iterate, bit-identical to a read of the column-major array.
 """
 
 from __future__ import annotations
@@ -27,16 +33,18 @@ def _norm_table(norms_sq: np.ndarray) -> tuple[list, list]:
 
 
 class MatrixHandle:
-    """Immutable matrix, either dense column-major or CSR (+ CSC mirror).
+    """Immutable matrix, either dense column-major (+ a row-major copy
+    above the :func:`_keeps_rows` gate) or CSR (+ CSC mirror).
 
     Build through :func:`from_dense`, :func:`from_csr`, :func:`from_scipy`
     or :func:`read_matrix_market`; those store dense entries column-major.
-    A handle built directly keeps the array it is given in its own layout.
+    A handle built directly keeps the array it is given in its own layout;
+    only a column-major one gets the row-major copy (:attr:`rows`).
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
                  "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach",
-                 "_gram")
+                 "_gram", "_rows")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -46,6 +54,11 @@ class MatrixHandle:
             self.dense = _readonly(dense)
             self.csr = None
             self.csc = None
+            # the array x-steps read rows from: None until rows builds the
+            # row-major copy, else the stored array itself
+            copies = (dense.flags.f_contiguous and not dense.flags.c_contiguous
+                      and _keeps_rows(self))
+            self._rows = None if copies else self.dense
             self.row_norms_sq = _readonly(np.einsum("ij,ij->i", dense, dense))
             self.col_norms_sq = _readonly(np.einsum("ij,ij->j", dense, dense))
         else:
@@ -53,6 +66,7 @@ class MatrixHandle:
             self.dense = None
             self.csr = csr
             self.csc = csr.tocsc()
+            self._rows = None
             sq = csr.data * csr.data
             self.row_norms_sq = _readonly(
                 np.add.reduceat(np.append(sq, 0.0), csr.indptr[:-1])
@@ -106,6 +120,20 @@ class MatrixHandle:
         return self._row_reach
 
     @property
+    def rows(self) -> np.ndarray | None:
+        """The array whose rows the dense x-step kernels read; None for CSR.
+
+        A column-major array (the layout every builder stores) that passes
+        :func:`_keeps_rows` gets a read-only row-major (C-order) copy, built
+        on first use, so that a row is contiguous; any other dense array, a
+        C-contiguous one included, is its own.  See :func:`row_dot` for why
+        the copy leaves every row dot bit-identical.
+        """
+        if self._rows is None and self.dense is not None:
+            self._rows = _readonly(np.ascontiguousarray(self.dense))
+        return self._rows
+
+    @property
     def is_dense(self) -> bool:
         return self.dense is not None
 
@@ -130,6 +158,10 @@ _REACH_BLOCK = 1 << 17
 _DENSE_GRAM_RATIO = 100
 # Fewest stored entries for which the handle keeps its A^T A; see _keeps_gram.
 _GRAM_MIN_ENTRIES = 1 << 17
+# Fewest entries, and fewest per row, for which a column-major handle keeps
+# a row-major copy; see _keeps_rows.
+_ROWS_MIN_ENTRIES = 1 << 18
+_ROWS_MIN_N = 400
 
 
 def _keeps_gram(A: MatrixHandle) -> bool:
@@ -143,6 +175,20 @@ def _keeps_gram(A: MatrixHandle) -> bool:
     of A's stored entries."""
     entries = A.m * A.n if A.dense is not None else A.csr.nnz
     return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
+
+
+def _keeps_rows(A: MatrixHandle) -> bool:
+    """Whether a column-major handle keeps a row-major copy of its entries
+    for the x-step (MatrixHandle.rows): m n >= _ROWS_MIN_ENTRIES and
+    n >= _ROWS_MIN_N.  A row read from the copy takes n / 8 cache lines
+    instead of n, one per entry, but x's stride-2 copy adds a fixed cost
+    per read, so the copy pays only for long rows of a matrix that a core's
+    cache does not hold.  Measured per REK iteration on 28 dense shapes
+    from 200 x 50 to 6000 x 500 (BENCH_row_major.json), the copy was 2-30%
+    faster on every shape with n >= 400 and at least 3 10^5 entries; it
+    was 2% faster to 7% slower on every shape of at most 1.3 10^5 entries,
+    and 3% faster to 19% slower for n = 200-350 up to 1.05 10^6 entries."""
+    return A.n >= _ROWS_MIN_N and A.m * A.n >= _ROWS_MIN_ENTRIES
 
 
 def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
@@ -328,10 +374,27 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def row_dot(A: MatrixHandle, i: int, x: np.ndarray) -> float:
-    """A⁽ⁱ⁾ · x; CSR path touches only the stored entries of row i."""
+    """A⁽ⁱ⁾ · x; CSR path touches only the stored entries of row i.
+
+    A row of a column-major array has a stride of m entries, so BLAS takes
+    its non-unit-stride ddot loop, whose sum is symmetric in its two
+    operands (OpenBLAS's; TestLayout in tests/test_matrix.py pins it).
+    Where the handle keeps a row-major copy (:attr:`MatrixHandle.rows`), the
+    contiguous row is dotted with a stride-2 copy of x: the same loop, the
+    same products in the same order, so the same bits.  x itself is left
+    as it is, because a strided x would change the bits of A x and x . x
+    elsewhere.
+    """
     _check_row(A, i)
     if A.dense is not None:
-        return float(A.dense[i] @ x)
+        # the slot, not the property, whose call would add about 0.3 us to
+        # every x-step that reads the stored array
+        rows = A._rows
+        if rows is A.dense:
+            return float(rows[i] @ x)
+        xs = np.empty(2 * A.n)[::2]
+        xs[...] = x
+        return float(A.rows[i] @ xs)
     s, e = A.csr.indptr[i], A.csr.indptr[i + 1]
     return float(A.csr.data[s:e] @ x[A.csr.indices[s:e]])
 
@@ -349,7 +412,8 @@ def axpy_row(x: np.ndarray, A: MatrixHandle, i: int, c: float) -> np.ndarray:
     """x += c · (A⁽ⁱ⁾)ᵀ in place; returns x."""
     _check_row(A, i)
     if A.dense is not None:
-        x += c * A.dense[i]
+        rows = A._rows
+        x += c * (rows if rows is not None else A.rows)[i]
     else:
         s, e = A.csr.indptr[i], A.csr.indptr[i + 1]
         x[A.csr.indices[s:e]] += c * A.csr.data[s:e]

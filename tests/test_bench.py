@@ -274,6 +274,11 @@ class TestEmission:
         meta = json.loads(path.read_text())
         assert meta["spec"]["seed"] == 42
         assert "kmz_version" in meta
+        env = meta["environment"]
+        assert env["numpy"] == np.__version__
+        assert env["python"].count(".") == 2 and env["scipy"]
+        assert set(env["blas"]) == {"name", "version"}
+        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
 
     def test_write_pgm(self, tmp_path):
         img = np.array([[0.0, 0.5], [1.0, 0.25]])

@@ -334,7 +334,13 @@ class TestRowReach:
 
 
 class TestLayout:
-    """Dense handles keep one column-major copy, so a column is contiguous."""
+    """Dense handles store their entries column-major, so a column is
+    contiguous.  Above the _keeps_rows gate (at least _ROWS_MIN_ENTRIES
+    entries and rows of at least _ROWS_MIN_N), the first x-step adds a
+    read-only row-major copy, so a row is contiguous too; its rows are
+    dotted with a stride-2 copy of x, which takes the BLAS loop a strided
+    row takes and so gives the same bits.  C-order arrays and CSR handles
+    get no copy."""
 
     def entries(self):
         return np.random.default_rng(5).standard_normal((9, 4))
@@ -358,3 +364,40 @@ class TestLayout:
         mmwrite(tmp_path / "c.mtx", np.ascontiguousarray(entries),
                 symmetry="general", precision=17)
         assert (tmp_path / "f.mtx").read_bytes() == (tmp_path / "c.mtx").read_bytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 50, 500])
+    def test_row_kernels_bit_identical_to_the_strided_row(self, n, monkeypatch):
+        # the remainder loop of n mod 4 terms is covered, and x's magnitudes
+        # span 24 decades, so a change of summation order shows in the bits
+        monkeypatch.setattr(mx, "_keeps_rows", lambda A: True)
+        rng = np.random.default_rng(n)
+        m = 37 if n < 500 else 300
+        A = mx.from_dense(rng.standard_normal((m, n)))
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        # an m x 1 array is C-contiguous too, so it keeps its strided read
+        assert (A.rows is A.dense) == (n == 1) and A.rows.flags.c_contiguous
+        for i in range(m):
+            assert np.float64(mx.row_dot(A, i, x)).tobytes() == \
+                np.float64(A.dense[i] @ x).tobytes(), i
+            c = float(rng.standard_normal())
+            expected = x + c * A.dense[i]
+            assert mx.axpy_row(x.copy(), A, i, c).tobytes() == expected.tobytes()
+
+    def test_row_copy_only_for_a_large_column_major_array(self):
+        rng = np.random.default_rng(6)
+        n, m = mx._ROWS_MIN_N, -(-mx._ROWS_MIN_ENTRIES // mx._ROWS_MIN_N)
+        above = mx.from_dense(rng.standard_normal((m, n)))
+        few_entries = mx.from_dense(rng.standard_normal((m - 1, n)))
+        short_rows = mx.from_dense(rng.standard_normal((2 * m, n - 1)))
+        c_order = mx.MatrixHandle(dense=np.ascontiguousarray(above.dense))
+        csr = mx.from_scipy(sp.random(m, n, density=1.0, format="csr",
+                                      random_state=rng))
+        assert above._rows is None  # nothing is built before the first x-step
+        for A in (above, few_entries, short_rows, c_order, csr):
+            mx.row_dot(A, 0, np.ones(A.n))
+        assert above.rows.flags.c_contiguous and not above.rows.flags.writeable
+        assert np.array_equal(above.rows, above.dense)
+        assert above.rows is not above.dense and above.rows is above.rows
+        for A in (few_entries, short_rows, c_order):
+            assert A.rows is A.dense
+        assert csr.rows is None

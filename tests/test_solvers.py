@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -879,6 +879,43 @@ class TestColumnMajorLayout:
                 assert col.outer_iters == row.outer_iters, (seed, method, omega)
                 assert np.linalg.norm(col.x_final - row.x_final) <= \
                     1e-12 * np.linalg.norm(row.x_final)
+
+
+class TestRowMajorCopy:
+    """The x-step reads rows from the handle's row-major copy (matrix
+    MatrixHandle.rows) through a stride-2 copy of x: every iterate, count,
+    trace row and report counter is that of the strided row reads."""
+
+    @pytest.mark.parametrize("mode", ["tol", "budget", "trace"])
+    def test_bit_identical_to_the_strided_rows(self, mode, monkeypatch):
+        cells = ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4),
+                 (sv.MEMRK, 6))
+        # above _keeps_gram, above _SHADOW_MIN_ENTRIES, and a C-order array
+        shapes = (("gram", 1400, 100), ("shadow", 2200, 120), ("c_order", 1400, 100))
+        for seed, (shape, m, n) in enumerate(shapes):
+            A, b = tall_problem(40 + seed, m=m, n=n)
+            entries = A.dense if shape != "c_order" else np.ascontiguousarray(A.dense)
+            x_ls = oracle.svd_least_squares(A, b) if mode == "trace" else None
+            for method, omega in cells:
+                cfg = SolverConfig(method=method, omega=omega, seed=seed,
+                                   tol=None if mode == "budget" else 1e-6,
+                                   max_outer=700 if mode == "budget" else 50_000,
+                                   trace_every=37 if mode == "trace" else 0)
+                runs = {}
+                for keeps in (True, False):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(mx, "_keeps_rows", lambda A: keeps)
+                        H = mx.MatrixHandle(dense=entries.copy(order="K"))
+                        runs[keeps] = solve(cfg, H, b, x_star=x_ls)
+                    assert (H.rows is H.dense) == (not keeps or shape == "c_order")
+                copied, strided = runs[True], runs[False]
+                key = (shape, method, omega)
+                assert copied.x_final.tobytes() == strided.x_final.tobytes(), key
+                # every other SolveReport field: counts, final_res, trace rows
+                for f in fields(copied):
+                    if f.name not in ("x_final", "wall_seconds"):
+                        assert getattr(copied, f.name) == getattr(strided, f.name), \
+                            (key, f.name)
 
 
 class TestOneLoop:
