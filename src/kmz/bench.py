@@ -1,5 +1,5 @@
-"""Experiment harness: seeded batch runs, convergence traces, tomography
-reconstructions and CSV/JSON result emission.
+"""Experiment harness: seeded batch runs, tomography reconstructions and
+CSV/JSON result emission.
 
 Every (method, trial) cell derives its own RNG stream from the experiment
 seed, the method tag and the trial index, so results are deterministic
@@ -15,7 +15,6 @@ import os
 import platform
 import statistics
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
@@ -194,29 +193,6 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def median_iters(rows: list[ResultRow]) -> dict[str, int]:
     """Median IT per method, read off the appended aggregate rows."""
     return {r.method: r.iters for r in rows if r.seed == -1}
-
-
-def convergence_curve(spec: ExperimentSpec, out_dir) -> dict[str, Path]:
-    """One traced run per method on the trial-0 instance; writes a CSV
-    (k, res[, err_sq]) per method and returns the paths."""
-    spec.validate()
-    if spec.trace_every < 1:
-        raise ConfigError("convergence_curve needs trace_every >= 1")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    prob = _make_problem(spec, 0)
-    ref = oracle.svd_least_squares(prob.A, prob.b) if spec.record_err else None
-    paths = {}
-    for mi, (method, omega) in enumerate(spec.methods):
-        config = solvers.SolverConfig(
-            method=method, omega=omega, tol=spec.tol, max_outer=spec.max_outer,
-            seed=_cell_seed(spec.seed, mi, 0), trace_every=spec.trace_every)
-        report = solvers.solve(config, prob.A, prob.b, x_star=ref)
-        label = method_label(method, omega)
-        path = out_dir / f"{label}.csv"
-        solvers.write_trace_csv(report, path)
-        paths[label] = path
-    return paths
 
 
 # -- tomography pipeline -----------------------------------------------------------

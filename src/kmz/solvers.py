@@ -12,26 +12,22 @@ x-step; the methods differ only in how they pick the column and the row:
   MEMRK  omega norm-weighted random columns, greedy max-|residual| row
   EMRK   MEMRK with omega 1
 
-The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2.
-The greedy methods need the argmax of |r|, r = b - A x - z, to pick a row.
-On a dense matrix of at least _SHADOW_MIN_ENTRIES entries they take it, and
-their stop test, from a float32 pass over a float32 copy of A, anchored at
-the last float64 pass and bounded entrywise (ResidualShadow); they make a
-float64 pass only where that bound cannot certify the pick or prove
-RES >= tol.  Elsewhere they form r after every x-step from one full float64
-mat-vec.  REK and PREK never read r, and the stop test needs only a bound
-on it: they carry a certified lower bound on ||r|| (ResidualFloor), on
-dense and CSR matrices of any shape, in two tiers.  The triangle inequality
-moves it at O(1) scalar cost per step.  When that has spent it, and the
-matrix handle kept A^T A (see matrix._keeps_gram), the bound is rebuilt in
-O(n^2) from r = A (g - x) - Delta, g the sums of the z-step coefficients
-per column and Delta the rounding of the stored z.  They form r in full
-only when neither tier can prove that a full recompute would give
-RES >= tol and not raise, at trace rows and at the last iteration.  A
-solve stops only on a RES formed in full, and every pick is the float64
-argmax, so the iterates, iteration counts, trace rows and the iteration
-a divergence is raised at are those of a full recompute after every
-iteration.
+The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2,
+r = b - A x - z, and the greedy methods pick the row of largest |r_i|.
+solve forms r by a float64 pass over A only where a residual certificate,
+asked through the four calls of ResidualCertificate, cannot certify the
+pick or prove that the pass would give RES >= tol and not raise; and at
+trace rows and the last iteration.  choose_certificate gives one of three:
+  ResidualShadow       EMRK/MEMRK on a dense matrix of at least
+                       _SHADOW_MIN_ENTRIES entries: r from a float32 pass,
+                       anchored at the last float64 pass, bounded entrywise.
+  ResidualFloor        REK/PREK with a RES stop: a lower bound on ||r||
+                       moved at O(1) per step, rebuilt in O(n^2) where the
+                       handle keeps A^T A (matrix._keeps_gram).
+  ResidualCertificate  elsewhere: certifies nothing (the exact path).
+A solve stops only on a RES formed in full, and every pick is the float64
+argmax, so the iterates, iteration counts, trace rows and the iteration a
+divergence is raised at are those of the exact path.
 
 A norm-weighted draw is an inverse-CDF lookup: bisect_right over the
 cumulative squared norms, kept by the matrix handle as Python float lists
@@ -109,7 +105,7 @@ class SolveReport:
     converged: bool
     wall_seconds: float
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
-    resyncs: int = 0          # times r = b - A x - z was formed in full
+    resyncs: int = 0          # RES formed in full: stop tests, trace rows
     floor_refreshes: int = 0  # O(n^2) rebuilds of the REK/PREK floor
     # greedy picks of an all-zero row with a zero residual entry, which leave
     # x as it is
@@ -234,16 +230,52 @@ def residual(A: mx.MatrixHandle, x: np.ndarray, b: np.ndarray,
     return b - mx.matvec(A, x) - z
 
 
-# -- residual floor ------------------------------------------------------------
+# -- residual certificates ----------------------------------------------------
 
 
-class ResidualFloor:
-    """A lower bound L on ||r||, r = b - A x - z of the stored iterates, with
-    upper bounds xi >= ||x|| and zeta >= ||z||, moved along with x and z at
-    O(1) scalar cost per step instead of forming r.  z must start at b.
+class ResidualCertificate:
+    """The four calls solve makes about r = b - A x - z instead of forming it:
+      - advance(x), after an x-step that no float64 pass follows at once;
+      - pick(z), the row a float64 pass would pick, argmax |r^|, or -1;
+      - excludes_stop(z, tol_denom, denom), True when a float64 pass now is
+        certain to give a finite RES >= tol and x within DIVERGENCE_CAP;
+        `tol_denom` is tol * denom * (1 + 4 eps);
+      - anchor(x, z, u, s), after a float64 pass u = fl(b - fl(A x)) and
+        wherever RES is formed from it: s = fl(r.r), r = fl(u - z), or None
+        after a pass that only a pick needed.
+    This base certifies nothing, so every pick and stop test takes a float64
+    pass: the exact path, which the other certificates must reproduce.
+    z_project_column and x_project_row move `stepped`, if not None, with
+    each step; floor_refreshes and shadow_passes count a certificate's work.
+    """
+
+    __slots__ = ()
+    stepped = None
+    floor_refreshes = shadow_passes = 0
+
+    def advance(self, x: np.ndarray) -> None:
+        pass
+
+    def pick(self, z: np.ndarray) -> int:
+        return -1
+
+    def excludes_stop(self, z: np.ndarray, tol_denom: float,
+                      denom: float) -> bool:
+        return False
+
+    def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
+               s: float | None) -> None:
+        pass
+
+
+class ResidualFloor(ResidualCertificate):
+    """The certificate of REK/PREK with a RES stop: a lower bound L on ||r||,
+    r = b - A x - z of the stored iterates, with upper bounds xi >= ||x|| and
+    zeta >= ||z||, moved along with x and z at O(1) scalar cost per step
+    instead of forming r.  z must start at b.  It picks no row.
 
     With gamma = (m + n + 8) eps and F >= ||A||_F, the terms are:
-      - Reset, after a full recompute r^ = fl(fl(b - fl(A x)) - z) and
+      - Anchor, after a full recompute r^ = fl(fl(b - fl(A x)) - z) and
         s^ = fl(r^.r^).  fl(A x) errs by at most gamma_n |A| |x| entrywise,
         and || |A| |x| || <= F ||x||; fl(b - fl(A x)) errs by at most
         eps (|b| + |fl(A x)|).  The last subtraction errs by at most eps |r^|,
@@ -261,7 +293,7 @@ class ResidualFloor:
         most |d| reach_i (MatrixHandle.row_reach), and by A times the
         rounding of the stored x', at most F e, e = gamma (xi + |d| ||a_i||).
         L -= |d| reach_i + F e; xi += |d| ||a_i|| + e.
-      - Refresh (`refresh`, only with H^ = fl(A^T A) kept by the handle).
+      - Refresh (`refresh`, only where the handle keeps H^ = fl(A^T A)).
         z starts at b, and every column step subtracts c A_(j) exactly and
         adds its rounding, so b - z = A g - Delta exactly, g_j the exact sum
         of the coefficients c of the steps on column j and ||Delta|| at most
@@ -286,7 +318,7 @@ class ResidualFloor:
         or inf leaves L as it is); xi and zeta stay.  Unlike the step
         terms, no term here grows with the lengths of the steps: only D
         grows, by about gamma (zeta + t) per column step.
-      - Stop test.  A full recompute here would give, by the reset's
+      - Stop test.  A full recompute here would give, by the anchor's
         argument, ||r^|| (1 + eps) >= M = L - gamma (||b|| + F xi), so if
         M > 0 then s^ >= M^2 (1 - gamma), and M^2 (1 - gamma) >=
         tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol.  The recompute
@@ -295,7 +327,7 @@ class ResidualFloor:
         partial sum of fl(A x) and r^ is at most U (1 + gamma) in size and
         s^ <= U^2 (1 + 3 gamma), so 2 U^2 / denom finite keeps its RES
         finite.
-    The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at a reset are
+    The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at an anchor are
     stored times 1 + gamma, which covers their own rounding.  Each update
     rounds L down and xi, zeta, D up (_DOWN, _UP).  gamma exceeds the
     gamma_m and (n + 3) eps needed above by at least 8 eps, which covers
@@ -304,7 +336,8 @@ class ResidualFloor:
     """
 
     __slots__ = ("gamma", "reach", "H", "col_norms", "row_norms", "frob",
-                 "b_norm", "L", "xi", "zeta", "coef", "drift")
+                 "b_norm", "L", "xi", "zeta", "coef", "drift", "x",
+                 "floor_refreshes")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         self.gamma = g = (A.m + A.n + 8) * _EPS
@@ -318,8 +351,17 @@ class ResidualFloor:
         self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)).tolist()
         self.frob = math.sqrt(A.frob_sq) * (1.0 + g)
         self.b_norm = float(np.linalg.norm(b)) * (1.0 + g)
+        self.floor_refreshes = 0
 
-    def reset(self, s: float, x: np.ndarray, z: np.ndarray) -> None:
+    @property
+    def stepped(self) -> "ResidualFloor":
+        return self
+
+    def advance(self, x: np.ndarray) -> None:
+        self.x = x
+
+    def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
+               s: float) -> None:
         """Restart from a full recompute of the current iterates, s = fl(r.r)."""
         g = self.gamma
         self.xi = float(np.linalg.norm(x)) * (1.0 + g)
@@ -328,7 +370,8 @@ class ResidualFloor:
                   - g * (self.b_norm + self.frob * self.xi)) * _DOWN
 
     def refresh(self, x: np.ndarray) -> None:
-        """Raise L to the bound rebuilt from H^ and c^; O(n^2)."""
+        """Raise L to the bound rebuilt from H^ and c^; O(n^2), counted."""
+        self.floor_refreshes += 1
         g = self.gamma
         d = self.coef - x
         e = float(d @ d)
@@ -355,16 +398,22 @@ class ResidualFloor:
         self.L = (self.L - (abs(d) * self.reach[i] + self.frob * e)) * _DOWN
         self.xi = (self.xi + t + e) * _UP
 
-    def excludes_stop(self, tol_denom: float, denom: float) -> bool:
-        """True when a full recompute now is certain to give a finite RES >=
-        tol and x within DIVERGENCE_CAP; `tol_denom` is tol * denom *
-        (1 + 4 eps)."""
+    def excludes_stop(self, z: np.ndarray, tol_denom: float,
+                      denom: float) -> bool:
+        """From L as it stands or, where that fails and H^ is kept, from L
+        refreshed at the last advanced x (which leaves xi and zeta)."""
         g = self.gamma
         far = self.b_norm + self.frob * self.xi
-        M = self.L - g * far
         U = (far + self.zeta) * _UP
-        return M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf \
-            and self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf
+        safe = self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf
+        M = self.L - g * far
+        if safe and M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
+            return True
+        if self.H is None:
+            return False
+        self.refresh(self.x)
+        M = self.L - g * far
+        return safe and M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
 
 
 # -- float32 shadow of the greedy residual ------------------------------------
@@ -378,9 +427,9 @@ _FAC = 1.0 + 8.0 * _EPS
 _SHADOW_MIN_ENTRIES = 1 << 18
 
 
-class ResidualShadow:
-    """The greedy pick and the stop test of EMRK/MEMRK on a dense handle,
-    certified from a float32 pass over A instead of a float64 one.
+class ResidualShadow(ResidualCertificate):
+    """The certificate of EMRK/MEMRK on a dense handle: the greedy pick and
+    the stop test from a float32 pass over A instead of a float64 one.
 
     Each float64 pass at an iterate x_a forms u_a = fl(b - fl(A x_a)); the
     shadow keeps x_a and u_a (`anchor`).  After an x-step to x, `advance`
@@ -447,7 +496,7 @@ class ResidualShadow:
     """
 
     __slots__ = ("A32", "gamma", "norms", "frob", "root_m", "c_delta",
-                 "c_x", "tau_row", "tau_fixed", "limit", "buf", "passes",
+                 "c_x", "tau_row", "tau_fixed", "limit", "buf", "shadow_passes",
                  "x_a", "u_a", "x_a_norm", "u_a_term", "v", "alpha", "beta0")
 
     def __init__(self, A: mx.MatrixHandle, A32: np.ndarray):
@@ -465,9 +514,10 @@ class ResidualShadow:
         amax = max(float(A32.max()), -float(A32.min()), 1.0)
         self.limit = mx._F32_MAX / 2.0 / amax * _DOWN
         self.buf = np.empty(m)
-        self.passes = 0
+        self.shadow_passes = 0
 
-    def anchor(self, x: np.ndarray, u: np.ndarray) -> None:
+    def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
+               s: float | None) -> None:
         """Restart from a float64 pass at x, u = fl(b - fl(A x))."""
         self.x_a = x.copy()
         self.u_a = u
@@ -482,7 +532,7 @@ class ResidualShadow:
         if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
             self.v, self.alpha, self.beta0 = self.u_a, 0.0, math.inf
             return
-        self.passes += 1
+        self.shadow_passes += 1
         self.v = self.u_a - mx.matvec_single(self.A32, d)
         nd = float(np.linalg.norm(d)) * (1.0 + g)
         nx = float(np.linalg.norm(x)) * (1.0 + g)
@@ -512,9 +562,6 @@ class ResidualShadow:
 
     def excludes_stop(self, z: np.ndarray, tol_denom: float,
                       denom: float) -> bool:
-        """True when a float64 pass now is certain to give a finite RES >=
-        tol and x within DIVERGENCE_CAP; `tol_denom` is tol * denom *
-        (1 + 4 eps)."""
         g = self.gamma
         r = self.v - z
         norm = math.sqrt(float(r @ r))
@@ -526,14 +573,20 @@ class ResidualShadow:
             and 2.0 * U * U / denom < math.inf
 
 
-def _shadow(A: mx.MatrixHandle) -> ResidualShadow | None:
-    """A ResidualShadow for a dense handle of at least _SHADOW_MIN_ENTRIES
-    entries whose float32 copy is finite, else None.  n < 2^22 keeps g32
-    below 1."""
-    if A.dense is None or A.m * A.n < _SHADOW_MIN_ENTRIES or A.n >= 1 << 22:
-        return None
-    A32 = mx.single_copy(A)
-    return None if A32 is None else ResidualShadow(A, A32)
+def choose_certificate(method: str, A: mx.MatrixHandle, b: np.ndarray,
+                       budget: bool) -> ResidualCertificate:
+    """The certificate solve runs `method` with: a ResidualShadow for
+    EMRK/MEMRK on a dense handle of at least _SHADOW_MIN_ENTRIES entries
+    whose float32 copy is finite (n < 2^22 keeps g32 below 1), a
+    ResidualFloor for REK/PREK with a RES stop, else the exact path."""
+    if method in (EMRK, MEMRK):
+        if A.m * A.n >= _SHADOW_MIN_ENTRIES and A.n < 1 << 22:
+            A32 = mx.single_copy(A)  # None for CSR, or beyond float32
+            if A32 is not None:
+                return ResidualShadow(A, A32)
+    elif not budget:
+        return ResidualFloor(A, b)
+    return ResidualCertificate()
 
 
 # -- driver ---------------------------------------------------------------------
@@ -548,13 +601,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     pre-update iterate (for step-identity checks); it forces one extra vector
     copy per iteration and is meant for tests and diagnostics.
 
-    With `config.tol` None the run never stops on RES and forms it only for
-    trace rows and the report.  Elsewhere RES is formed in full where the
-    stop is decided (see the module docstring).  The divergence test runs on
-    each full RES, and a pass is skipped only where it is proven not to
-    raise, so a run that diverges raises at the iteration where a float64
-    pass after every iteration would; a run without RES stop tests x every
-    iteration.
+    A float64 pass is made only where the certificate of choose_certificate
+    cannot certify a pick or, with a RES stop (`config.tol` not None),
+    exclude the stop; RES is formed in full there, at trace rows and at the
+    last iteration.  A pass is skipped only where it is proven not to raise,
+    so a diverging run raises where the exact path does; without a RES stop
+    x is tested every iteration.
     A non-finite entry of b or x0 is rejected before the first iteration.
     """
     config.validate()
@@ -594,15 +646,6 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     trace: list = []
 
-    def full_pass() -> np.ndarray:
-        """u = fl(b - fl(A x)), a float64 pass at the current x."""
-        nonlocal passes
-        passes += 1
-        u = b - mx.matvec(A, x)
-        if shadow is not None:
-            shadow.anchor(x, u)
-        return u
-
     def record(k: int, res: float) -> None:
         err = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
         trace.append((k, res, err))
@@ -613,18 +656,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace,
                            full_passes=passes)
 
-    # REK/PREK skip float64 passes on the floor, greedy methods on a dense
-    # matrix above _SHADOW_MIN_ENTRIES on a float32 shadow of r; other greedy
-    # runs make one after every x-step.
-    floor = shadow = None
-    if greedy:
-        shadow = _shadow(A)
-        if shadow is not None:
-            shadow.anchor(x, u)
-    elif not budget:
-        floor = ResidualFloor(A, b)
-        rvec = u - z
-        floor.reset(float(rvec @ rvec), x, z)
+    cert = choose_certificate(method, A, b, budget)
+    stepped = cert.stepped
+    rvec = u - z
+    cert.anchor(x, z, u, float(rvec @ rvec))
     if not budget:
         tol_denom = config.tol * denom * _UP
 
@@ -634,19 +669,18 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     k = 0
     last_recorded = 0
     resyncs = 0
-    refreshes = 0
     zero_row_skips = 0
     row_norms_sq = A.row_table[1]
     for k in range(1, config.max_outer + 1):
         for _ in range(config.omega):
-            z_project_column(z, A, next_column(A), floor)
+            z_project_column(z, A, next_column(A), stepped)
         skip_update = False
         if greedy:
-            if not fresh:  # only with a shadow
-                i = shadow.pick(z)
+            if not fresh:
+                i = cert.pick(z)
                 if i < 0:
-                    u, fresh = full_pass(), True
-                    resyncs += 1
+                    u, fresh, passes = b - mx.matvec(A, x), True, passes + 1
+                    cert.anchor(x, z, u, None)
             if fresh:
                 r = u - z
                 i = select_max_residual_row(r)
@@ -660,37 +694,25 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:
-            x_project_row(x, A, i, b.item(i) - z.item(i), floor)
+            x_project_row(x, A, i, b.item(i) - z.item(i), stepped)
             fresh = False
 
         traced = config.trace_every and k % config.trace_every == 0
         exact = traced or k == config.max_outer or (fresh and not budget)
-        if exact or fresh:
-            pass
-        elif shadow is not None:
-            shadow.advance(x)
-            exact = not (budget or shadow.excludes_stop(z, tol_denom, denom))
-        elif greedy:  # without a shadow the next pick needs all of r
-            u, fresh = full_pass(), True
-            exact = not budget
-        elif not budget:
-            exact = not floor.excludes_stop(tol_denom, denom)
-            if exact and floor.H is not None:
-                refreshes += 1
-                floor.refresh(x)
-                exact = not floor.excludes_stop(tol_denom, denom)
+        if not (exact or fresh):
+            cert.advance(x)
+            exact = not (budget or cert.excludes_stop(z, tol_denom, denom))
         if exact:
             if not fresh:
-                u, fresh = full_pass(), True
+                u, fresh, passes = b - mx.matvec(A, x), True, passes + 1
             rvec = u - z
             s = float(rvec @ rvec)
             res = s / denom
             resyncs += 1
+            cert.anchor(x, z, u, s)
         if (exact or budget) and \
                 not (math.isfinite(res) and abs(x).max() <= DIVERGENCE_CAP):
             raise DivergenceError(f"iterate diverged at outer iteration {k}")
-        if exact and floor is not None:
-            floor.reset(s, x, z)
         if callback is not None:
             callback(k, i, x_prev, x, z)
         if traced:
@@ -702,13 +724,13 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     if last_recorded != k:
         record(k, res)
-    shadow_passes = shadow.passes if shadow is not None else 0
     log.debug("%s: %d iterations, %d float64 passes, %d full residual "
               "recomputes, %d floor refreshes, %d float32 shadow passes, %d "
-              "zero-row skips", method, k, passes, resyncs, refreshes,
-              shadow_passes, zero_row_skips)
+              "zero-row skips", method, k, passes, resyncs,
+              cert.floor_refreshes, cert.shadow_passes, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, refreshes, zero_row_skips, shadow_passes, passes)
+                       resyncs, cert.floor_refreshes, zero_row_skips,
+                       cert.shadow_passes, passes)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kmz import bench
+from kmz import bench, solvers
 from kmz import problems as pb
 from kmz.errors import ConfigError, KmzError
 
@@ -158,34 +158,19 @@ class TestRunExperiment:
 
 
 class TestConvergenceCurve:
-    def test_row_count_without_convergence(self, tmp_path):
-        spec = bench.ExperimentSpec(kind="dense", m=50, n=10,
-                                    methods=[("emrk", 1)], tol=1e-300,
-                                    max_outer=40, seed=1, trace_every=1)
-        paths = bench.convergence_curve(spec, tmp_path)
-        lines = paths["emrk"].read_text().splitlines()
-        assert len(lines) == 42  # header + k = 0..40
-        assert lines[1].startswith("0,1")
-
-    def test_needs_trace_stride(self, tmp_path):
-        spec = bench.ExperimentSpec(trace_every=0)
-        with pytest.raises(ConfigError):
-            bench.convergence_curve(spec, tmp_path)
-
-    def test_multi_step_curve_dominates_single_step(self, tmp_path):
-        spec = bench.ExperimentSpec(kind="dense", m=2000, n=200,
-                                    methods=[("memrk", 1), ("memrk", 6)],
-                                    tol=1e-300, max_outer=600, seed=2,
-                                    trace_every=10)
-        paths = bench.convergence_curve(spec, tmp_path)
+    def test_multi_step_curve_dominates_single_step(self):
+        # the trace of `kmz solve --trace-every 10`: after a burn-in, RES of
+        # MEMRK(omega 6) stays at or below that of MEMRK(omega 1)
+        prob = pb.make_gaussian(pb.DENSE, 2000, 200, seed=2)
         curves = {}
-        for label, path in paths.items():
-            rows = np.loadtxt(path, delimiter=",", skiprows=1)
-            curves[label] = dict(zip(rows[:, 0].astype(int), rows[:, 1]))
-        ks = sorted(set(curves["memrk1"]) & set(curves["memrk6"]))
-        burn_in = [k for k in ks if k >= 200]
-        assert burn_in
-        assert all(curves["memrk6"][k] <= curves["memrk1"][k] for k in burn_in)
+        for omega in (1, 6):
+            cfg = solvers.SolverConfig(method="memrk", omega=omega, tol=1e-300,
+                                       max_outer=600, seed=omega, trace_every=10)
+            report = solvers.solve(cfg, prob.A, prob.b)
+            curves[omega] = {k: res for k, res, _ in report.trace}
+        burn_in = [k for k in curves[1] if k >= 200]
+        assert len(burn_in) == 41
+        assert all(curves[6][k] <= curves[1][k] for k in burn_in)
 
 
 class TestTomoExperiment:

@@ -346,11 +346,6 @@ class TestSolve:
         assert len(lines) == 7
 
 
-# A _SHADOW_MIN_ENTRIES no matrix reaches: greedy runs make a float64 pass
-# after every x-step, as they did before the shadow.
-SHADOW_OFF = 1 << 62
-
-
 def tall_problem(seed, m=1200, n=100, rank_deficient=False):
     A = pb.gen_dense_gaussian(m, n, seed)
     if rank_deficient:
@@ -386,10 +381,18 @@ def floor_case(case, seed):
     return A, b, 1e-6
 
 
-def form_r_every_iteration(mp):
-    """Patches ResidualFloor.excludes_stop to False, so REK/PREK form r after
-    every iteration: the reference their skipped recomputes must match."""
-    mp.setattr(sv.ResidualFloor, "excludes_stop", lambda self, *args: False)
+def exact_path(mp):
+    """Makes solve run every method on the certificate that certifies
+    nothing, so r is formed wherever a pick or a stop test needs it: the
+    reference that every certified shortcut must match."""
+    mp.setattr(sv, "choose_certificate", lambda *args: sv.ResidualCertificate())
+
+
+def raised_at(cfg, A, b):
+    """The outer iteration at which solve raises DivergenceError."""
+    with pytest.raises(DivergenceError) as info:
+        solve(cfg, A, b)
+    return int(str(info.value).rsplit(" ", 1)[1])
 
 
 def exact_residual_norm(entries, x, b, z):
@@ -413,7 +416,7 @@ class TestCarriedResidual:
             for method in (sv.REK, sv.PREK):
                 cfg = SolverConfig(method=method, tol=tol, seed=seed, trace_every=97)
                 with monkeypatch.context() as mp:
-                    form_r_every_iteration(mp)
+                    exact_path(mp)
                     full = solve(cfg, A, b)
                 floor = solve(cfg, A, b)
                 assert full.converged and floor.converged
@@ -436,17 +439,18 @@ class TestCarriedResidual:
                 assert floor.resyncs < o1.resyncs, (seed, method)
         assert (A._gram is not None) == (case == "gated")
         # greedy runs on the float32 shadow (gate patched to take any dense
-        # shape) take the float64 path's iterates
-        runs = {}
-        for gate in (0, SHADOW_OFF):
-            with monkeypatch.context() as mp:
-                mp.setattr(sv, "_SHADOW_MIN_ENTRIES", gate)
-                runs[gate] = solve(SolverConfig(method=sv.EMRK, tol=tol, seed=0), A, b)
-        greedy, plain = runs[0], runs[SHADOW_OFF]
+        # shape) take the exact path's iterates
+        cfg = SolverConfig(method=sv.EMRK, tol=tol, seed=0)
+        with monkeypatch.context() as mp:
+            mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+            greedy = solve(cfg, A, b)
+        with monkeypatch.context() as mp:
+            exact_path(mp)
+            plain = solve(cfg, A, b)
         assert greedy.x_final.tobytes() == plain.x_final.tobytes()
         assert (greedy.outer_iters, greedy.final_res) == \
             (plain.outer_iters, plain.final_res)
-        assert greedy.resyncs + greedy.shadow_passes >= greedy.outer_iters
+        assert greedy.full_passes + greedy.shadow_passes >= greedy.outer_iters
         assert (greedy.shadow_passes > 0) == A.is_dense
 
     def test_first_iteration_stop_is_kept(self, monkeypatch):
@@ -456,7 +460,7 @@ class TestCarriedResidual:
                                     methods=[("rek", 1), ("prek", 1)], seed=48,
                                     rank_deficient=True)
         carried = bench.run_experiment(spec)
-        form_r_every_iteration(monkeypatch)
+        exact_path(monkeypatch)
         full = bench.run_experiment(spec)
         assert [(r.iters, r.final_res) for r in carried] == \
                [(r.iters, r.final_res) for r in full]
@@ -482,7 +486,7 @@ class TestCarriedResidual:
             x, z = x0.copy(), b.copy()
             floor = sv.ResidualFloor(A, b)
             r = residual(A, x, b, z)
-            floor.reset(float(r @ r), x, z)
+            floor.anchor(x, z, None, float(r @ r))
             norm = exact_residual_norm(entries, x, b, z)
             assert 0.0 < floor.L <= norm and floor.L > (1.0 - 1e-9) * norm
             positive = 0
@@ -495,7 +499,7 @@ class TestCarriedResidual:
                 positive += floor.L > 0.0
                 if reset_when_spent and floor.L <= 0.0:
                     r = residual(A, x, b, z)
-                    floor.reset(float(r @ r), x, z)
+                    floor.anchor(x, z, None, float(r @ r))
             assert positive >= (1000 if reset_when_spent else 2), positive
 
     @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "badly_scaled",
@@ -518,7 +522,7 @@ class TestCarriedResidual:
         entries = A.to_dense().astype(np.longdouble)
 
         r = residual(A, x, b, z)
-        floor.reset(float(r @ r), x, z)
+        floor.anchor(x, z, None, float(r @ r))
         raised, worst = 0, 1.0
         for k, _ in enumerate(rek_steps(A, b, x, z, floor,
                                         np.random.default_rng(14), 2000), start=1):
@@ -562,7 +566,7 @@ class TestCarriedResidual:
         A, b, floor = self.gram_floor([[1.0]], [1.0])
         x, z = np.array([8 * eps]), b.copy()
         r = residual(A, x, b, z)
-        floor.reset(float(r @ r), x, z)
+        floor.anchor(x, z, None, float(r @ r))
         floor.column_step(0, 0.8 * eps)
         mx.axpy_col(z, A, 0, -0.8 * eps)
         assert z[0] == 1.0 - eps
@@ -603,15 +607,15 @@ class TestCarriedResidual:
     def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
         A, b, _ = floor_case("rank_deficient", 0)
         floor = sv.ResidualFloor(A, b)
-        x = np.zeros(A.n)
-        r = residual(A, x, b, np.zeros(A.m))
+        x, z = np.zeros(A.n), np.zeros(A.m)
+        r = residual(A, x, b, z)
         s = float(r @ r)
-        floor.reset(s, x, np.zeros(A.m))
-        assert floor.excludes_stop(1e-8 * s, s)
+        floor.anchor(x, z, None, s)
+        assert floor.excludes_stop(z, 1e-8 * s, s)
         # a negative floor proves nothing, however large its square
         for L in (-1e10, float("nan"), float("inf")):
             floor.L = L
-            assert not floor.excludes_stop(1e-8 * s, s), L
+            assert not floor.excludes_stop(z, 1e-8 * s, s), L
 
     def test_stop_test_rejects_a_pass_that_would_raise(self, monkeypatch):
         # the floor proves RES >= tol, but the recompute it would skip raises:
@@ -621,13 +625,13 @@ class TestCarriedResidual:
         x, z = np.full(A.n, 0.5), b.copy()
         r = residual(A, x, b, z)
         s = float(r @ r)
-        floor.reset(s, x, z)
-        assert floor.excludes_stop(1e-8 * s, s)
+        floor.anchor(x, z, None, s)
+        assert floor.excludes_stop(z, 1e-8 * s, s)
         with monkeypatch.context() as mp:
             mp.setattr(sv, "DIVERGENCE_CAP", floor.xi * 0.99)
-            assert not floor.excludes_stop(1e-8 * s, s)
+            assert not floor.excludes_stop(z, 1e-8 * s, s)
         tiny = 5e-324  # s / tiny overflows
-        assert not floor.excludes_stop(1e-8 * tiny, tiny)
+        assert not floor.excludes_stop(z, 1e-8 * tiny, tiny)
 
     # The four tests below build 1x1 systems whose rounding moves r by as much
     # as the step itself.  Each starts from the tightest sound floor, the
@@ -648,7 +652,7 @@ class TestCarriedResidual:
         exact = floor.L
         r = residual(A, x, b, z)
         assert abs(r[0]) > 1.9 * exact
-        floor.reset(float(r @ r), x, z)
+        floor.anchor(x, z, None, float(r @ r))
         assert floor.L <= exact
 
     def test_column_step_covers_the_rounding_of_a_large_z(self):
@@ -678,7 +682,7 @@ class TestCarriedResidual:
         b = float(np.float64(0.1) * 3.0)
         A, x, b, z, floor = self.tight_floor(0.1, 3.0, b, 0.0)
         assert floor.L > 0.0 and float(residual(A, x, b, z)[0]) == 0.0
-        assert not floor.excludes_stop(1e-300, 1.0)
+        assert not floor.excludes_stop(z, 1e-300, 1.0)
 
     def test_wide_square_and_sparse_use_the_floor(self):
         rng = np.random.default_rng(6)
@@ -698,12 +702,6 @@ class TestCarriedResidual:
         cfg = SolverConfig(method=sv.REK, seed=0, max_outer=1000, tol=1e-300)
         with pytest.raises(DivergenceError, match=r"iteration (\d|[1-5]\d|6[0-4])$"):
             solve(cfg, A, b)
-
-    @staticmethod
-    def raised_at(cfg, A, b):
-        with pytest.raises(DivergenceError) as info:
-            solve(cfg, A, b)
-        return int(str(info.value).rsplit(" ", 1)[1])
 
     def test_divergence_raised_where_a_full_recompute_raises(self, monkeypatch):
         # A skipped recompute must not skip a raise: each run raises at the
@@ -734,9 +732,9 @@ class TestCarriedResidual:
                     with monkeypatch.context() as mp:
                         mp.setattr(sv, "DIVERGENCE_CAP", cap)
                         mp.setattr(sv, "x_project_row", x_step)
-                        k = self.raised_at(cfg, A, rhs)
-                        form_r_every_iteration(mp)
-                        assert k == self.raised_at(cfg, A, rhs) > 64, \
+                        k = raised_at(cfg, A, rhs)
+                        exact_path(mp)
+                        assert k == raised_at(cfg, A, rhs) > 64, \
                             (case, method, cap)
                     assert k == first or x_step is overshoot
 
@@ -1131,7 +1129,7 @@ def shadow_case(kind):
 
 def new_shadow(A, x, b):
     shadow = sv.ResidualShadow(A, mx.single_copy(A))
-    shadow.anchor(x, b - mx.matvec(A, x))
+    shadow.anchor(x, b, b - mx.matvec(A, x), None)
     return shadow
 
 
@@ -1167,7 +1165,7 @@ class TestResidualShadow:
                 pick = shadow.pick(z)
                 assert pick in (-1, i), k
                 if pick < 0:
-                    shadow.anchor(x, b - mx.matvec(A, x))
+                    shadow.anchor(x, z, b - mx.matvec(A, x), None)
                 certified += pick >= 0
             x_project_row(x, A, i, b[i] - z[i])
             shadow.advance(x)
@@ -1179,7 +1177,7 @@ class TestResidualShadow:
             stopping = np.nextafter(res, np.inf) * denom * sv._UP
             assert not shadow.excludes_stop(z, stopping, denom), k
             skips += shadow.excludes_stop(z, 0.5 * res * denom * sv._UP, denom)
-        assert shadow.passes == 2000
+        assert shadow.shadow_passes == 2000
         # and both bounds are tight enough to pay: measured 1662-2000 skips,
         # the fewest on tall, whose RES falls to 1e-26, into float64 noise
         assert skips >= 1500
@@ -1243,7 +1241,7 @@ class TestResidualShadow:
         assert plain.shadow_passes == 0
         assert tied.x_final.tobytes() == plain.x_final.tobytes()
         assert (tied.outer_iters, tied.final_res) == (plain.outer_iters, plain.final_res)
-        assert tied.resyncs >= tied.outer_iters
+        assert tied.full_passes >= tied.outer_iters
 
     def test_bound_covers_subnormal_float32_entries(self):
         # A and b near 1e-41: A's entries are subnormal in float32 and keep
@@ -1260,7 +1258,7 @@ class TestResidualShadow:
             x_project_row(x, A, i, b[i] - z[i])
             shadow.advance(x)
             assert covered(shadow, A, x, b, z), k
-        assert shadow.passes == 300
+        assert shadow.shadow_passes == 300
 
     def test_entry_beyond_float32_turns_the_shadow_off(self, monkeypatch):
         A, b = tall_problem(27, m=300, n=40)
@@ -1284,12 +1282,13 @@ class TestResidualShadow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             shadow.advance(np.array([1e10, -1e10]))
-            assert shadow.passes == 0
+            assert shadow.shadow_passes == 0
             assert shadow.pick(b) == -1
             assert not shadow.excludes_stop(b, 1e-300, 1.0)
 
     @pytest.mark.parametrize("mode", ["tol", "budget", "trace"])
     def test_bit_identical_to_the_float64_path(self, mode, monkeypatch):
+        # unpatched gate: 2200 x 120 is above _SHADOW_MIN_ENTRIES
         for seed in range(3):
             A, b = tall_problem(30 + seed, m=2200, n=120)
             assert A.m * A.n >= sv._SHADOW_MIN_ENTRIES
@@ -1301,7 +1300,7 @@ class TestResidualShadow:
                                    trace_every=37 if mode == "trace" else 0)
                 shadowed = solve(cfg, A, b, x_star=x_ls)
                 with monkeypatch.context() as mp:
-                    mp.setattr(sv, "_SHADOW_MIN_ENTRIES", SHADOW_OFF)
+                    exact_path(mp)
                     plain = solve(cfg, A, b, x_star=x_ls)
                 key = (seed, method, omega)
                 assert shadowed.x_final.tobytes() == plain.x_final.tobytes(), key
@@ -1313,7 +1312,7 @@ class TestResidualShadow:
                 if mode == "tol":
                     assert plain.resyncs == plain.outer_iters
                     assert shadowed.resyncs <= shadowed.outer_iters / 20, key
-                    assert shadowed.resyncs + shadowed.shadow_passes >= \
+                    assert shadowed.full_passes + shadowed.shadow_passes >= \
                         shadowed.outer_iters
 
     def test_below_the_gate_every_iteration_is_float64(self):
@@ -1331,3 +1330,95 @@ class TestResidualShadow:
         assert 0 < rep.resyncs < rep.shadow_passes
         assert f"{rep.resyncs} full residual recomputes, 0 floor refreshes, " \
                f"{rep.shadow_passes} float32 shadow passes" in caplog.text
+
+
+def matrix_shape(shape, mp):
+    """(A, b, tol) for a shape of the certificate matrix.  "above_gates" is
+    300 x 50 with both gates patched on: the greedy methods run on the
+    shadow and the floor refreshes from a kept A^T A, as on dense 6000 x
+    500; "dense_as_csr" refreshes from A^T A built in dense row blocks."""
+    if shape == "below_gates":
+        return (*tall_problem(50, m=200, n=50, rank_deficient=True), 1e-8)
+    if shape == "csr":
+        A = pb.gen_sparse_gaussian(300, 60, 0.2, 52)
+        return A, pb.build_inconsistent_rhs(A, np.ones(60), 53, 0.25)[0], 1e-6
+    mp.setattr(mx, "_keeps_gram", lambda A: True)
+    if shape == "dense_as_csr":
+        entries, b = tall_problem(54, m=200, n=40)
+        return mx.from_scipy(scipy.sparse.csr_matrix(entries.dense)), b, 1e-6
+    mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+    return (*tall_problem(51, m=300, n=50), 1e-6)
+
+
+class TestCertificateMatrix:
+    """Each certificate gives the exact path's iterates, counts, RES, trace
+    rows and raise iteration: the five benchmark cells x {tol, budget,
+    trace}, and a run that diverges, on each shape of matrix_shape."""
+
+    def test_one_function_chooses_the_certificate(self, monkeypatch):
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        dense, b = tall_problem(55, m=60, n=10)
+        sparse = mx.from_scipy(scipy.sparse.csr_matrix(dense.dense))
+        for A in (dense, sparse):
+            for method in sv.METHODS:
+                for budget in (False, True):
+                    cert = sv.choose_certificate(method, A, b, budget)
+                    if method in (sv.EMRK, sv.MEMRK) and A.is_dense:
+                        expected = sv.ResidualShadow
+                    elif method in (sv.REK, sv.PREK) and not budget:
+                        expected = sv.ResidualFloor
+                    else:
+                        expected = sv.ResidualCertificate
+                    assert type(cert) is expected, (method, budget, A.is_dense)
+                    # only the floor moves with the z- and x-steps
+                    assert (cert.stepped is cert) == (expected is sv.ResidualFloor)
+
+    @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "csr",
+                                       "dense_as_csr"])
+    def test_bit_identical_to_the_exact_path(self, shape, monkeypatch):
+        A, b, tol = matrix_shape(shape, monkeypatch)
+        x_ls = oracle.svd_least_squares(A, b)
+        for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
+                              (sv.MEMRK, 4), (sv.MEMRK, 6)):
+            greedy = method in (sv.EMRK, sv.MEMRK)
+            shadowed = greedy and shape == "above_gates"
+            refreshed = not greedy and shape in ("above_gates", "dense_as_csr")
+            for mode in ("tol", "budget", "trace"):
+                cfg = SolverConfig(method=method, omega=omega, seed=7,
+                                   tol=None if mode == "budget" else tol,
+                                   max_outer=400 if mode == "budget" else 50_000,
+                                   trace_every=37 if mode == "trace" else 0)
+                x_star = x_ls if mode == "trace" else None
+                fast = solve(cfg, A, b, x_star=x_star)
+                peaks = []
+                with monkeypatch.context() as mp:
+                    exact_path(mp)
+                    exact = solve(cfg, A, b, x_star=x_star, callback=lambda
+                                  k, i, x_prev, x, z: peaks.append(abs(x).max()))
+                key = (shape, method, omega, mode)
+                assert fast.x_final.tobytes() == exact.x_final.tobytes(), key
+                assert (fast.outer_iters, fast.final_res, fast.converged,
+                        fast.trace, fast.zero_row_skips) == \
+                    (exact.outer_iters, exact.final_res, exact.converged,
+                     exact.trace, exact.zero_row_skips), key
+                # the shortcut ran
+                assert exact.shadow_passes == exact.floor_refreshes == 0
+                assert (fast.shadow_passes > 0) == shadowed, key
+                assert (fast.floor_refreshes > 0) == (refreshed and mode != "budget")
+                if mode != "tol":
+                    continue
+                assert exact.resyncs == exact.outer_iters
+                if shadowed:
+                    assert fast.resyncs <= fast.outer_iters / 20, key
+                    assert fast.full_passes + fast.shadow_passes >= \
+                        fast.outer_iters
+                elif not greedy:
+                    assert fast.resyncs <= fast.outer_iters / 3, key
+                # x first passes a cap set just below its largest entry: a
+                # skipped pass must not skip the raise
+                top = int(np.argmax(peaks))
+                with monkeypatch.context() as mp:
+                    mp.setattr(sv, "DIVERGENCE_CAP", max(peaks[:top], default=0.0))
+                    raised = raised_at(cfg, A, b)
+                    exact_path(mp)
+                    assert raised == raised_at(cfg, A, b) == top + 1, key
