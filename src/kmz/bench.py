@@ -14,7 +14,7 @@ import math
 import os
 import platform
 import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -41,7 +41,6 @@ class ExperimentSpec:
     scale: float = 0.25                 # ||r_tilde|| / ||A x*||
     rank_deficient: bool | None = None  # None -> only when m <= n
     record_err: bool = False            # squared error vs the oracle solution
-    trace_every: int = 0
 
     def validate(self) -> None:
         if self.kind not in (problems.DENSE, problems.SPARSE):
@@ -53,13 +52,7 @@ class ExperimentSpec:
                                  max_outer=self.max_outer).validate()
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "n": self.n,
-                "density": self.density,
-                "methods": [[m, o] for m, o in self.methods],
-                "trials": self.trials, "tol": self.tol,
-                "max_outer": self.max_outer, "seed": self.seed,
-                "scale": self.scale, "rank_deficient": self.rank_deficient,
-                "record_err": self.record_err, "trace_every": self.trace_every}
+        return asdict(self) | {"methods": [[m, o] for m, o in self.methods]}
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentSpec":
@@ -72,45 +65,92 @@ class ExperimentSpec:
         for key, value in d.items():
             if key not in types:
                 raise ConfigError(f"unknown experiment field {key!r}")
-            try:
-                setattr(spec, key, _COERCE[types[key]](value))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"experiment field {key!r}: {exc}") from exc
+            setattr(spec, key, convert(key, _COERCE[types[key]], value))
         return spec
 
 
-def _as_int(value) -> int:
+# -- converters: a JSON value, or the text of a command-line flag, to a typed
+# value; a ValueError says what the value must be, and convert() names the key.
+
+
+def convert(key: str, converter, value):
+    """converter(value), its ValueError raised as a ConfigError naming key."""
+    try:
+        return converter(value)
+    except ValueError as exc:
+        raise ConfigError(f"{key} {exc}") from None
+
+
+def as_int(value) -> int:
+    """An integer, an integral float or the text of an integer; not a bool."""
+    error = ValueError(f"must be an integer, got {value!r}")
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+        raise error
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise error from None
 
 
-def _as_float(value) -> float:
+def as_float(value) -> float:
+    """A finite number, or its text; not a bool."""
+    error = ValueError(f"must be a number, got {value!r}")
     if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return value
+        raise error
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise error from None
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
 
 
-def _as_bool(value) -> bool:
+def as_bool(value) -> bool:
     if not isinstance(value, bool):
-        raise ValueError(f"expected true or false, got {value!r}")
+        raise ValueError(f"must be true or false, got {value!r}")
     return value
 
 
-def _as_str(value) -> str:
+def as_str(value) -> str:
     if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
+        raise ValueError(f"must be a string, got {value!r}")
     return value
+
+
+def as_path(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"must be a path string, got {value!r}")
+    return value
+
+
+_METHOD_ITEMS = "a list of name[:omega] strings or [name, omega] pairs"
+
+
+def as_methods(value) -> list:
+    """[(name, omega), ...], names lower-cased, from a list whose items are
+    "name[:omega]" strings (omega 1 when left out) or [name, omega] pairs."""
+    if not isinstance(value, list):
+        raise ValueError(f"must be {_METHOD_ITEMS}, got {value!r}")
+    methods = []
+    for item in value:
+        pair = item
+        if isinstance(item, str):
+            name, sep, omega = item.strip().partition(":")
+            pair = (name, omega if sep else 1)
+        try:
+            name, omega = pair
+            methods.append((as_str(name).lower(), as_int(omega)))
+        except (TypeError, ValueError):
+            raise ValueError(f"must be {_METHOD_ITEMS}, got {item!r}") from None
+    return methods
 
 
 # Converters keyed by the field annotations of ExperimentSpec.
 _COERCE = {
-    "str": _as_str, "int": _as_int, "float": _as_float, "bool": _as_bool,
-    "bool | None": lambda v: None if v is None else _as_bool(v),
-    "list": lambda v: [(_as_str(m).lower(), _as_int(o)) for m, o in v],
+    "str": as_str, "int": as_int, "float": as_float, "bool": as_bool,
+    "bool | None": lambda v: None if v is None else as_bool(v),
+    "list": as_methods,
 }
 
 
@@ -156,7 +196,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         prob = probs[trial]
         config = solvers.SolverConfig(
             method=method, omega=omega, tol=spec.tol, max_outer=spec.max_outer,
-            seed=_cell_seed(spec.seed, mi, trial), trace_every=spec.trace_every)
+            seed=_cell_seed(spec.seed, mi, trial))
         try:
             report = solvers.solve(config, prob.A, prob.b)
         except KmzError as exc:

@@ -1,9 +1,11 @@
 """Command-line entry point: gen / solve / bench / tomo / theory.
 
 Every subcommand accepts --config FILE (JSON); explicit flags override config
-values, which override built-in defaults.  Exit codes: 0 success, 1 usage
-error, 2 numerical/domain error.  Diagnostics go to stderr; data goes to
-files or stdout only.
+values, which override built-in defaults.  OPTIONS declares each option once:
+the flag --a-b is the config key a_b, and flag text and config values alike
+go through the option's converter, the ones bench specs use.  Exit codes: 0
+success, 1 usage error, 2 numerical/domain error.  Diagnostics go to stderr;
+data goes to files or stdout only.
 """
 
 from __future__ import annotations
@@ -25,30 +27,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-GEN_DEFAULTS = {
-    "kind": "dense", "m": 100, "n": 20, "density": 0.1, "scale": 0.25,
-    "rank_deficient": "auto", "seed": None, "out": None,
-    "image_n": 40, "half_width": 20.0, "angles": "0:2:150",
-    "rays": 125, "span": 120.0, "noise": 0.01,
-}
-SOLVE_DEFAULTS = {
-    "problem": None, "method": None, "omega": 1, "tol": 1e-6,
-    "max_it": 50_000, "seed": 0, "trace_every": 1, "out": None, "trace": None,
-}
-BENCH_DEFAULTS = {"spec": None, "out": None, "meta": None}
-TOMO_DEFAULTS = {
-    "image_n": 40, "half_width": 20.0, "angles": "0:2:150", "rays": 125,
-    "span": 120.0, "noise": 0.01, "methods": "rek,emrk,memrk:4",
-    "budget_factor": 10, "seed": 0, "out": None,
-}
-THEORY_DEFAULTS = {"problem": None, "k_max": 50, "k_step": 1, "out": None}
-# options that name a file or directory: a config file must give them as strings
-_PATH_KEYS = frozenset({"problem", "out", "trace", "spec", "meta"})
-
-
 def _parse_angles(text: str) -> list:
     try:
-        start, step, stop = (float(v) for v in str(text).split(":"))
+        start, step, stop = (bench.as_float(v) for v in str(text).split(":"))
     except ValueError as exc:
         raise ConfigError(f"angles must be start:step:stop, got {text!r}") from exc
     if step <= 0:
@@ -58,32 +39,58 @@ def _parse_angles(text: str) -> list:
 
 def _parse_methods(value) -> list:
     """[(name, omega), ...] from "rek,memrk:4" or [["rek", 1], ["memrk", 4]]."""
-    methods = []
-    try:
-        for item in value.split(",") if isinstance(value, str) else value:
-            if isinstance(item, str):
-                item = item.strip().lower()
-                name, sep, omega = item.partition(":")
-                methods.append((name, int(omega) if sep else 1))
-            else:
-                name, omega = item
-                methods.append((str(name).lower(), int(omega)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"methods must be name[:omega],... or [[name, omega], ...], "
-                          f"got {value!r}") from exc
+    methods = bench.as_methods(value.split(",") if isinstance(value, str) else value)
     if not methods:
         raise ConfigError("empty method list")
     return methods
 
 
-def _num(opt: dict, key: str, kind: type):
-    """opt[key] as `kind` (int or float); a value of the wrong type is a usage
-    error."""
-    try:
-        return kind(opt[key])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key} must be {'an integer' if kind is int else 'a number'}, "
-                          f"got {opt[key]!r}") from exc
+_RANK_MODES = {"auto": None, "yes": True, "no": False}
+
+
+def _rank_mode(value) -> bool | None:
+    mode = bench.as_str(value).lower()
+    if mode not in _RANK_MODES:
+        raise ValueError(f"must be auto/yes/no, got {mode!r}")
+    return _RANK_MODES[mode]
+
+
+def _lower(value) -> str:
+    return bench.as_str(value).lower()
+
+
+# Every option of every subcommand: name -> (converter, default).  Option
+# a_b is the flag --a-b and the config key a_b; a default of None marks an
+# option that may be left unset (_require says which must not be).
+_GEOMETRY = {
+    "image_n": (bench.as_int, 40), "half_width": (bench.as_float, 20.0),
+    "angles": (_parse_angles, "0:2:150"), "rays": (bench.as_int, 125),
+    "span": (bench.as_float, 120.0), "noise": (bench.as_float, 0.01),
+}
+OPTIONS = {
+    "gen": {
+        "kind": (bench.as_str, problems.DENSE), "m": (bench.as_int, 100),
+        "n": (bench.as_int, 20), "density": (bench.as_float, 0.1),
+        "scale": (bench.as_float, 0.25), "rank_deficient": (_rank_mode, "auto"),
+        "seed": (bench.as_int, None), "out": (bench.as_path, None), **_GEOMETRY,
+    },
+    "solve": {
+        "problem": (bench.as_path, None), "method": (_lower, None),
+        "omega": (bench.as_int, 1), "tol": (bench.as_float, 1e-6),
+        "max_it": (bench.as_int, 50_000), "seed": (bench.as_int, 0),
+        "trace_every": (bench.as_int, 1), "out": (bench.as_path, None),
+        "trace": (bench.as_path, None),
+    },
+    "bench": {"spec": (bench.as_path, None), "out": (bench.as_path, None),
+              "meta": (bench.as_path, None)},
+    "tomo": {
+        **_GEOMETRY, "methods": (_parse_methods, "rek,emrk,memrk:4"),
+        "budget_factor": (bench.as_int, 10), "seed": (bench.as_int, 0),
+        "out": (bench.as_path, None),
+    },
+    "theory": {"problem": (bench.as_path, None), "k_max": (bench.as_int, 50),
+               "k_step": (bench.as_int, 1), "out": (bench.as_path, None)},
+}
 
 
 def _read_json_object(path, what: str) -> dict:
@@ -97,68 +104,64 @@ def _read_json_object(path, what: str) -> dict:
     return loaded
 
 
-def _merge(defaults: dict, args: argparse.Namespace) -> dict:
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        for key, value in _read_json_object(config_path, "a config file").items():
-            if key not in defaults:
+def _merge(options: dict, args: argparse.Namespace) -> dict:
+    """Each option's flag, else its --config value, else its default, typed
+    by the option's converter."""
+    merged = {key: default for key, (_, default) in options.items()}
+    if args.config:
+        for key, value in _read_json_object(args.config, "a config file").items():
+            if key not in options:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in _PATH_KEYS and value is not None and not isinstance(value, str):
-                raise ConfigError(f"{key} must be a path string, got {value!r}")
             merged[key] = value
-    for key in defaults:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return merged
+    for key in options:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
+    return {key: None if value is None and options[key][1] is None
+            else bench.convert(key, options[key][0], value)
+            for key, value in merged.items()}
 
 
-def _require(merged: dict, *keys):
+def _require(opt: dict, *keys):
     for key in keys:
-        if merged[key] is None:
+        if opt[key] is None:
             raise ConfigError(f"--{key.replace('_', '-')} is required")
 
 
 def _geometry(opt: dict) -> problems.TomoGeometry:
     return problems.TomoGeometry(
-        image_n=_num(opt, "image_n", int), half_width=_num(opt, "half_width", float),
-        angles_deg=_parse_angles(opt["angles"]), rays=_num(opt, "rays", int),
-        span=_num(opt, "span", float))
+        image_n=opt["image_n"], half_width=opt["half_width"],
+        angles_deg=opt["angles"], rays=opt["rays"], span=opt["span"])
 
 
-# -- subcommands ----------------------------------------------------------------
+# -- subcommands: each takes the merged, typed options -------------------------
 
 
-def _cmd_gen(args) -> int:
-    opt = _merge(GEN_DEFAULTS, args)
+def _cmd_gen(opt: dict) -> int:
+    """generate a problem directory"""
     _require(opt, "seed", "out")
-    seed, out = _num(opt, "seed", int), Path(opt["out"])
-    kind = opt["kind"]
+    out, kind = Path(opt["out"]), opt["kind"]
     if kind == problems.TOMO:
-        prob = problems.make_tomo(_geometry(opt), _num(opt, "noise", float), seed)
+        prob = problems.make_tomo(_geometry(opt), opt["noise"], opt["seed"])
     else:
-        mode = str(opt["rank_deficient"]).lower()
-        modes = {"auto": None, "yes": True, "no": False}
-        if mode not in modes:
-            raise ConfigError(f"rank_deficient must be auto/yes/no, got {mode!r}")
-        prob = problems.make_gaussian(kind, _num(opt, "m", int), _num(opt, "n", int),
-                                      seed, _num(opt, "density", float), modes[mode],
-                                      _num(opt, "scale", float))
+        prob = problems.make_gaussian(kind, opt["m"], opt["n"], opt["seed"],
+                                      opt["density"], opt["rank_deficient"],
+                                      opt["scale"])
     problems.save_problem(prob, out)
     print(f"wrote problem ({prob.A.m} x {prob.A.n}, kind={kind}) to {out}",
           file=sys.stderr)
     return 0
 
 
-def _cmd_solve(args) -> int:
-    opt = _merge(SOLVE_DEFAULTS, args)
+def _cmd_solve(opt: dict) -> int:
+    """run one method on a problem directory"""
     _require(opt, "problem", "method")
     prob = problems.load_problem(opt["problem"])
+    # trace rows make solve form RES in full, so only a --trace file asks for
+    # them; min() leaves a negative stride an error either way
     config = solvers.SolverConfig(
-        method=str(opt["method"]).lower(), omega=_num(opt, "omega", int),
-        tol=_num(opt, "tol", float), max_outer=_num(opt, "max_it", int),
-        seed=_num(opt, "seed", int), trace_every=_num(opt, "trace_every", int))
+        method=opt["method"], omega=opt["omega"], tol=opt["tol"],
+        max_outer=opt["max_it"], seed=opt["seed"],
+        trace_every=opt["trace_every"] if opt["trace"] else min(opt["trace_every"], 0))
     x_ref = None
     if min(prob.A.m, prob.A.n) <= oracle.SCALE_CAP:
         t0 = time.perf_counter()
@@ -187,14 +190,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    opt = _merge(BENCH_DEFAULTS, args)
+def _cmd_bench(opt: dict) -> int:
+    """execute an experiment spec JSON"""
     _require(opt, "spec")
     raw = _read_json_object(opt["spec"], "bench spec")
     outputs = raw.pop("outputs", {})
-    if not isinstance(outputs, dict) or \
-            not all(isinstance(v, str) for v in outputs.values()):
+    if not isinstance(outputs, dict):
         raise ConfigError("bench spec 'outputs' must be a JSON object of path strings")
+    outputs = {key: bench.convert(f"outputs.{key}", bench.as_path, path)
+               for key, path in outputs.items()}
     if "seed" not in raw:
         raise ConfigError("bench spec must pin a seed (no wall-clock seeding)")
     spec = bench.ExperimentSpec.from_dict(raw)
@@ -210,13 +214,12 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _cmd_tomo(args) -> int:
-    opt = _merge(TOMO_DEFAULTS, args)
+def _cmd_tomo(opt: dict) -> int:
+    """run the tomography reconstruction pipeline"""
     _require(opt, "out")
-    geom = _geometry(opt)
     rows, images = bench.tomo_experiment(
-        geom, _num(opt, "noise", float), _parse_methods(opt["methods"]),
-        iter_budget_factor=_num(opt, "budget_factor", int), seed=_num(opt, "seed", int))
+        _geometry(opt), opt["noise"], opt["methods"],
+        iter_budget_factor=opt["budget_factor"], seed=opt["seed"])
     out = Path(opt["out"])
     out.mkdir(parents=True, exist_ok=True)
     bench.emit_results(rows, out / "results.csv")
@@ -229,8 +232,8 @@ def _cmd_tomo(args) -> int:
     return 0
 
 
-def _cmd_theory(args) -> int:
-    opt = _merge(THEORY_DEFAULTS, args)
+def _cmd_theory(opt: dict) -> int:
+    """print spectral profile and bound tables"""
     _require(opt, "problem")
     prob = problems.load_problem(opt["problem"])
     profile = oracle.spectral_profile(prob.A)
@@ -243,10 +246,9 @@ def _cmd_theory(args) -> int:
         "min_row_norm_sq": profile.min_row_norm_sq,
     }, indent=2))
     lines = ["k,rek_bound"]
-    k_step = _num(opt, "k_step", int)
-    if k_step < 1:
-        raise ConfigError(f"k_step must be >= 1, got {k_step}")
-    for k in range(0, _num(opt, "k_max", int) + 1, k_step):
+    if opt["k_step"] < 1:
+        raise ConfigError(f"k_step must be >= 1, got {opt['k_step']}")
+    for k in range(0, opt["k_max"] + 1, opt["k_step"]):
         rb = oracle.rek_bound(profile, k, xstar_norm_sq, xstar_norm_sq)
         lines.append(f"{k},{rb:.17g}")
     table = "\n".join(lines) + "\n"
@@ -260,78 +262,26 @@ def _cmd_theory(args) -> int:
 # -- wiring ---------------------------------------------------------------------
 
 
+_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "bench": _cmd_bench,
+             "tomo": _cmd_tomo, "theory": _cmd_theory}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kmz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.__doc__)
         p.add_argument("--config", help="JSON config file; flags override it")
-        return p
-
-    p = add("gen", "generate a problem directory")
-    p.add_argument("--kind", choices=["dense", "sparse", "tomo"])
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--density", type=float)
-    p.add_argument("--scale", type=float)
-    p.add_argument("--rank-deficient", dest="rank_deficient",
-                   choices=["auto", "yes", "no"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--image-n", dest="image_n", type=int)
-    p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--angles")
-    p.add_argument("--rays", type=int)
-    p.add_argument("--span", type=float)
-    p.add_argument("--noise", type=float)
-
-    p = add("solve", "run one method on a problem directory")
-    p.add_argument("--problem")
-    p.add_argument("--method")
-    p.add_argument("--omega", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-it", dest="max_it", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trace-every", dest="trace_every", type=int)
-    p.add_argument("--out")
-    p.add_argument("--trace")
-
-    p = add("bench", "execute an experiment spec JSON")
-    p.add_argument("--spec")
-    p.add_argument("--out")
-    p.add_argument("--meta")
-
-    p = add("tomo", "run the tomography reconstruction pipeline")
-    p.add_argument("--image-n", dest="image_n", type=int)
-    p.add_argument("--half-width", dest="half_width", type=float)
-    p.add_argument("--angles")
-    p.add_argument("--rays", type=int)
-    p.add_argument("--span", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--methods")
-    p.add_argument("--budget-factor", dest="budget_factor", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-
-    p = add("theory", "print spectral profile and bound tables")
-    p.add_argument("--problem")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--k-step", dest="k_step", type=int)
-    p.add_argument("--out")
-
+        for key in OPTIONS[name]:
+            p.add_argument("--" + key.replace("_", "-"), dest=key)
     return parser
-
-
-_COMMANDS = {"gen": _cmd_gen, "solve": _cmd_solve, "bench": _cmd_bench,
-             "tomo": _cmd_tomo, "theory": _cmd_theory}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](_merge(OPTIONS[args.command], args))
     except (ConfigError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"kmz: usage error: {exc}", file=sys.stderr)
         return 1

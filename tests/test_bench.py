@@ -57,6 +57,14 @@ class TestExperimentSpec:
         with pytest.raises(ConfigError):
             bench.ExperimentSpec.from_dict({"bogus": 1})
 
+    def test_to_dict_has_each_field_and_no_trace_stride(self):
+        d = bench.ExperimentSpec(methods=[("rek", 1), ("memrk", 6)]).to_dict()
+        assert list(d) == [f.name for f in fields(bench.ExperimentSpec)]
+        assert d["methods"] == [["rek", 1], ["memrk", 6]]
+        # run_experiment keeps no trace, so a stride would only cost passes
+        with pytest.raises(ConfigError, match="unknown experiment field 'trace_every'"):
+            bench.ExperimentSpec.from_dict({"trace_every": 1})
+
     def test_invalid_method_rejected(self):
         spec = bench.ExperimentSpec(methods=[("rek", 2)])
         with pytest.raises(ConfigError):

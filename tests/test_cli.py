@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +39,8 @@ class TestParsing:
             cli._parse_angles("0-6-174")
         with pytest.raises(ConfigError):
             cli._parse_angles("0:0:90")
+        with pytest.raises(ConfigError):
+            cli._parse_angles("0:inf:10")
 
     def test_method_list(self):
         assert cli._parse_methods("rek,emrk,memrk:4") == [
@@ -141,11 +145,91 @@ class TestWrongTypedValue:
     def test_bench_output_path(self, tmp_path, capsys):
         spec = self.config(tmp_path, {"seed": 1, "kind": "dense", "m": 20, "n": 5,
                                       "methods": ["rek"], "outputs": {"results": 5}})
-        self.check(["bench", "--spec", spec], capsys, "JSON object of path strings")
+        self.check(["bench", "--spec", spec], capsys,
+                   "outputs.results must be a path string, got 5")
 
     def test_method_pairs_from_config(self):
         assert cli._parse_methods([["REK", 1], ["memrk", "4"]]) == [
             ("rek", 1), ("memrk", 4)]
+
+
+def options_of(converter):
+    return [(command, key) for command, options in cli.OPTIONS.items()
+            for key, (convert, _) in options.items() if convert is converter]
+
+
+# (flag text, config value) for each converter, neither the option's default
+SAMPLES = {
+    bench.as_int: ("7", 7), bench.as_float: ("0.5", 0.5), bench.as_path: ("p", "p"),
+    bench.as_str: ("sparse", "sparse"), cli._lower: ("REK", "REK"),
+    cli._rank_mode: ("yes", "yes"), cli._parse_angles: ("0:6:174", "0:6:174"),
+    cli._parse_methods: ("rek,memrk:4", [["rek", 1], ["memrk", 4]]),
+}
+
+
+class TestOptionTable:
+    """Every option of every subcommand is typed by its converter, whether it
+    comes from a flag or from a --config file."""
+
+    def run_config(self, tmp_path, command, values):
+        """Exit code of `command` with a --config file of `values` over what
+        it needs to run and write under tmp_path, and whether it wrote."""
+        gen_small(tmp_path / "p")
+        before = sorted(tmp_path.rglob("*"))
+        problem, out = str(tmp_path / "p"), str(tmp_path / "out")
+        needs = {"gen": {"seed": 0}, "tomo": {}, "theory": {"problem": problem},
+                 "solve": {"problem": problem, "method": "rek",
+                           "trace": str(tmp_path / "t.csv")}}
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**needs[command], "out": out, **values}))
+        rc = cli.main([command, "--config", str(cfg)])
+        cfg.unlink()
+        return rc, sorted(tmp_path.rglob("*")) != before
+
+    @pytest.mark.parametrize("command, key, value", [
+        *[(c, k, v) for c, k in options_of(bench.as_int) for v in (2.5, True)],
+        ("gen", "m", 100.7), ("gen", "n", True)])
+    def test_integer_option_rejects_fraction_and_bool(self, tmp_path, capsys,
+                                                      command, key, value):
+        capsys.readouterr()
+        assert self.run_config(tmp_path, command, {key: value}) == (1, False)
+        assert f"{key} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", options_of(bench.as_float))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_number_option_rejects_non_finite(self, tmp_path, capsys,
+                                              command, key, value):
+        capsys.readouterr()
+        assert self.run_config(tmp_path, command, {key: value}) == (1, False)
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, options in cli.OPTIONS.items() for key in options])
+    def test_flag_and_config_value_agree(self, tmp_path, command, key):
+        options = cli.OPTIONS[command]
+        flag_text, config_value = SAMPLES[options[key][0]]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: config_value}))
+        parse = cli._build_parser().parse_args
+        by_flag = cli._merge(options, parse([command, "--" + key.replace("_", "-"),
+                                             flag_text]))
+        by_config = cli._merge(options, parse([command, "--config", str(cfg)]))
+        default = cli._merge(options, parse([command]))
+        assert by_flag == by_config
+        assert by_flag[key] != default[key]
+        assert type(by_flag[key]) is type(by_config[key])
+
+
+class TestReadme:
+    def test_cli_block_names_only_known_options(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("kmz ")]
+        assert sorted({argv[1] for argv in commands}) == sorted(cli.OPTIONS)
+        parser = cli._build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])  # ConfigError on an unknown option
 
 
 class TestGen:
@@ -254,6 +338,31 @@ class TestSolve:
         assert float(fields[7]) < 1e-8          # final_res
         assert float(fields[8]) < 1e-2          # err_sq vs the oracle
         assert trace.read_text().startswith("k,res,err_sq")
+
+    @pytest.mark.parametrize("flags, trace_every", [
+        ([], 0), (["--trace-every", "5"], 0), (["--trace", "t.csv"], 1),
+        (["--trace", "t.csv", "--trace-every", "5"], 5)])
+    def test_trace_rows_only_for_a_trace_file(self, tmp_path, monkeypatch,
+                                              flags, trace_every):
+        gen_small(tmp_path / "p")
+        configs, solve = [], solvers.solve
+        monkeypatch.setattr(solvers, "solve",
+                            lambda config, *a, **kw: configs.append(config)
+                            or solve(config, *a, **kw))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["solve", "--problem", "p", "--method", "rek",
+                         "--out", "row.csv", *flags]) == 0
+        assert [c.trace_every for c in configs] == [trace_every]
+        if trace_every == 1:  # one row per iteration
+            iters = int(Path("row.csv").read_text().splitlines()[1].split(",")[5])
+            rows = Path("t.csv").read_text().splitlines()[1:]
+            assert [int(row.split(",")[0]) for row in rows] == list(range(iters + 1))
+
+    def test_negative_trace_stride_rejected_without_trace_file(self, tmp_path, capsys):
+        gen_small(tmp_path / "p")
+        assert cli.main(["solve", "--problem", str(tmp_path / "p"), "--method", "rek",
+                         "--trace-every", "-1"]) == 1
+        assert "trace_every must be >= 0" in capsys.readouterr().err
 
     def test_does_not_mutate_problem_dir(self, tmp_path):
         gen_small(tmp_path / "p")
