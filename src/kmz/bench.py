@@ -14,7 +14,9 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -318,10 +320,30 @@ def emit_results(rows: list[ResultRow], path) -> None:
             fh.write(result_line(r) + "\n")
 
 
+def _git_revision() -> dict:
+    """HEAD of the git checkout this kmz is imported from, and whether its
+    tracked files differ from it; None for both outside a checkout (an
+    installed copy) or where git cannot tell."""
+    root = Path(__file__).resolve().parents[2]
+    if not (root / ".git").exists():
+        return {"revision": None, "dirty": None}
+    try:
+        rev = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                             capture_output=True, text=True, timeout=30)
+        status = subprocess.run(["git", "-C", str(root), "status", "--porcelain",
+                                 "--untracked-files=no"],
+                                capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return {"revision": None, "dirty": None}
+    if rev.returncode != 0 or status.returncode != 0:
+        return {"revision": None, "dirty": None}
+    return {"revision": rev.stdout.strip(), "dirty": bool(status.stdout.strip())}
+
+
 def environment() -> dict:
     """What a result depends on beyond the spec: interpreter, numpy, scipy,
-    the BLAS numpy calls (its strided ddot decides the row-dot bits) and
-    the processors this process may run on."""
+    the BLAS numpy calls (its strided ddot decides the row-dot bits), the
+    processors this process may run on and the git revision of kmz."""
     import scipy
 
     try:
@@ -334,7 +356,8 @@ def environment() -> dict:
     except AttributeError:  # not on Linux
         nproc = os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas, "nproc": nproc}
+            "scipy": scipy.__version__, "blas": blas, "nproc": nproc,
+            "git": _git_revision()}
 
 
 def emit_meta(spec: ExperimentSpec, path) -> None:

@@ -12,6 +12,14 @@ a dense handle with long rows and too many entries for a core's cache
 its first row read.  Its rows are dotted with a stride-2 copy of x, which
 keeps BLAS on the loop a strided row takes, and so every row dot, and every
 iterate, bit-identical to a read of the column-major array.
+
+The four step kernels (row_dot, col_dot, axpy_row, axpy_col) index lists of
+prebuilt 1-D views, one per row and one per column (row_views, col_views),
+and call ndarray.dot: a view slices nothing per step, and .dot skips the
+matmul dispatch of @ for the same bits.  A CSR row or column is the
+(indices, data) pair of its stored entries.  The kernels read the lists'
+slots and call the properties only until they are built: a property call
+would add about 0.3 us to every step.
 """
 
 from __future__ import annotations
@@ -32,6 +40,14 @@ def _norm_table(norms_sq: np.ndarray) -> tuple[list, list]:
     return np.cumsum(norms_sq).tolist(), norms_sq.tolist()
 
 
+def _pairs(compressed) -> list:
+    """(indices, data) of each compressed row (CSR) or column (CSC), as
+    read-only slices of the matrix's own arrays."""
+    ptr = compressed.indptr.tolist()
+    idx, data = compressed.indices, compressed.data
+    return [(idx[s:e], data[s:e]) for s, e in zip(ptr, ptr[1:])]
+
+
 class MatrixHandle:
     """Immutable matrix, either dense column-major (+ a row-major copy
     above the :func:`_keeps_rows` gate) or CSR (+ CSC mirror).
@@ -44,7 +60,7 @@ class MatrixHandle:
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
                  "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach",
-                 "_gram", "_rows")
+                 "_gram", "_rows", "_row_views", "_col_views")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -82,6 +98,8 @@ class MatrixHandle:
         self._row_table = None
         self._col_table = None
         self._row_reach = None
+        self._row_views = None
+        self._col_views = None
         # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
         self._gram = None
 
@@ -132,6 +150,27 @@ class MatrixHandle:
         if self._rows is None and self.dense is not None:
             self._rows = _readonly(np.ascontiguousarray(self.dense))
         return self._rows
+
+    @property
+    def row_views(self) -> list:
+        """One read-only view per row, built on first use: a 1-D view of
+        :attr:`rows` for a dense handle (the row-major copy is built with
+        it where the handle keeps one), an (indices, data) pair of the row's
+        stored entries for CSR."""
+        if self._row_views is None:
+            self._row_views = (list(self.rows) if self.dense is not None
+                               else _pairs(self.csr))
+        return self._row_views
+
+    @property
+    def col_views(self) -> list:
+        """One read-only view per column, built on first use: a 1-D view of
+        the stored dense array (contiguous where it is column-major), or an
+        (indices, data) pair of the CSC mirror's column for CSR."""
+        if self._col_views is None:
+            self._col_views = (list(self.dense.T) if self.dense is not None
+                               else _pairs(self.csc))
+        return self._col_views
 
     @property
     def is_dense(self) -> bool:
@@ -335,16 +374,6 @@ def from_scipy(mat) -> MatrixHandle:
 # -- kernels ------------------------------------------------------------------
 
 
-def _check_row(A: MatrixHandle, i: int):
-    if not 0 <= i < A.m:
-        raise MatrixError(f"row index {i} out of range [0, {A.m})")
-
-
-def _check_col(A: MatrixHandle, j: int):
-    if not 0 <= j < A.n:
-        raise MatrixError(f"column index {j} out of range [0, {A.n})")
-
-
 def matvec(A: MatrixHandle, x: np.ndarray) -> np.ndarray:
     """y = A x."""
     x = np.asarray(x, dtype=np.float64)
@@ -373,61 +402,75 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
     return A32 @ d.astype(np.float32)
 
 
-def row_dot(A: MatrixHandle, i: int, x: np.ndarray) -> float:
-    """A⁽ⁱ⁾ · x; CSR path touches only the stored entries of row i.
+def row_buffer(A: MatrixHandle) -> np.ndarray:
+    """A stride-2 float64 buffer of length n for :func:`row_dot` to copy x
+    into; a caller that dots many rows allocates it once."""
+    return np.empty(2 * A.n)[::2]
+
+
+def row_dot(A: MatrixHandle, i: int, x: np.ndarray,
+            xs: np.ndarray | None = None) -> float:
+    """A⁽ⁱ⁾ · x, from the row's view (:attr:`MatrixHandle.row_views`); the
+    CSR path touches only the stored entries of row i.
 
     A row of a column-major array has a stride of m entries, so BLAS takes
     its non-unit-stride ddot loop, whose sum is symmetric in its two
     operands (OpenBLAS's; TestLayout in tests/test_matrix.py pins it).
     Where the handle keeps a row-major copy (:attr:`MatrixHandle.rows`), the
     contiguous row is dotted with a stride-2 copy of x: the same loop, the
-    same products in the same order, so the same bits.  x itself is left
-    as it is, because a strided x would change the bits of A x and x . x
-    elsewhere.
+    same products in the same order, so the same bits.  The copy goes into
+    `xs`, a :func:`row_buffer` of A, or into one allocated per call when
+    `xs` is None.  x itself is left as it is, because a strided x would
+    change the bits of A x and x . x elsewhere.
     """
-    _check_row(A, i)
-    if A.dense is not None:
-        # the slot, not the property, whose call would add about 0.3 us to
-        # every x-step that reads the stored array
-        rows = A._rows
-        if rows is A.dense:
-            return float(rows[i] @ x)
-        xs = np.empty(2 * A.n)[::2]
+    if not 0 <= i < A.m:
+        raise MatrixError(f"row index {i} out of range [0, {A.m})")
+    row = (A._row_views or A.row_views)[i]
+    if A.dense is None:
+        idx, data = row
+        return float(data.dot(x[idx]))
+    if A._rows is not A.dense:
+        if xs is None:
+            xs = row_buffer(A)
         xs[...] = x
-        return float(A.rows[i] @ xs)
-    s, e = A.csr.indptr[i], A.csr.indptr[i + 1]
-    return float(A.csr.data[s:e] @ x[A.csr.indices[s:e]])
+        x = xs
+    return float(row.dot(x))
 
 
 def col_dot(A: MatrixHandle, j: int, z: np.ndarray) -> float:
-    """A₍ⱼ₎ᵀ · z."""
-    _check_col(A, j)
-    if A.dense is not None:
-        return float(A.dense[:, j] @ z)
-    s, e = A.csc.indptr[j], A.csc.indptr[j + 1]
-    return float(A.csc.data[s:e] @ z[A.csc.indices[s:e]])
+    """A₍ⱼ₎ᵀ · z, from the column's view (:attr:`MatrixHandle.col_views`)."""
+    if not 0 <= j < A.n:
+        raise MatrixError(f"column index {j} out of range [0, {A.n})")
+    col = (A._col_views or A.col_views)[j]
+    if A.dense is None:
+        idx, data = col
+        return float(data.dot(z[idx]))
+    return float(col.dot(z))
 
 
 def axpy_row(x: np.ndarray, A: MatrixHandle, i: int, c: float) -> np.ndarray:
     """x += c · (A⁽ⁱ⁾)ᵀ in place; returns x."""
-    _check_row(A, i)
-    if A.dense is not None:
-        rows = A._rows
-        x += c * (rows if rows is not None else A.rows)[i]
+    if not 0 <= i < A.m:
+        raise MatrixError(f"row index {i} out of range [0, {A.m})")
+    row = (A._row_views or A.row_views)[i]
+    if A.dense is None:
+        idx, data = row
+        x[idx] += c * data
     else:
-        s, e = A.csr.indptr[i], A.csr.indptr[i + 1]
-        x[A.csr.indices[s:e]] += c * A.csr.data[s:e]
+        x += c * row
     return x
 
 
 def axpy_col(z: np.ndarray, A: MatrixHandle, j: int, c: float) -> np.ndarray:
     """z += c · A₍ⱼ₎ in place; returns z."""
-    _check_col(A, j)
-    if A.dense is not None:
-        z += c * A.dense[:, j]
+    if not 0 <= j < A.n:
+        raise MatrixError(f"column index {j} out of range [0, {A.n})")
+    col = (A._col_views or A.col_views)[j]
+    if A.dense is None:
+        idx, data = col
+        z[idx] += c * data
     else:
-        s, e = A.csc.indptr[j], A.csc.indptr[j + 1]
-        z[A.csc.indices[s:e]] += c * A.csc.data[s:e]
+        z += c * col
     return z
 
 

@@ -206,15 +206,17 @@ def z_project_column(z: np.ndarray, A: mx.MatrixHandle, j: int,
 
 
 def x_project_row(x: np.ndarray, A: mx.MatrixHandle, i: int, rhs_i: float,
-                  floor: "ResidualFloor | None" = None) -> np.ndarray:
+                  floor: "ResidualFloor | None" = None,
+                  xs: np.ndarray | None = None) -> np.ndarray:
     """x += ((rhs_i - A^(i) x) / ||A^(i)||^2) (A^(i))^T, in place.
 
-    `floor`, when given, is moved along with x.
+    `floor`, when given, is moved along with x; `xs`, a matrix.row_buffer
+    of A, is handed to matrix.row_dot.
     """
     nsq = A.row_table[1][i]
     if nsq <= 0.0:
         raise ZeroRowError(i)
-    c = (rhs_i - mx.row_dot(A, i, x)) / nsq
+    c = (rhs_i - mx.row_dot(A, i, x, xs)) / nsq
     if floor is not None:
         floor.row_step(i, c)
     return mx.axpy_row(x, A, i, c)
@@ -364,8 +366,8 @@ class ResidualFloor(ResidualCertificate):
                s: float) -> None:
         """Restart from a full recompute of the current iterates, s = fl(r.r)."""
         g = self.gamma
-        self.xi = float(np.linalg.norm(x)) * (1.0 + g)
-        self.zeta = float(np.linalg.norm(z)) * (1.0 + g)
+        self.xi = math.sqrt(x.dot(x)) * (1.0 + g)
+        self.zeta = math.sqrt(z.dot(z)) * (1.0 + g)
         self.L = (math.sqrt(s) * (1.0 - g)
                   - g * (self.b_norm + self.frob * self.xi)) * _DOWN
 
@@ -521,7 +523,7 @@ class ResidualShadow(ResidualCertificate):
         """Restart from a float64 pass at x, u = fl(b - fl(A x))."""
         self.x_a = x.copy()
         self.u_a = u
-        self.x_a_norm = float(np.linalg.norm(x)) * (1.0 + self.gamma)
+        self.x_a_norm = math.sqrt(x.dot(x)) * (1.0 + self.gamma)
         self.u_a_term = 2.0 * _EPS * float(abs(u).max())
 
     def advance(self, x: np.ndarray) -> None:
@@ -534,8 +536,8 @@ class ResidualShadow(ResidualCertificate):
             return
         self.shadow_passes += 1
         self.v = self.u_a - mx.matvec_single(self.A32, d)
-        nd = float(np.linalg.norm(d)) * (1.0 + g)
-        nx = float(np.linalg.norm(x)) * (1.0 + g)
+        nd = math.sqrt(d.dot(d)) * (1.0 + g)
+        nx = math.sqrt(x.dot(x)) * (1.0 + g)
         self.alpha = (self.c_delta * nd + self.c_x * (nx + self.x_a_norm)
                       + self.tau_row) * _FAC
         self.beta0 = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
@@ -671,6 +673,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     resyncs = 0
     zero_row_skips = 0
     row_norms_sq = A.row_table[1]
+    xs = mx.row_buffer(A)
     for k in range(1, config.max_outer + 1):
         for _ in range(config.omega):
             z_project_column(z, A, next_column(A), stepped)
@@ -694,7 +697,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
         x_prev = x.copy() if callback is not None else None
         if not skip_update:
-            x_project_row(x, A, i, b.item(i) - z.item(i), stepped)
+            x_project_row(x, A, i, b.item(i) - z.item(i), stepped, xs)
             fresh = False
 
         traced = config.trace_every and k % config.trace_every == 0

@@ -272,6 +272,17 @@ class TestEmission:
         assert env["python"].count(".") == 2 and env["scipy"]
         assert set(env["blas"]) == {"name", "version"}
         assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+        git = env["git"]
+        assert set(git) == {"revision", "dirty"}
+        if git["revision"] is None:
+            assert git["dirty"] is None
+        else:
+            assert len(git["revision"]) == 40 and isinstance(git["dirty"], bool)
+
+    def test_git_revision_outside_a_checkout(self, tmp_path, monkeypatch):
+        # a copy of kmz with no .git above it, as an installed package
+        monkeypatch.setattr(bench, "__file__", str(tmp_path / "kmz" / "bench.py"))
+        assert bench._git_revision() == {"revision": None, "dirty": None}
 
     def test_write_pgm(self, tmp_path):
         img = np.array([[0.0, 0.5], [1.0, 0.25]])

@@ -87,11 +87,22 @@ class TestKernels:
         assert mx.col_dot(A, 0, np.ones(3)) == pytest.approx(2.0)
 
     def test_index_out_of_range(self):
-        A = mx.from_dense(np.eye(2))
-        with pytest.raises(MatrixError):
-            mx.row_dot(A, 2, np.ones(2))
-        with pytest.raises(MatrixError):
-            mx.col_dot(A, -1, np.ones(2))
+        # one past the end and a negative index, which a view list would
+        # otherwise wrap around to the last row or column
+        entries = np.arange(1.0, 7.0).reshape(2, 3)
+        for A in (mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))):
+            x, z = np.ones(3), np.ones(2)
+            for i in (2, -1, -3):
+                with pytest.raises(MatrixError, match="row index"):
+                    mx.row_dot(A, i, x)
+                with pytest.raises(MatrixError, match="row index"):
+                    mx.axpy_row(x, A, i, 1.0)
+            for j in (3, -1, -4):
+                with pytest.raises(MatrixError, match="column index"):
+                    mx.col_dot(A, j, z)
+                with pytest.raises(MatrixError, match="column index"):
+                    mx.axpy_col(z, A, j, 1.0)
+            assert np.array_equal(x, np.ones(3)) and np.array_equal(z, np.ones(2))
 
     def test_axpy_row_zero_coefficient(self):
         A = mx.from_dense([[3.0, 4.0]])
@@ -340,7 +351,8 @@ class TestLayout:
     read-only row-major copy, so a row is contiguous too; its rows are
     dotted with a stride-2 copy of x, which takes the BLAS loop a strided
     row takes and so gives the same bits.  C-order arrays and CSR handles
-    get no copy."""
+    get no copy.  The kernels read prebuilt read-only views of the rows
+    and columns, with the bits of slicing them anew."""
 
     def entries(self):
         return np.random.default_rng(5).standard_normal((9, 4))
@@ -382,6 +394,62 @@ class TestLayout:
             c = float(rng.standard_normal())
             expected = x + c * A.dense[i]
             assert mx.axpy_row(x.copy(), A, i, c).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("layout", ["f_below", "f_above", "c_below",
+                                        "c_above", "csr"])
+    def test_view_kernels_bit_identical_to_slicing(self, layout, monkeypatch):
+        # each kernel on its prebuilt views against the expressions on
+        # freshly sliced rows and columns: columns of A.dense, the strided
+        # (or C-order) row, and indptr slices of the CSR and CSC arrays
+        rng = np.random.default_rng(8)
+        m, n = 41, 13
+        entries = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 8, (m, n))
+        if layout == "csr":
+            entries[rng.random((m, n)) < 0.6] = 0.0
+            entries[[4, 30]] = 0.0     # empty rows
+            entries[:, [0, 7]] = 0.0   # empty columns
+            A = mx.from_scipy(sp.csr_matrix(entries))
+        else:
+            monkeypatch.setattr(mx, "_keeps_rows",
+                                lambda A: layout.endswith("above"))
+            order = "F" if layout.startswith("f") else "C"
+            A = mx.MatrixHandle(dense=np.array(entries, order=order))
+            copied = layout == "f_above"
+            assert (A.rows is not A.dense) == copied
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+        z = rng.standard_normal(m) * 10.0 ** rng.integers(-12, 12, m)
+        xs = mx.row_buffer(A)
+
+        def sliced(kind, k):
+            """(indices or None, entries) of row or column k, sliced anew."""
+            if A.is_dense:
+                return None, (A.dense[k] if kind == "row" else A.dense[:, k])
+            M = A.csr if kind == "row" else A.csc
+            s, e = M.indptr[k], M.indptr[k + 1]
+            return M.indices[s:e], M.data[s:e]
+
+        for kind, size, v, dot, axpy in (
+                ("row", m, x, mx.row_dot, mx.axpy_row),
+                ("col", n, z, mx.col_dot, mx.axpy_col)):
+            for k in range(size):
+                idx, a = sliced(kind, k)
+                c = float(rng.standard_normal())
+                if idx is None:
+                    want_dot, want_axpy = a @ v, v + c * a
+                else:
+                    want_dot = a @ v[idx]
+                    want_axpy = v.copy()
+                    want_axpy[idx] += c * a
+                for buf in ((None, xs) if kind == "row" else (None,)):
+                    args = (A, k, v) if buf is None else (A, k, v, buf)
+                    assert np.float64(dot(*args)).tobytes() == \
+                        np.float64(want_dot).tobytes(), (kind, k)
+                assert axpy(v.copy(), A, k, c).tobytes() == want_axpy.tobytes()
+        assert A.row_views is A.row_views and A.col_views is A.col_views
+        for views in (A.row_views, A.col_views):
+            for view in views:
+                for arr in (view,) if A.is_dense else view:
+                    assert arr.ndim == 1 and not arr.flags.writeable
 
     def test_row_copy_only_for_a_large_column_major_array(self):
         rng = np.random.default_rng(6)

@@ -709,9 +709,9 @@ class TestCarriedResidual:
         # past k = 64 and far from any trace row or the last iteration.
         step = sv.x_project_row
 
-        def overshoot(x, A, i, rhs_i, floor=None):  # 11 times the step
+        def overshoot(x, A, i, rhs_i, floor=None, xs=None):  # 11 times the step
             ax = mx.row_dot(A, i, x)
-            return step(x, A, i, ax + 11.0 * (rhs_i - ax), floor)
+            return step(x, A, i, ax + 11.0 * (rhs_i - ax), floor, xs)
 
         for case in ("gated", "rank_deficient", "csr"):
             A, b, tol = floor_case(case, 1)
@@ -877,43 +877,6 @@ class TestColumnMajorLayout:
                 assert col.outer_iters == row.outer_iters, (seed, method, omega)
                 assert np.linalg.norm(col.x_final - row.x_final) <= \
                     1e-12 * np.linalg.norm(row.x_final)
-
-
-class TestRowMajorCopy:
-    """The x-step reads rows from the handle's row-major copy (matrix
-    MatrixHandle.rows) through a stride-2 copy of x: every iterate, count,
-    trace row and report counter is that of the strided row reads."""
-
-    @pytest.mark.parametrize("mode", ["tol", "budget", "trace"])
-    def test_bit_identical_to_the_strided_rows(self, mode, monkeypatch):
-        cells = ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4),
-                 (sv.MEMRK, 6))
-        # above _keeps_gram, above _SHADOW_MIN_ENTRIES, and a C-order array
-        shapes = (("gram", 1400, 100), ("shadow", 2200, 120), ("c_order", 1400, 100))
-        for seed, (shape, m, n) in enumerate(shapes):
-            A, b = tall_problem(40 + seed, m=m, n=n)
-            entries = A.dense if shape != "c_order" else np.ascontiguousarray(A.dense)
-            x_ls = oracle.svd_least_squares(A, b) if mode == "trace" else None
-            for method, omega in cells:
-                cfg = SolverConfig(method=method, omega=omega, seed=seed,
-                                   tol=None if mode == "budget" else 1e-6,
-                                   max_outer=700 if mode == "budget" else 50_000,
-                                   trace_every=37 if mode == "trace" else 0)
-                runs = {}
-                for keeps in (True, False):
-                    with monkeypatch.context() as mp:
-                        mp.setattr(mx, "_keeps_rows", lambda A: keeps)
-                        H = mx.MatrixHandle(dense=entries.copy(order="K"))
-                        runs[keeps] = solve(cfg, H, b, x_star=x_ls)
-                    assert (H.rows is H.dense) == (not keeps or shape == "c_order")
-                copied, strided = runs[True], runs[False]
-                key = (shape, method, omega)
-                assert copied.x_final.tobytes() == strided.x_final.tobytes(), key
-                # every other SolveReport field: counts, final_res, trace rows
-                for f in fields(copied):
-                    if f.name not in ("x_final", "wall_seconds"):
-                        assert getattr(copied, f.name) == getattr(strided, f.name), \
-                            (key, f.name)
 
 
 class TestOneLoop:
@@ -1334,9 +1297,10 @@ class TestResidualShadow:
 
 def matrix_shape(shape, mp):
     """(A, b, tol) for a shape of the certificate matrix.  "above_gates" is
-    300 x 50 with both gates patched on: the greedy methods run on the
-    shadow and the floor refreshes from a kept A^T A, as on dense 6000 x
-    500; "dense_as_csr" refreshes from A^T A built in dense row blocks."""
+    300 x 50 with the certificates' gates patched on: the greedy methods
+    run on the shadow and the floor refreshes from a kept A^T A, as on
+    dense 6000 x 500; "c_order" is the same matrix stored row-major;
+    "dense_as_csr" refreshes from A^T A built in dense row blocks."""
     if shape == "below_gates":
         return (*tall_problem(50, m=200, n=50, rank_deficient=True), 1e-8)
     if shape == "csr":
@@ -1347,13 +1311,30 @@ def matrix_shape(shape, mp):
         entries, b = tall_problem(54, m=200, n=40)
         return mx.from_scipy(scipy.sparse.csr_matrix(entries.dense)), b, 1e-6
     mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
-    return (*tall_problem(51, m=300, n=50), 1e-6)
+    A, b = tall_problem(51, m=300, n=50)
+    if shape == "c_order":
+        A = mx.MatrixHandle(dense=np.ascontiguousarray(A.dense))
+    return A, b, 1e-6
+
+
+def rows_handle(A, keeps, monkeypatch):
+    """A fresh handle of a dense A's entries, in their layout, that reads
+    x-step rows from a row-major copy (keeps) or from the stored array; a
+    CSR A as it is."""
+    if not A.is_dense:
+        return A
+    with monkeypatch.context() as mp:
+        mp.setattr(mx, "_keeps_rows", lambda A: keeps)
+        return mx.MatrixHandle(dense=A.dense.copy(order="K"))
 
 
 class TestCertificateMatrix:
     """Each certificate gives the exact path's iterates, counts, RES, trace
     rows and raise iteration: the five benchmark cells x {tol, budget,
-    trace}, and a run that diverges, on each shape of matrix_shape."""
+    trace}, and a run that diverges, on each shape of matrix_shape.  On a
+    column-major dense shape the fast path also reads its x-step rows from
+    the row-major copy (matrix.MatrixHandle.rows, through a stride-2 copy
+    of x), and the exact path the strided rows of the stored array."""
 
     def test_one_function_chooses_the_certificate(self, monkeypatch):
         monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
@@ -1373,16 +1354,21 @@ class TestCertificateMatrix:
                     # only the floor moves with the z- and x-steps
                     assert (cert.stepped is cert) == (expected is sv.ResidualFloor)
 
-    @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "csr",
-                                       "dense_as_csr"])
+    @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "c_order",
+                                       "csr", "dense_as_csr"])
     def test_bit_identical_to_the_exact_path(self, shape, monkeypatch):
         A, b, tol = matrix_shape(shape, monkeypatch)
         x_ls = oracle.svd_least_squares(A, b)
+        A, A_exact = (rows_handle(A, keeps, monkeypatch) for keeps in (True, False))
+        if A.is_dense:
+            assert (A.rows is A.dense) == (shape == "c_order")
+            assert A_exact.rows is A_exact.dense
         for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
                               (sv.MEMRK, 4), (sv.MEMRK, 6)):
             greedy = method in (sv.EMRK, sv.MEMRK)
-            shadowed = greedy and shape == "above_gates"
-            refreshed = not greedy and shape in ("above_gates", "dense_as_csr")
+            gated = shape in ("above_gates", "c_order")
+            shadowed = greedy and gated
+            refreshed = not greedy and (gated or shape == "dense_as_csr")
             for mode in ("tol", "budget", "trace"):
                 cfg = SolverConfig(method=method, omega=omega, seed=7,
                                    tol=None if mode == "budget" else tol,
@@ -1390,12 +1376,21 @@ class TestCertificateMatrix:
                                    trace_every=37 if mode == "trace" else 0)
                 x_star = x_ls if mode == "trace" else None
                 fast = solve(cfg, A, b, x_star=x_star)
+                key = (shape, method, omega, mode)
+                if A is not A_exact:
+                    # the row-major copy changes no field of the report
+                    strided = solve(cfg, A_exact, b, x_star=x_star)
+                    for f in fields(fast):
+                        a, s = getattr(fast, f.name), getattr(strided, f.name)
+                        if f.name == "x_final":
+                            assert a.tobytes() == s.tobytes(), key
+                        elif f.name != "wall_seconds":
+                            assert a == s, (key, f.name)
                 peaks = []
                 with monkeypatch.context() as mp:
                     exact_path(mp)
-                    exact = solve(cfg, A, b, x_star=x_star, callback=lambda
+                    exact = solve(cfg, A_exact, b, x_star=x_star, callback=lambda
                                   k, i, x_prev, x, z: peaks.append(abs(x).max()))
-                key = (shape, method, omega, mode)
                 assert fast.x_final.tobytes() == exact.x_final.tobytes(), key
                 assert (fast.outer_iters, fast.final_res, fast.converged,
                         fast.trace, fast.zero_row_skips) == \
@@ -1421,4 +1416,4 @@ class TestCertificateMatrix:
                     mp.setattr(sv, "DIVERGENCE_CAP", max(peaks[:top], default=0.0))
                     raised = raised_at(cfg, A, b)
                     exact_path(mp)
-                    assert raised == raised_at(cfg, A, b) == top + 1, key
+                    assert raised == raised_at(cfg, A_exact, b) == top + 1, key
