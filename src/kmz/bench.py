@@ -268,6 +268,8 @@ def tomo_experiment(geom: problems.TomoGeometry, noise_level: float,
     against the phantom.  Returns (rows, images) where images maps 'phantom'
     and each method label to an N x N array.
     """
+    if iter_budget_factor < 0:
+        raise ConfigError(f"budget factor must be >= 0, got {iter_budget_factor}")
     prob = problems.make_tomo(geom, noise_level, seed)
     A, b, n_img = prob.A, prob.b, geom.image_n
     phantom = prob.x_star.reshape((n_img, n_img), order="F")

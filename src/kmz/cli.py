@@ -171,9 +171,7 @@ def _cmd_solve(opt: dict) -> int:
         reference = (f"reference SVD skipped: min(m, n) = {min(prob.A.m, prob.A.n)}"
                      f" > SCALE_CAP = {oracle.SCALE_CAP}")
     report = solvers.solve(config, prob.A, prob.b, x_star=x_ref)
-    err_sq = None
-    if x_ref is not None:
-        err_sq = float(np.sum((report.x_final - x_ref) ** 2))
+    err_sq = report.trace[-1][2]  # ||x_final - x_ref||^2, or None
     row = bench.ResultRow(
         bench.method_label(config.method, config.omega), prob.A.m, prob.A.n,
         config.omega, config.seed, report.outer_iters, report.wall_seconds,
@@ -235,6 +233,10 @@ def _cmd_tomo(opt: dict) -> int:
 def _cmd_theory(opt: dict) -> int:
     """print spectral profile and bound tables"""
     _require(opt, "problem")
+    if opt["k_step"] < 1:
+        raise ConfigError(f"k_step must be >= 1, got {opt['k_step']}")
+    if opt["k_max"] < 0:
+        raise ConfigError(f"k_max must be >= 0, got {opt['k_max']}")
     prob = problems.load_problem(opt["problem"])
     profile = oracle.spectral_profile(prob.A)
     x_star = oracle.svd_least_squares(prob.A, prob.b)
@@ -246,8 +248,6 @@ def _cmd_theory(opt: dict) -> int:
         "min_row_norm_sq": profile.min_row_norm_sq,
     }, indent=2))
     lines = ["k,rek_bound"]
-    if opt["k_step"] < 1:
-        raise ConfigError(f"k_step must be >= 1, got {opt['k_step']}")
     for k in range(0, opt["k_max"] + 1, opt["k_step"]):
         rb = oracle.rek_bound(profile, k, xstar_norm_sq, xstar_norm_sq)
         lines.append(f"{k},{rb:.17g}")

@@ -40,17 +40,16 @@ class DivergenceError(SolverError):
 
 
 class NonFiniteInputError(DivergenceError):
-    """Non-finite entry in b or x0, rejected before the first iteration.
+    """Non-finite entry in b, rejected before the first iteration.
 
     A DivergenceError because such an input makes the first iterate
     non-finite; it is raised before any arithmetic, so no numpy warning
     precedes it.
     """
 
-    def __init__(self, name: str, index: int, value: float):
-        self.name = name
+    def __init__(self, index: int, value: float):
         self.index = index
-        super().__init__(f"{name}[{index}] = {value} is not finite; "
+        super().__init__(f"b[{index}] = {value} is not finite; "
                          f"rejected before outer iteration 1")
 
 

@@ -358,17 +358,23 @@ def save_problem(prob: ProblemInstance, directory) -> None:
 def load_problem(directory) -> ProblemInstance:
     directory = Path(directory)
     A = mx.read_matrix_market(directory / "A.mtx")
-    b = np.atleast_1d(np.loadtxt(directory / "b.txt"))
-    x_star = r_tilde = None
-    if (directory / "xstar.txt").exists():
-        x_star = np.atleast_1d(np.loadtxt(directory / "xstar.txt"))
-    if (directory / "rtilde.txt").exists():
-        r_tilde = np.atleast_1d(np.loadtxt(directory / "rtilde.txt"))
-    with open(directory / "meta.json") as fh:
-        meta = json.load(fh)
-    geometry = None
-    if "geometry" in meta:
-        geometry = TomoGeometry.from_dict(meta.pop("geometry"))
+    path = directory / "b.txt"
+    try:
+        b = np.atleast_1d(np.loadtxt(path))
+        x_star = r_tilde = None
+        if (path := directory / "xstar.txt").exists():
+            x_star = np.atleast_1d(np.loadtxt(path))
+        if (path := directory / "rtilde.txt").exists():
+            r_tilde = np.atleast_1d(np.loadtxt(path))
+        with open(path := directory / "meta.json") as fh:
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise TypeError("not a JSON object")
+        geometry = None
+        if "geometry" in meta:
+            geometry = TomoGeometry.from_dict(meta.pop("geometry"))
+    except (ValueError, KeyError, TypeError) as exc:  # an OSError stays one
+        raise ProblemError(f"malformed {path}: {exc!r}") from exc
     kind = meta.pop("kind", DENSE)
     seed = meta.pop("seed", 0)
     meta.pop("m", None)

@@ -12,7 +12,7 @@ x-step; the methods differ only in how they pick the column and the row:
   MEMRK  omega norm-weighted random columns, greedy max-|residual| row
   EMRK   MEMRK with omega 1
 
-The stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b - A x_0||^2,
+From x_0 = 0 the stopping statistic is RES_k = ||b - A x_k - z_k||^2 / ||b||^2,
 r = b - A x - z, and the greedy methods pick the row of largest |r_i|.
 solve forms r by a float64 pass over A only where a residual certificate,
 asked through the four calls of ResidualCertificate, cannot certify the
@@ -78,7 +78,6 @@ class SolverConfig:
     tol: float | None = 1e-6  # None: no RES stop, run exactly max_outer
     max_outer: int = 50_000
     seed: int = 0
-    x0: np.ndarray | None = None
     trace_every: int = 0  # 0 disables intermediate trace rows
 
     def validate(self) -> None:
@@ -111,7 +110,7 @@ class SolveReport:
     # x as it is
     zero_row_skips: int = 0
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
-    full_passes: int = 0      # float64 passes over A (mat-vecs), x0's included
+    full_passes: int = 0      # float64 passes over A (mat-vecs)
 
 
 # -- selection ----------------------------------------------------------------
@@ -608,8 +607,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     exclude the stop; RES is formed in full there, at trace rows and at the
     last iteration.  A pass is skipped only where it is proven not to raise,
     so a diverging run raises where the exact path does; without a RES stop
-    x is tested every iteration.
-    A non-finite entry of b or x0 is rejected before the first iteration.
+    x is tested every iteration.  x starts at 0, where r = 0 needs no pass,
+    and a non-finite entry of b is rejected before the first iteration.
     """
     config.validate()
     method = config.method.lower()
@@ -618,18 +617,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (A.m,):
         raise SolverError(f"b length {b.shape} does not match m={A.m}")
-    if config.x0 is None:
-        x = np.zeros(A.n)
-    else:
-        x = np.array(config.x0, dtype=np.float64)
-        if x.shape != (A.n,):
-            raise ConfigError(f"x0 length {x.shape} does not match n={A.n}")
-    for name, v in (("b", b), ("x0", x)):
-        bad = np.flatnonzero(~np.isfinite(v))
-        if bad.size:
-            raise NonFiniteInputError(name, int(bad[0]), float(v[bad[0]]))
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise NonFiniteInputError(int(bad[0]), float(b[bad[0]]))
 
     t0 = time.perf_counter()
+    x = np.zeros(A.n)
     z = b.copy()
     rng = UniformStream(np.random.default_rng(config.seed))
     # Built per call, so a selector rebound on this module is the one called.
@@ -640,11 +633,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     greedy = method in (EMRK, MEMRK)
     budget = config.tol is None
 
-    # u = fl(b - fl(A x)) at the current x while `fresh`
-    u = b - mx.matvec(A, x)
+    # u = fl(b - fl(A x)) at the current x while `fresh`: b at x = 0, up to
+    # the signs of zero entries, which no square or |r_i| sees
+    u = b
     fresh = True
-    passes = 1
-    denom = float(u @ u)
+    passes = 0
+    denom = float(b @ b)
 
     trace: list = []
 
@@ -653,15 +647,13 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         trace.append((k, res, err))
 
     if denom == 0.0:
-        # x0 already solves the consistent system exactly
+        # b = 0, and x = 0 solves it exactly
         record(0, 0.0)
-        return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace,
-                           full_passes=passes)
+        return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
 
     cert = choose_certificate(method, A, b, budget)
     stepped = cert.stepped
-    rvec = u - z
-    cert.anchor(x, z, u, float(rvec @ rvec))
+    cert.anchor(x, z, u, 0.0)  # r = b - b = 0 exactly
     if not budget:
         tol_denom = config.tol * denom * _UP
 

@@ -78,6 +78,31 @@ class TestMissingInputPath:
                    missing, capsys)
 
 
+class TestMalformedProblemFile:
+    """A problem file that cannot be parsed is a numerical/domain error
+    (exit 2) naming the file, as a malformed A.mtx is, not a traceback."""
+
+    @pytest.mark.parametrize("name,text", [
+        ("meta.json", '{"kind": "dense", "seed"'),
+        ("b.txt", None),
+        ("meta.json", '{"geometry": {"image_n": "x"}}'),
+    ], ids=["truncated_meta", "non_numeric_b", "bad_geometry"])
+    def test_solve_and_theory_exit_2(self, tmp_path, capsys, name, text):
+        gen_small(tmp_path / "p", m=30, n=5)
+        path = tmp_path / "p" / name
+        if text is None:
+            lines = path.read_text().splitlines()
+            lines[3] = "0.5x"
+            text = "\n".join(lines) + "\n"
+        path.write_text(text)
+        capsys.readouterr()
+        for argv in (["solve", "--method", "rek"], ["theory"]):
+            assert cli.main(argv + ["--problem", str(tmp_path / "p")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"kmz: error: malformed {path}: ")
+
+
 class TestWrongTypedValue:
     """A value that cannot be read as the option's number type is a usage
     error (exit 1), not a raw ValueError traceback."""
@@ -127,7 +152,11 @@ class TestWrongTypedValue:
         problem = ["theory", "--problem", str(tmp_path / "p")]
         self.check(problem + ["--config", self.config(tmp_path, {"k_max": None})],
                    capsys, "k_max must be an integer, got None")
-        self.check(problem + ["--k-step", "0"], capsys, "k_step must be >= 1")
+        for flags, expected in ((["--k-step", "0"], "k_step must be >= 1"),
+                                (["--k-max", "-5"], "k_max must be >= 0")):
+            assert cli.main(problem + flags) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and expected in captured.err
 
     @pytest.mark.parametrize("text,expected", [
         ("{not json", "not valid JSON"), ("[1, 2]", "must be a JSON object"),
@@ -481,6 +510,13 @@ class TestTomo:
         for label in ("phantom", "rek", "memrk2"):
             assert (out / f"{label}.txt").exists()
             assert (out / f"{label}.pgm").read_text().startswith("P2")
+
+
+    def test_negative_budget_factor_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "tomo"
+        assert cli.main(["tomo", "--budget-factor", "-1", "--out", str(out)]) == 1
+        assert "budget factor must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTheory:

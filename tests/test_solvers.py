@@ -307,12 +307,14 @@ class TestSolve:
         assert np.array_equal(r1.x_final, r2.x_final)
         assert r1.trace == r2.trace
 
-    def test_x0_and_immediate_convergence(self):
+    def test_zero_rhs_is_solved_by_the_start(self):
         A = handle(np.eye(2))
-        b = np.array([1.0, 2.0])
-        rep = solve(SolverConfig(method=sv.REK, x0=b.copy()), A, b)
-        assert rep.converged and rep.outer_iters == 0
-        assert np.array_equal(rep.x_final, b)
+        for b in (np.zeros(2), np.array([0.0, -0.0])):
+            for method in sv.METHODS:
+                rep = solve(SolverConfig(method=method), A, b)
+                assert rep.converged and rep.outer_iters == 0
+                assert rep.full_passes == 0 and rep.trace == [(0, 0.0, None)]
+                assert np.array_equal(rep.x_final, [0.0, 0.0])
 
     def test_zero_row_greedy_pick_is_skipped(self):
         # range(A) has no component in coordinate 0, so the deflated residual
@@ -821,39 +823,60 @@ class TestFullPasses:
             A, b = tall_problem(2, *((200, 50) if shape == "below_gates"
                                      else (1400, 200)))
         assert (A.m * A.n >= sv._SHADOW_MIN_ENTRIES) == (shape == "above_gates")
-        calls = []
-        matvec = mx.matvec
+        calls, before_first_step = [], []
+        matvec, z_step = mx.matvec, sv.z_project_column
         monkeypatch.setattr(mx, "matvec",
                             lambda A, x: calls.append(1) or matvec(A, x))
+
+        def first_step(*args):
+            if not before_first_step:
+                before_first_step.append(len(calls))
+            return z_step(*args)
+
+        monkeypatch.setattr(sv, "z_project_column", first_step)
         for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
                               (sv.MEMRK, 4), (sv.MEMRK, 6)):
             for tol, max_outer, trace_every in ((1e-6, 3000, 0),
                                                 (None, 300, 100)):
                 calls.clear()
+                before_first_step.clear()
                 rep = solve(SolverConfig(method=method, omega=omega, tol=tol,
                                          max_outer=max_outer, seed=3,
                                          trace_every=trace_every), A, b)
-                assert rep.full_passes == len(calls) >= 1, (method, omega, tol)
+                key = (method, omega, tol)
+                assert rep.full_passes == len(calls) >= 1, key
+                assert before_first_step == [0], key  # x starts at 0: no pass
         assert (A._gram is not None) == (shape == "above_gates")
+
+    @pytest.mark.parametrize("case", ["tall", "rank_deficient", "csr", "gated"])
+    def test_rek_and_prek_pass_only_to_form_res(self, case):
+        # with a RES stop, REK/PREK pick no row from r, so each float64 pass
+        # forms RES and none is made at the start
+        for seed in range(3):
+            A, b, tol = floor_case(case, seed)
+            for method in (sv.REK, sv.PREK):
+                for trace_every in (0, 97):
+                    rep = solve(SolverConfig(method=method, tol=tol, seed=seed,
+                                             trace_every=trace_every), A, b)
+                    assert rep.converged
+                    assert rep.full_passes == rep.resyncs, (seed, method)
 
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("name", ["b", "x0"])
+    @pytest.mark.parametrize("name", ["b"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejected_before_any_iteration(self, name, bad):
         A, b = tall_problem(13, m=200, n=50)
-        x0 = np.zeros(A.n)
-        vec = b if name == "b" else x0
-        vec[7] = vec[9] = bad
+        b[7] = b[9] = bad
         for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.MEMRK, 4)):
             for tol in (1e-6, None):
-                cfg = SolverConfig(method=method, omega=omega, tol=tol, x0=x0)
+                cfg = SolverConfig(method=method, omega=omega, tol=tol)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     with pytest.raises(NonFiniteInputError,
                                        match=rf"^{name}\[7\] = ") as info:
                         solve(cfg, A, b)
-                assert (info.value.name, info.value.index) == (name, 7)
+                assert info.value.index == 7
 
 
 class TestColumnMajorLayout:
