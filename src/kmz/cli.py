@@ -190,25 +190,16 @@ def _cmd_solve(opt: dict) -> int:
 
 def _cmd_bench(opt: dict) -> int:
     """execute an experiment spec JSON"""
-    _require(opt, "spec")
+    _require(opt, "spec", "out")
     raw = _read_json_object(opt["spec"], "bench spec")
-    outputs = raw.pop("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError("bench spec 'outputs' must be a JSON object of path strings")
-    outputs = {key: bench.convert(f"outputs.{key}", bench.as_path, path)
-               for key, path in outputs.items()}
     if "seed" not in raw:
         raise ConfigError("bench spec must pin a seed (no wall-clock seeding)")
     spec = bench.ExperimentSpec.from_dict(raw)
     rows = bench.run_experiment(spec)
-    out = opt["out"] or outputs.get("results")
-    if not out:
-        raise ConfigError("no results path: pass --out or spec outputs.results")
-    bench.emit_results(rows, out)
-    meta = opt["meta"] or outputs.get("meta")
-    if meta:
-        bench.emit_meta(spec, meta)
-    print(f"wrote {len(rows)} result rows to {out}", file=sys.stderr)
+    bench.emit_results(rows, opt["out"])
+    if opt["meta"]:
+        bench.emit_meta(spec, opt["meta"])
+    print(f"wrote {len(rows)} result rows to {opt['out']}", file=sys.stderr)
     return 0
 
 
@@ -249,7 +240,7 @@ def _cmd_theory(opt: dict) -> int:
     }, indent=2))
     lines = ["k,rek_bound"]
     for k in range(0, opt["k_max"] + 1, opt["k_step"]):
-        rb = oracle.rek_bound(profile, k, xstar_norm_sq, xstar_norm_sq)
+        rb = oracle.rek_bound(profile, k, xstar_norm_sq)
         lines.append(f"{k},{rb:.17g}")
     table = "\n".join(lines) + "\n"
     if opt["out"]:

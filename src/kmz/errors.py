@@ -26,13 +26,11 @@ class SolverError(KmzError):
 
 
 class ZeroRowError(SolverError):
-    """Greedy selection landed on an all-zero row with nonzero residual."""
+    """An x-step was asked to project onto a row whose squared norm is 0."""
 
     def __init__(self, row: int):
         self.row = row
-        super().__init__(
-            f"row {row} has zero norm but nonzero residual (inconsistent empty equation)"
-        )
+        super().__init__(f"row {row} has zero norm; cannot project onto it")
 
 
 class DivergenceError(SolverError):

@@ -272,19 +272,18 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     else:
         width = np.bincount(np.repeat(np.arange(m), np.diff(A.csr.indptr)),
                             np.diff(A.csc.indptr)[A.csr.indices], minlength=m)
+    # cut by summed widths, not the widest row: a dense row of a CSR A makes
+    # one row of A A^T far wider than the rest (BENCH_unused_settings.json)
     cum = np.cumsum(width)
-    bounds = []
-    s = 0
-    while s < m:
-        e = max(s + 1, int(np.searchsorted(
-            cum, cum[s] - width[s] + _REACH_BLOCK, side="right")))
-        bounds.append((s, e))
-        s = e
 
     def blocks():
-        for s, e in bounds:
+        s = 0
+        while s < m:
+            e = max(s + 1, int(np.searchsorted(
+                cum, cum[s] - width[s] + _REACH_BLOCK, side="right")))
             blk = stored[s:e]
             yield s, e, (blk.toarray() if densify else blk)
+            s = e
 
     q = np.empty(m)
     # An overflow leaves an inf or NaN bound, which only forces the solver

@@ -103,14 +103,13 @@ def young_pair(alpha1: float) -> float:
     return alpha1 / (alpha1 - 1.0)
 
 
-def rek_bound(profile: SpectralProfile, k: int, x0_err_sq: float,
-              xstar_norm_sq: float) -> float:
-    """Two-sequence randomized baseline bound:
-    alpha^(k - floor(k/2)) x0_err + (alpha^(k - floor(k/2)) + alpha^floor(k/2))
-    * kappa^2 ||x*||^2."""
+def rek_bound(profile: SpectralProfile, k: int, xstar_norm_sq: float) -> float:
+    """Two-sequence randomized baseline bound from x_0 = 0, whose squared
+    error is ||x*||^2: alpha^(k - floor(k/2)) ||x*||^2
+    + (alpha^(k - floor(k/2)) + alpha^floor(k/2)) kappa^2 ||x*||^2."""
     a = profile.alpha
     k1 = k // 2
-    return (a ** (k - k1) * x0_err_sq
+    return (a ** (k - k1) * xstar_norm_sq
             + (a ** (k - k1) + a ** k1) * profile.kappa ** 2 * xstar_norm_sq)
 
 

@@ -106,7 +106,7 @@ class SolveReport:
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
     resyncs: int = 0          # RES formed in full: stop tests, trace rows
     floor_refreshes: int = 0  # O(n^2) rebuilds of the REK/PREK floor
-    # greedy picks of an all-zero row with a zero residual entry, which leave
+    # greedy picks of a zero-norm row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
@@ -169,8 +169,8 @@ class CyclicColumnCursor:
     """Cyclic column selector that skips zero-norm columns; cursor persists
     across outer iterations."""
 
-    def __init__(self, start: int = 0):
-        self.pos = start
+    def __init__(self):
+        self.pos = 0
 
     def next(self, A: mx.MatrixHandle) -> int:
         for _ in range(A.n):
@@ -661,7 +661,6 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     res = 1.0
     converged = False
     k = 0
-    last_recorded = 0
     resyncs = 0
     zero_row_skips = 0
     row_norms_sq = A.row_table[1]
@@ -679,10 +678,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
             if fresh:
                 r = u - z
                 i = select_max_residual_row(r)
-                if row_norms_sq[i] == 0.0:
-                    if abs(r[i]) > 0.0:
-                        raise ZeroRowError(i)
-                    skip_update = True  # residual is identically zero
+                # an all-zero row's r_i stays +-0 or NaN; a row whose squared
+                # norm underflows may have r_i != 0, and its x-step raises
+                if row_norms_sq[i] == 0.0 and not abs(r[i]) > 0.0:
+                    skip_update = True
                     zero_row_skips += 1
         else:
             i = sample_row_weighted(rng, A)
@@ -712,12 +711,11 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
             callback(k, i, x_prev, x, z)
         if traced:
             record(k, res)
-            last_recorded = k
         if exact and not budget and res < config.tol:
             converged = True
             break
 
-    if last_recorded != k:
+    if trace[-1][0] != k:
         record(k, res)
     log.debug("%s: %d iterations, %d float64 passes, %d full residual "
               "recomputes, %d floor refreshes, %d float32 shadow passes, %d "

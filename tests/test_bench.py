@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from kmz import bench, solvers
 from kmz import problems as pb
-from kmz.errors import ConfigError, KmzError
+from kmz.errors import ConfigError, DivergenceError, KmzError
 
 
 class TestPsnr:
@@ -86,10 +86,10 @@ class TestExperimentSpec:
         ("trials", "two"), ("trials", 2.5), ("trials", True), ("m", None),
         ("tol", "tiny"), ("tol", float("nan")), ("kind", 3), ("record_err", "yes"),
         ("methods", "rek"), ("methods", [["rek", 1, 2]]), ("methods", 4),
-        ("seed", float("inf"))])
+        ("seed", float("inf")), ("trials", 0)])
     def test_bad_values_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            bench.ExperimentSpec.from_dict({field: value})
+            bench.ExperimentSpec.from_dict({field: value}).validate()
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError):
@@ -149,6 +149,32 @@ class TestRunExperiment:
         med = bench.median_iters(rows)
         assert set(med) == {"emrk", "memrk2"}
         assert all(v > 0 for v in med.values())
+
+    def test_failed_cells(self, monkeypatch, tmp_path, caplog):
+        # every memrk2 cell raises: its rows say so, and it gets no median
+        solve = solvers.solve
+
+        def failing(config, A, b, **kw):
+            if config.method == solvers.MEMRK:
+                raise DivergenceError("iterate diverged at outer iteration 3")
+            return solve(config, A, b, **kw)
+
+        monkeypatch.setattr(solvers, "solve", failing)
+        rows = bench.run_experiment(self.small_spec())
+        failed = [r for r in rows if r.method == "memrk2"]
+        assert [r.seed for r in failed] == [0, 1]
+        for r in failed:
+            assert r.iters == -1 and r.err_sq is None
+            assert math.isnan(r.wall_seconds) and math.isnan(r.final_res)
+        assert [(r.method, r.iters > 0) for r in rows if r.seed == -1] == [
+            ("emrk", True)]
+        assert "cell (memrk2, trial 1) failed: iterate diverged" in caplog.text
+        path = tmp_path / "r.csv"
+        bench.emit_results(rows, path)
+        text = path.read_text()
+        assert "None" not in text
+        assert text.count("memrk2,50,10,2,") == 2
+        assert text.count(",-1,nan,nan,,\n") == 2
 
     def test_underdetermined_auto_rank_deficiency(self):
         spec = self.small_spec(m=8, n=12, methods=[("memrk", 2)], trials=1)

@@ -172,10 +172,9 @@ class TestWrongTypedValue:
                    "problem must be a path string, got 3")
 
     def test_bench_output_path(self, tmp_path, capsys):
-        spec = self.config(tmp_path, {"seed": 1, "kind": "dense", "m": 20, "n": 5,
-                                      "methods": ["rek"], "outputs": {"results": 5}})
-        self.check(["bench", "--spec", spec], capsys,
-                   "outputs.results must be a path string, got 5")
+        self.check(["bench", "--spec", "s.json",
+                    "--config", self.config(tmp_path, {"out": 5})], capsys,
+                   "out must be a path string, got 5")
 
     def test_method_pairs_from_config(self):
         assert cli._parse_methods([["REK", 1], ["memrk", "4"]]) == [
@@ -471,15 +470,18 @@ class TestBench:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["spec"]["seed"] == 7
 
-    def test_outputs_block_in_spec(self, tmp_path):
+    def test_outputs_block_in_spec(self, tmp_path, capsys):
+        # --out and --meta name the files; a spec cannot
         out = tmp_path / "res.csv"
         spec = self.spec(tmp_path, outputs={"results": str(out)})
-        assert cli.main(["bench", "--spec", str(spec)]) == 0
-        assert out.exists()
+        assert cli.main(["bench", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "unknown experiment field 'outputs'" in capsys.readouterr().err
+        assert not out.exists()
 
-    def test_no_output_path_is_usage_error(self, tmp_path):
+    def test_no_output_path_is_usage_error(self, tmp_path, capsys):
         spec = self.spec(tmp_path)
         assert cli.main(["bench", "--spec", str(spec)]) == 1
+        assert "--out is required" in capsys.readouterr().err
 
     def test_string_values_coerced_or_usage_error(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -343,6 +343,24 @@ class TestRowReach:
             # the rounding margin is 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
             assert exact <= reach[i] <= exact * (1 + 1e-6)
 
+    def test_one_wide_row_gets_no_more_blocks(self, monkeypatch):
+        # a dense row 0 makes row 0 of A A^T as wide as nnz(A); the other
+        # rows still share blocks (a block per row took 60x longer on
+        # 20000 x 5000), and every q_i is the same for any blocking
+        rng = np.random.default_rng(4)
+        entries = rng.standard_normal((400, 300)) * (rng.random((400, 300)) < 0.01)
+        entries[0] = 1.0
+        csr = sp.csr_matrix(entries)
+        whole = mx.from_scipy(csr).row_reach
+        dots, rows = mx._row_dots, []
+        monkeypatch.setattr(mx, "_row_dots",
+                            lambda P, Q: rows.append(P.shape[0]) or dots(P, Q))
+        monkeypatch.setattr(mx, "_REACH_BLOCK", 2 * csr.nnz)
+        A = mx.from_scipy(csr)
+        assert 8 * A.n * A.n > 24 * A.csr.nnz  # the A A^T path
+        assert A.row_reach == whole
+        assert sum(rows) == 400 and 2 <= len(rows) <= 8, rows
+
 
 class TestLayout:
     """Dense handles store their entries column-major, so a column is

@@ -140,17 +140,18 @@ class TestYoungPairing:
 class TestBounds:
     def test_rek_bound_identity(self):
         profile = oracle.spectral_profile(np.eye(2))
-        v = oracle.rek_bound(profile, k=4, x0_err_sq=1.0, xstar_norm_sq=1.0)
+        v = oracle.rek_bound(profile, k=4, xstar_norm_sq=1.0)
         assert v == pytest.approx(0.25 * 1.0 + (0.25 + 0.25) * 1.0)
 
     def test_rek_bound_k0(self):
         profile = oracle.spectral_profile(np.eye(2))
-        v = oracle.rek_bound(profile, k=0, x0_err_sq=7.0, xstar_norm_sq=1.0)
-        assert v == pytest.approx(7.0 + 2.0)
+        # from x_0 = 0 the start error is ||x*||^2, and kappa = 1
+        v = oracle.rek_bound(profile, k=0, xstar_norm_sq=7.0)
+        assert v == pytest.approx(7.0 + 2.0 * 7.0)
 
     def test_rek_bound_decays(self):
         profile = oracle.spectral_profile(np.random.default_rng(4).standard_normal((40, 6)))
-        vals = [oracle.rek_bound(profile, k, 1.0, 1.0) for k in (0, 10, 20, 40)]
+        vals = [oracle.rek_bound(profile, k, 1.0) for k in (0, 10, 20, 40)]
         assert vals == sorted(vals, reverse=True)
 
 

@@ -117,7 +117,7 @@ class TestProjections:
 
     def test_x_step_zero_row(self):
         A = handle([[0.0, 0.0]])
-        with pytest.raises(ZeroRowError):
+        with pytest.raises(ZeroRowError, match="row 0 has zero norm; cannot project"):
             x_project_row(np.zeros(2), A, 0, 1.0)
 
     def test_x_step_lands_on_hyperplane(self):
@@ -1132,6 +1132,19 @@ class TestZeroRowSkips:
         assert rep.zero_row_skips == 1
         assert "1 zero-row skips" in caplog.text
 
+    @pytest.mark.parametrize("method", [sv.EMRK, sv.MEMRK])
+    def test_underflowing_row_with_a_residual_raises(self, method):
+        # row 1 is not zero, but its squared norm underflows to 0; the z-step
+        # on column 1 leaves r_1 = 1.5e-12, the largest |r_i|, and the x-step
+        # the greedy pick asks for raises
+        A = handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
+        assert A.row_norms_sq[1] == 0.0
+        cfg = SolverConfig(method=method, omega=2 if method == sv.MEMRK else 1,
+                           tol=None, max_outer=10)
+        with pytest.raises(ZeroRowError, match="row 1 has zero norm") as info:
+            solve(cfg, A, np.array([1.0, 0.0]))
+        assert info.value.row == 1
+
     def test_zero_without_zero_rows(self):
         prob = pb.make_gaussian(pb.DENSE, 60, 12, 4)
         for method in (sv.REK, sv.EMRK):
@@ -1308,6 +1321,16 @@ class TestResidualShadow:
             assert shadow.shadow_passes == 0
             assert shadow.pick(b) == -1
             assert not shadow.excludes_stop(b, 1e-300, 1.0)
+
+    @pytest.mark.parametrize("top", [np.inf, np.nan])
+    def test_pick_falls_back_on_a_non_finite_top(self, top):
+        # an inf or NaN |r~_i| certifies no pick
+        A, b = handle([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.ones(3)
+        shadow = new_shadow(A, np.zeros(2), b)
+        shadow.advance(np.array([0.5, 0.25]))
+        assert shadow.shadow_passes == 1
+        assert shadow.pick(np.zeros(3)) >= 0
+        assert shadow.pick(np.array([0.0, top, 0.0])) == -1
 
     @pytest.mark.parametrize("mode", ["tol", "budget", "trace"])
     def test_bit_identical_to_the_float64_path(self, mode, monkeypatch):
