@@ -126,13 +126,14 @@ def as_path(value) -> str:
     return value
 
 
-_METHOD_ITEMS = "a list of name[:omega] strings or [name, omega] pairs"
+_METHOD_ITEMS = "a non-empty list of name[:omega] strings or [name, omega] pairs"
 
 
 def as_methods(value) -> list:
-    """[(name, omega), ...], names lower-cased, from a list whose items are
-    "name[:omega]" strings (omega 1 when left out) or [name, omega] pairs."""
-    if not isinstance(value, list):
+    """[(name, omega), ...], names lower-cased, from a non-empty list whose
+    items are "name[:omega]" strings (omega 1 when left out) or [name,
+    omega] pairs."""
+    if not isinstance(value, list) or not value:
         raise ValueError(f"must be {_METHOD_ITEMS}, got {value!r}")
     methods = []
     for item in value:

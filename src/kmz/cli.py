@@ -34,15 +34,14 @@ def _parse_angles(text: str) -> list:
         raise ConfigError(f"angles must be start:step:stop, got {text!r}") from exc
     if step <= 0:
         raise ConfigError("angle step must be positive")
+    if stop < start:
+        raise ConfigError(f"angle stop {stop:g} is below start {start:g}")
     return list(np.arange(start, stop + step / 2.0, step))
 
 
 def _parse_methods(value) -> list:
     """[(name, omega), ...] from "rek,memrk:4" or [["rek", 1], ["memrk", 4]]."""
-    methods = bench.as_methods(value.split(",") if isinstance(value, str) else value)
-    if not methods:
-        raise ConfigError("empty method list")
-    return methods
+    return bench.as_methods(value.split(",") if isinstance(value, str) else value)
 
 
 _RANK_MODES = {"auto": None, "yes": True, "no": False}

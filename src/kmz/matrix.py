@@ -7,19 +7,20 @@ of the auxiliary-vector sweep, so it is the contiguous one: dense handles
 store their entries column-major (Fortran order), and CSR handles carry a
 CSC mirror that touches only the stored entries of a column.  A row of a
 column-major array has a stride of m entries, one cache line per entry, so
-a dense handle with long rows and too many entries for a core's cache
-(_keeps_rows) also keeps a read-only row-major copy for the x-step, built on
-its first row read.  Its rows are dotted with a stride-2 copy of x, which
+a dense handle with too many entries for a core's cache (_keeps_rows) also
+keeps a read-only row-major copy for the x-step, built on its first row
+read.  Its rows are dotted with a stride-2 copy of x, which
 keeps BLAS on the loop a strided row takes, and so every row dot, and every
 iterate, bit-identical to a read of the column-major array.
 
 The four step kernels (row_dot, col_dot, axpy_row, axpy_col) index lists of
-prebuilt 1-D views, one per row and one per column (row_views, col_views),
-and call ndarray.dot: a view slices nothing per step, and .dot skips the
-matmul dispatch of @ for the same bits.  A CSR row or column is the
-(indices, data) pair of its stored entries.  The kernels read the lists'
-slots and call the properties only until they are built: a property call
-would add about 0.3 us to every step.
+1-D views, one per row and one per column (row_views, col_views), and call
+ndarray.dot: a view slices nothing per step, and .dot skips the matmul
+dispatch of @ for the same bits.  A CSR row or column is the (indices, data)
+pair of its stored entries.  The column views are built with the handle;
+the row kernels read the row list's slot and call its property only until
+it is built, since a property call would add about 0.3 us to every step.
+Handles come from from_dense, from_scipy and read_matrix_market.
 """
 
 from __future__ import annotations
@@ -52,15 +53,23 @@ class MatrixHandle:
     """Immutable matrix, either dense column-major (+ a row-major copy
     above the :func:`_keeps_rows` gate) or CSR (+ CSC mirror).
 
-    Build through :func:`from_dense`, :func:`from_csr`, :func:`from_scipy`
-    or :func:`read_matrix_market`; those store dense entries column-major.
-    A handle built directly keeps the array it is given in its own layout;
-    only a column-major one gets the row-major copy (:attr:`rows`).
+    Build through :func:`from_dense`, :func:`from_scipy` or
+    :func:`read_matrix_market`; those store dense entries column-major.
+    A handle built directly keeps the array it is given in its own layout.
+
+    Built with the handle, because every solve reads them from its first
+    step: the squared row and column norms, their (cumulative, squared)
+    tables as Python float lists (row_table, col_table; the samplers bisect
+    and index them once per step, cheaper in the interpreter than a numpy
+    call on one scalar) and one view per column (col_views).  Built on first
+    use: the row views with the row-major copy (:attr:`rows`), which must
+    not be alive during a set-up SVD of A, where peak memory is set, and
+    :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
-                 "col_norms_sq", "frob_sq", "_row_table", "_col_table", "_row_reach",
-                 "_gram", "_rows", "_row_views", "_col_views")
+                 "col_norms_sq", "frob_sq", "row_table", "col_table",
+                 "col_views", "_rows", "_row_views", "_row_reach", "_gram")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -70,13 +79,13 @@ class MatrixHandle:
             self.dense = _readonly(dense)
             self.csr = None
             self.csc = None
-            # the array x-steps read rows from: None until rows builds the
-            # row-major copy, else the stored array itself
-            copies = (dense.flags.f_contiguous and not dense.flags.c_contiguous
-                      and _keeps_rows(self))
-            self._rows = None if copies else self.dense
+            # the array x-steps read rows from: None until rows builds it,
+            # else the stored array itself
+            self._rows = None if _keeps_rows(self) else self.dense
             self.row_norms_sq = _readonly(np.einsum("ij,ij->i", dense, dense))
             self.col_norms_sq = _readonly(np.einsum("ij,ij->j", dense, dense))
+            # 1-D views, contiguous where the array is column-major
+            self.col_views = list(self.dense.T)
         else:
             self.m, self.n = csr.shape
             self.dense = None
@@ -94,36 +103,14 @@ class MatrixHandle:
             for arr in (csr.data, csr.indices, csr.indptr,
                         self.csc.data, self.csc.indices, self.csc.indptr):
                 arr.setflags(write=False)
+            self.col_views = _pairs(self.csc)
         self.frob_sq = float(self.row_norms_sq.sum())
-        self._row_table = None
-        self._col_table = None
-        self._row_reach = None
+        self.row_table = _norm_table(self.row_norms_sq)
+        self.col_table = _norm_table(self.col_norms_sq)
         self._row_views = None
-        self._col_views = None
+        self._row_reach = None
         # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
         self._gram = None
-
-    # -- lazy norm tables for inverse-CDF sampling ---------------------------
-
-    @property
-    def row_table(self) -> tuple[list, list]:
-        """(cumulative, squared) row norms as Python float lists.
-
-        Built on first use, not at construction.  The sampler bisects and
-        indexes them once per step, which costs less in the interpreter than
-        a numpy call on one scalar.
-        """
-        if self._row_table is None:
-            self._row_table = _norm_table(self.row_norms_sq)
-        return self._row_table
-
-    @property
-    def col_table(self) -> tuple[list, list]:
-        """(cumulative, squared) column norms as Python float lists; see
-        :attr:`row_table`."""
-        if self._col_table is None:
-            self._col_table = _norm_table(self.col_norms_sq)
-        return self._col_table
 
     @property
     def row_reach(self) -> list:
@@ -141,11 +128,11 @@ class MatrixHandle:
     def rows(self) -> np.ndarray | None:
         """The array whose rows the dense x-step kernels read; None for CSR.
 
-        A column-major array (the layout every builder stores) that passes
-        :func:`_keeps_rows` gets a read-only row-major (C-order) copy, built
-        on first use, so that a row is contiguous; any other dense array, a
-        C-contiguous one included, is its own.  See :func:`row_dot` for why
-        the copy leaves every row dot bit-identical.
+        A dense array that passes :func:`_keeps_rows` gets a read-only
+        row-major (C-order) copy, built on first use, so that a row is
+        contiguous; a C-contiguous array is its own copy, and an array
+        below the gate is read as it is.  See :func:`row_dot` for why the
+        copy leaves every row dot bit-identical.
         """
         if self._rows is None and self.dense is not None:
             self._rows = _readonly(np.ascontiguousarray(self.dense))
@@ -156,21 +143,11 @@ class MatrixHandle:
         """One read-only view per row, built on first use: a 1-D view of
         :attr:`rows` for a dense handle (the row-major copy is built with
         it where the handle keeps one), an (indices, data) pair of the row's
-        stored entries for CSR."""
+        stored entries for CSR, as col_views holds for the columns."""
         if self._row_views is None:
             self._row_views = (list(self.rows) if self.dense is not None
                                else _pairs(self.csr))
         return self._row_views
-
-    @property
-    def col_views(self) -> list:
-        """One read-only view per column, built on first use: a 1-D view of
-        the stored dense array (contiguous where it is column-major), or an
-        (indices, data) pair of the CSC mirror's column for CSR."""
-        if self._col_views is None:
-            self._col_views = (list(self.dense.T) if self.dense is not None
-                               else _pairs(self.csc))
-        return self._col_views
 
     @property
     def is_dense(self) -> bool:
@@ -197,10 +174,8 @@ _REACH_BLOCK = 1 << 17
 _DENSE_GRAM_RATIO = 100
 # Fewest stored entries for which the handle keeps its A^T A; see _keeps_gram.
 _GRAM_MIN_ENTRIES = 1 << 17
-# Fewest entries, and fewest per row, for which a column-major handle keeps
-# a row-major copy; see _keeps_rows.
-_ROWS_MIN_ENTRIES = 1 << 18
-_ROWS_MIN_N = 400
+# Fewest entries for which a dense handle keeps a row-major copy; see _keeps_rows.
+_ROWS_MIN_ENTRIES = 1 << 19
 
 
 def _keeps_gram(A: MatrixHandle) -> bool:
@@ -217,17 +192,18 @@ def _keeps_gram(A: MatrixHandle) -> bool:
 
 
 def _keeps_rows(A: MatrixHandle) -> bool:
-    """Whether a column-major handle keeps a row-major copy of its entries
-    for the x-step (MatrixHandle.rows): m n >= _ROWS_MIN_ENTRIES and
-    n >= _ROWS_MIN_N.  A row read from the copy takes n / 8 cache lines
-    instead of n, one per entry, but x's stride-2 copy adds a fixed cost
-    per read, so the copy pays only for long rows of a matrix that a core's
-    cache does not hold.  Measured per REK iteration on 28 dense shapes
-    from 200 x 50 to 6000 x 500 (BENCH_row_major.json), the copy was 2-30%
-    faster on every shape with n >= 400 and at least 3 10^5 entries; it
-    was 2% faster to 7% slower on every shape of at most 1.3 10^5 entries,
-    and 3% faster to 19% slower for n = 200-350 up to 1.05 10^6 entries."""
-    return A.n >= _ROWS_MIN_N and A.m * A.n >= _ROWS_MIN_ENTRIES
+    """Whether a dense handle keeps a row-major copy of its entries for the
+    x-step (MatrixHandle.rows): m n >= _ROWS_MIN_ENTRIES.  A row read from
+    the copy takes n / 8 cache lines instead of n, one per entry, but x's
+    stride-2 copy adds a fixed cost per read, so the copy pays only for a
+    matrix that a core's cache does not hold.  Measured per budget-mode REK
+    iteration on 12 shapes from 200 x 50 to 6000 x 500, in three rounds of
+    7 alternating repeats (BENCH_handle_indexes.json), the copy was faster
+    in the median round on every shape of at least 6 10^5 entries (2000 x
+    300 to 6000 x 500, by 9-34%), and from 1.3% faster to 5.3% slower on
+    every shape of at most 3.5 10^5 entries, 700 x 400 and 5000 x 60
+    included."""
+    return A.m * A.n >= _ROWS_MIN_ENTRIES
 
 
 def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
@@ -329,37 +305,6 @@ def from_dense(entries) -> MatrixHandle:
     return MatrixHandle(dense=arr)
 
 
-def from_csr(rows: int, cols: int, indptr, indices, data) -> MatrixHandle:
-    """Build a CSR handle from a validated (indptr, indices, data) triplet."""
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    data = np.array(data, dtype=np.float64)
-    if rows < 0 or cols < 0:
-        raise MatrixError("negative dimensions")
-    if indptr.shape != (rows + 1,):
-        raise MatrixError(f"indptr must have length {rows + 1}")
-    if indptr[0] != 0 or np.any(np.diff(indptr) < 0):
-        raise MatrixError("CSR offsets must start at 0 and be nondecreasing")
-    nnz = int(indptr[-1])
-    if len(indices) != nnz or len(data) != nnz:
-        raise MatrixError("CSR offsets disagree with stored-entry count")
-    if nnz and (indices.min() < 0 or indices.max() >= cols):
-        raise MatrixError("CSR column index out of range")
-    if not np.all(np.isfinite(data)):
-        raise MatrixError("non-finite entry in CSR data")
-    if nnz > 1:
-        # strictly increasing within each row; pairs that span a row boundary
-        # are exempt.  Catches both unsorted and duplicate column indices.
-        same_row = np.ones(nnz - 1, dtype=bool)
-        boundaries = indptr[1:-1]
-        same_row[boundaries[(boundaries > 0) & (boundaries < nnz)] - 1] = False
-        if np.any((np.diff(indices) <= 0) & same_row):
-            raise MatrixError("CSR column indices must be strictly increasing per row")
-    csr = sp.csr_matrix((data, indices.astype(np.int32, copy=False),
-                         indptr.astype(np.int32, copy=False)), shape=(rows, cols))
-    return MatrixHandle(csr=csr)
-
-
 def from_scipy(mat) -> MatrixHandle:
     """Wrap a scipy sparse matrix (canonicalized) as a CSR handle."""
     csr = sp.csr_matrix(mat, dtype=np.float64)
@@ -440,7 +385,7 @@ def col_dot(A: MatrixHandle, j: int, z: np.ndarray) -> float:
     """A₍ⱼ₎ᵀ · z, from the column's view (:attr:`MatrixHandle.col_views`)."""
     if not 0 <= j < A.n:
         raise MatrixError(f"column index {j} out of range [0, {A.n})")
-    col = (A._col_views or A.col_views)[j]
+    col = A.col_views[j]
     if A.dense is None:
         idx, data = col
         return float(data.dot(z[idx]))
@@ -464,7 +409,7 @@ def axpy_col(z: np.ndarray, A: MatrixHandle, j: int, c: float) -> np.ndarray:
     """z += c · A₍ⱼ₎ in place; returns z."""
     if not 0 <= j < A.n:
         raise MatrixError(f"column index {j} out of range [0, {A.n})")
-    col = (A._col_views or A.col_views)[j]
+    col = A.col_views[j]
     if A.dense is None:
         idx, data = col
         z[idx] += c * data

@@ -41,6 +41,9 @@ class TestParsing:
             cli._parse_angles("0:0:90")
         with pytest.raises(ConfigError):
             cli._parse_angles("0:inf:10")
+        with pytest.raises(ConfigError, match="below start"):
+            cli._parse_angles("10:5:0")
+        assert cli._parse_angles("10:5:10") == [10.0]
 
     def test_method_list(self):
         assert cli._parse_methods("rek,emrk,memrk:4") == [
@@ -141,7 +144,7 @@ class TestWrongTypedValue:
                    capsys, f"got {methods!r}")
 
     def test_tomo_config_method_pairs(self, tmp_path, capsys):
-        for methods in ([["rek"]], [["memrk", "four"]], 3):
+        for methods in ([["rek"]], [["memrk", "four"]], 3, []):
             self.check(["tomo", "--config", self.config(tmp_path, {"methods": methods}),
                         "--out", str(tmp_path / "t")], capsys, "methods must be")
         assert not (tmp_path / "t").exists()
@@ -491,6 +494,13 @@ class TestBench:
         assert cli.main(["bench", "--spec", str(self.spec(tmp_path, trials="two")),
                          "--out", str(out)]) == 1
 
+    def test_empty_method_list_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["bench", "--spec", str(self.spec(tmp_path, methods=[])),
+                         "--out", str(out), "--meta", str(tmp_path / "m.json")]) == 1
+        assert "methods must be a non-empty list" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "spec.json"]
+
     def test_malformed_spec_is_usage_error(self, tmp_path):
         path = tmp_path / "spec.json"
         for text in ("{not json", "[1, 2]", '{"seed": 1, "outputs": "r.csv"}'):
@@ -518,6 +528,14 @@ class TestTomo:
         out = tmp_path / "tomo"
         assert cli.main(["tomo", "--budget-factor", "-1", "--out", str(out)]) == 1
         assert "budget factor must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["tomo"], ["gen", "--kind", "tomo",
+                                                    "--seed", "0"]])
+    def test_empty_angle_range_is_usage_error(self, tmp_path, capsys, command):
+        out = tmp_path / "t"
+        assert cli.main([*command, "--angles", "10:5:0", "--out", str(out)]) == 1
+        assert "angle stop 0 is below start 10" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -21,17 +21,21 @@ class TestBuild:
         assert np.allclose(A.col_norms_sq, [9, 16, 0])
         assert A.frob_sq == pytest.approx(25.0)
 
-    def test_csr_duplicate_column_rejected(self):
-        with pytest.raises(MatrixError):
-            mx.from_csr(1, 3, [0, 2], [1, 1], [1.0, 2.0])
+    def test_csr_duplicate_columns_summed(self):
+        # from_scipy canonicalizes: a column stored twice in a row is one entry
+        A = mx.from_scipy(sp.csr_matrix(([1.0, 2.0], [1, 1], [0, 2]), shape=(1, 3)))
+        assert A.csr.nnz == 1 and np.array_equal(A.to_dense(), [[0, 3, 0]])
+        assert np.array_equal(A.row_norms_sq, [9.0])
 
-    def test_csr_unsorted_rejected(self):
-        with pytest.raises(MatrixError):
-            mx.from_csr(1, 3, [0, 2], [2, 0], [1.0, 2.0])
+    def test_csr_unsorted_indices_sorted(self):
+        A = mx.from_scipy(sp.csr_matrix(([1.0, 2.0], [2, 0], [0, 2]), shape=(1, 3)))
+        assert A.csr.has_sorted_indices and np.array_equal(A.csr.indices, [0, 2])
+        assert A.col_views[0][1].tolist() == [2.0] and A.col_views[1][0].size == 0
 
     def test_csr_triplet_via_build(self):
-        A = mx.from_csr(2, 3, np.array([0, 1, 3]), np.array([2, 0, 1]),
-                        np.array([5.0, 1.0, 2.0]))
+        A = mx.from_scipy(sp.csr_matrix(
+            (np.array([5.0, 1.0, 2.0]), np.array([2, 0, 1]), np.array([0, 1, 3])),
+            shape=(2, 3)))
         assert not A.is_dense and A.shape == (2, 3)
         assert np.allclose(A.to_dense(), [[0, 0, 5], [1, 2, 0]])
 
@@ -39,17 +43,7 @@ class TestBuild:
         with pytest.raises(MatrixError):
             mx.from_dense([[1.0, np.nan]])
         with pytest.raises(MatrixError):
-            mx.from_csr(1, 2, [0, 1], [0], [np.inf])
-
-    def test_offsets_must_match_entry_count(self):
-        with pytest.raises(MatrixError):
-            mx.from_csr(1, 2, [0, 2], [0], [1.0])
-        # the stated shape must agree with the triplet: rows with indptr,
-        # cols with every column index
-        with pytest.raises(MatrixError):
-            mx.from_csr(3, 2, [0, 1], [0], [1.0])
-        with pytest.raises(MatrixError):
-            mx.from_csr(1, 2, [0, 1], [2], [1.0])
+            mx.from_scipy(sp.csr_matrix(([np.inf], [0], [0, 1]), shape=(1, 2)))
 
     def test_storage_is_immutable(self):
         A = mx.from_dense(np.eye(2))
@@ -115,7 +109,7 @@ class TestKernels:
         assert np.allclose(x, [0.6, 0.8])
 
     def test_axpy_support_confinement(self):
-        A = mx.from_csr(1, 4, [0, 1], [2], [1.0])
+        A = mx.from_scipy(sp.csr_matrix(([1.0], [2], [0, 1]), shape=(1, 4)))
         x = mx.axpy_row(np.zeros(4), A, 0, 1.0)
         assert np.array_equal(x, [0, 0, 1, 0])
         z = mx.axpy_col(np.array([5.0]), A, 0, 0.0)
@@ -365,12 +359,12 @@ class TestRowReach:
 class TestLayout:
     """Dense handles store their entries column-major, so a column is
     contiguous.  Above the _keeps_rows gate (at least _ROWS_MIN_ENTRIES
-    entries and rows of at least _ROWS_MIN_N), the first x-step adds a
-    read-only row-major copy, so a row is contiguous too; its rows are
-    dotted with a stride-2 copy of x, which takes the BLAS loop a strided
-    row takes and so gives the same bits.  C-order arrays and CSR handles
-    get no copy.  The kernels read prebuilt read-only views of the rows
-    and columns, with the bits of slicing them anew."""
+    entries), the first x-step adds a read-only row-major copy, so a row
+    is contiguous too; its rows are dotted with a stride-2 copy of x, which
+    takes the BLAS loop a strided row takes and so gives the same bits.
+    C-order arrays and CSR handles get no copy.  The kernels read prebuilt
+    read-only views of the rows and columns, with the bits of slicing them
+    anew."""
 
     def entries(self):
         return np.random.default_rng(5).standard_normal((9, 4))
@@ -379,6 +373,18 @@ class TestLayout:
         A = mx.from_dense(self.entries())
         assert A.dense.flags.f_contiguous
         assert all(A.dense[:, j].flags.c_contiguous for j in range(A.n))
+
+    def test_step_indexes_built_with_the_handle(self):
+        entries = self.entries()
+        for A in (mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))):
+            for table, norms_sq in ((A.row_table, A.row_norms_sq),
+                                    (A.col_table, A.col_norms_sq)):
+                assert table == (np.cumsum(norms_sq).tolist(), norms_sq.tolist())
+            assert len(A.col_views) == A.n
+            # built on first use: the row views (with any row-major copy),
+            # and row_reach (with A^T A)
+            assert A._row_views is None and A._row_reach is None
+            assert A._gram is None
 
     def test_to_dense_equals_input(self):
         entries = self.entries()
@@ -471,19 +477,20 @@ class TestLayout:
 
     def test_row_copy_only_for_a_large_column_major_array(self):
         rng = np.random.default_rng(6)
-        n, m = mx._ROWS_MIN_N, -(-mx._ROWS_MIN_ENTRIES // mx._ROWS_MIN_N)
+        n = 64
+        m = -(-mx._ROWS_MIN_ENTRIES // n)
         above = mx.from_dense(rng.standard_normal((m, n)))
         few_entries = mx.from_dense(rng.standard_normal((m - 1, n)))
-        short_rows = mx.from_dense(rng.standard_normal((2 * m, n - 1)))
         c_order = mx.MatrixHandle(dense=np.ascontiguousarray(above.dense))
         csr = mx.from_scipy(sp.random(m, n, density=1.0, format="csr",
                                       random_state=rng))
         assert above._rows is None  # nothing is built before the first x-step
-        for A in (above, few_entries, short_rows, c_order, csr):
+        for A in (above, few_entries, c_order, csr):
             mx.row_dot(A, 0, np.ones(A.n))
         assert above.rows.flags.c_contiguous and not above.rows.flags.writeable
         assert np.array_equal(above.rows, above.dense)
         assert above.rows is not above.dense and above.rows is above.rows
-        for A in (few_entries, short_rows, c_order):
+        # a C-order array above the gate is its own row-major copy
+        for A in (few_entries, c_order):
             assert A.rows is A.dense
         assert csr.rows is None

@@ -1,0 +1,148 @@
+"""Fixed-seed solves give the bits of the committed digest.
+
+tests/data/solve_digest.json holds, for each cell, the SHA-1 of x_final,
+outer_iters, final_res, the trace rows and every SolveReport counter (or
+the error a solve raised): the five benchmark cells (REK, PREK, EMRK,
+MEMRK4, MEMRK6) x {tol, budget, trace} on four dense matrices, some above
+the A^T A and float32-shadow gates, and a CSR one.  The last bits of a
+dot product depend on the BLAS and on the processor core it dispatches to,
+so the digest is keyed by numpy version, BLAS name and version and OpenBLAS
+core; under any other key the test skips and names the key it lacks.
+
+A change that moves iterates on purpose regenerates the file with
+
+    PYTHONPATH=src python tests/test_solve_digest.py > tests/data/solve_digest.json
+
+and names the cells that changed.
+"""
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from kmz import bench, oracle
+from kmz import matrix as mx
+from kmz import solvers as sv
+from kmz.errors import KmzError
+
+DIGEST = Path(__file__).parent / "data" / "solve_digest.json"
+
+CELLS = (("rek", 1), ("prek", 1), ("emrk", 1), ("memrk", 4), ("memrk", 6))
+MODES = ("tol", "budget", "trace")
+# name -> (m, n, tol); the 1400 x 100 handle keeps A^T A, the 2200 x 120
+# one also runs the float32 shadow, and 700 x 400 runs the shadow without
+# A^T A
+SHAPES = {
+    "dense_200x50_rank_deficient": (200, 50, 1e-8),
+    "dense_1400x100": (1400, 100, 1e-6),
+    "dense_2200x120": (2200, 120, 1e-6),
+    "dense_700x400": (700, 400, 1e-6),
+    "csr_300x60_empty_row_and_column": (300, 60, 1e-6),
+}
+MAX_OUTER = 6000   # caps the tol and trace modes
+BUDGET = 500       # iterations of the budget mode
+TRACE_EVERY = 37
+
+
+def openblas_core() -> str | None:
+    """The core OpenBLAS dispatches to, read from numpy's bundled library;
+    None where no such library or symbol is found."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_corename64_",
+                       "scipy_openblas_get_corename", "openblas_get_corename"):
+            corename = getattr(lib, symbol, None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def environment_key() -> str:
+    env = bench.environment()
+    return (f"numpy {env['numpy']}; blas {env['blas']['name']} "
+            f"{env['blas']['version']}; core {openblas_core()}")
+
+
+def problem(name: str):
+    """(handle, b, tol) of a seeded shape: standard normal entries and
+    b = A x + noise, inconsistent in every shape."""
+    m, n, tol = SHAPES[name]
+    rng = np.random.default_rng(sorted(SHAPES).index(name))
+    entries = rng.standard_normal((m, n))
+    b = entries @ rng.standard_normal(n) + 0.25 * rng.standard_normal(m)
+    if name.startswith("csr"):
+        entries[rng.random((m, n)) >= 0.2] = 0.0
+        entries[17] = 0.0     # an empty row
+        entries[:, 5] = 0.0   # an empty column
+        return mx.from_scipy(sp.csr_matrix(entries)), b, tol
+    if "rank_deficient" in name:
+        entries[:, -1] = entries[:, 0] - 0.5 * entries[:, 1]
+    return mx.from_dense(entries), b, tol
+
+
+def digest_cell(A, b, tol, method, omega, mode, x_star) -> dict:
+    config = sv.SolverConfig(
+        method=method, omega=omega, seed=11,
+        tol=None if mode == "budget" else tol,
+        max_outer=BUDGET if mode == "budget" else MAX_OUTER,
+        trace_every=TRACE_EVERY if mode == "trace" else 0)
+    try:
+        report = sv.solve(config, A, b,
+                          x_star=x_star if mode == "trace" else None)
+    except KmzError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {
+        "x_sha1": hashlib.sha1(report.x_final.tobytes()).hexdigest(),
+        "outer_iters": report.outer_iters,
+        "final_res": report.final_res.hex(),
+        "converged": report.converged,
+        "trace": [[k, res.hex(), None if err is None else err.hex()]
+                  for k, res, err in report.trace],
+        "counters": {key: getattr(report, key) for key in (
+            "resyncs", "floor_refreshes", "zero_row_skips", "shadow_passes",
+            "full_passes")},
+    }
+
+
+def digest_shape(name: str) -> dict:
+    A, b, tol = problem(name)
+    x_star = oracle.svd_least_squares(A, b)
+    return {f"{name}/{method}{omega}/{mode}":
+            digest_cell(A, b, tol, method, omega, mode, x_star)
+            for method, omega in CELLS for mode in MODES}
+
+
+@pytest.fixture(scope="module")
+def committed() -> dict:
+    key = environment_key()
+    cells = json.loads(DIGEST.read_text()).get(key)
+    if cells is None:
+        pytest.skip(f"{DIGEST.name} holds no digest for the key {key!r}")
+    return cells
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_solves_match_the_committed_digest(name, committed):
+    got = digest_shape(name)
+    want = {cell: value for cell, value in committed.items()
+            if cell.startswith(name + "/")}
+    assert len(want) == len(CELLS) * len(MODES)
+    assert [cell for cell in want if got[cell] != want[cell]] == []
+
+
+if __name__ == "__main__":
+    cells = {}
+    for name in sorted(SHAPES):
+        cells.update(digest_shape(name))
+    json.dump({environment_key(): cells}, sys.stdout, indent=1, sort_keys=True)
+    sys.stdout.write("\n")
