@@ -25,11 +25,17 @@ Handles come from from_dense, from_scipy and read_matrix_market.
 
 from __future__ import annotations
 
+import logging
+import math
+import time
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
 from .errors import MatrixError, MatrixFormatError
+
+log = logging.getLogger(__name__)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -62,14 +68,19 @@ class MatrixHandle:
     tables as Python float lists (row_table, col_table; the samplers bisect
     and index them once per step, cheaper in the interpreter than a numpy
     call on one scalar) and one view per column (col_views).  Built on first
-    use: the row views with the row-major copy (:attr:`rows`), which must
-    not be alive during a set-up SVD of A, where peak memory is set, and
-    :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read.
+    use: the row views with the row-major copy (:attr:`rows`),
+    :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read,
+    and :attr:`row_cosines`, the packed float16 cosines of every pair of
+    rows, which only EMRK/MEMRK read.  None of the three may be alive
+    during a set-up SVD of A, where peak memory is set: at 6000 x 500 the
+    cosines take 36 MB and the row-major copy 24 MB, so building them with
+    the handle would lift that peak.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
                  "col_norms_sq", "frob_sq", "row_table", "col_table",
-                 "col_views", "_rows", "_row_views", "_row_reach", "_gram")
+                 "col_views", "_rows", "_row_views", "_row_reach", "_gram",
+                 "_cosines")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -111,6 +122,7 @@ class MatrixHandle:
         self._row_reach = None
         # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
         self._gram = None
+        self._cosines = None
 
     @property
     def row_reach(self) -> list:
@@ -123,6 +135,19 @@ class MatrixHandle:
         if self._row_reach is None:
             self._row_reach, self._gram = _row_reach(self)
         return self._row_reach
+
+    @property
+    def row_cosines(self) -> np.ndarray | None:
+        """The cosines fl16(a_l a_i^T / (||a_l|| ||a_i||)) of the rows l >= i
+        of a dense handle that passes :func:`_fits_cosines`, packed row by
+        row: row l's l + 1 entries start at l (l + 1) / 2, and a cosine
+        with an all-zero (or underflowing) row is 0.  Built on first use by
+        :func:`_row_cosines`; None where the gate fails.  Column i is read
+        by :func:`cosine_column`.
+        """
+        if self._cosines is None and _fits_cosines(self):
+            self._cosines = _row_cosines(self)
+        return self._cosines
 
     @property
     def rows(self) -> np.ndarray | None:
@@ -189,6 +214,17 @@ def _keeps_gram(A: MatrixHandle) -> bool:
     from 0.36 to 0.40 s for REK and from 0.32 to 0.33 s for PREK."""
     entries = A.m * A.n if A.dense is not None else A.csr.nnz
     return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
+
+
+def _fits_cosines(A: MatrixHandle) -> bool:
+    """Whether a dense handle may build :attr:`MatrixHandle.row_cosines`:
+    m (m + 1) <= 16 m n, so that the m (m + 1) bytes of the packed float16
+    lower triangle are no more than those of A and its row-major copy, and
+    2 ||A||_F^2 finite, which keeps every entry of A A^T finite.  A full
+    square float16 matrix would take 72 MB at 6000 x 500 and lift the
+    solve's peak memory above that of the set-up SVD."""
+    return (A.dense is not None and A.m + 1 <= 16 * A.n
+            and 2.0 * A.frob_sq < math.inf)
 
 
 def _keeps_rows(A: MatrixHandle) -> bool:
@@ -285,6 +321,36 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     return reach, (_readonly(H) if gram and _keeps_gram(A) else None)
 
 
+def _row_cosines(A: MatrixHandle) -> np.ndarray:
+    """The packed float16 lower triangle of C = D A A^T D, D = diag(1 / nu),
+    nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0): A A^T in float64 by BLAS-3
+    in row blocks of at most _REACH_BLOCK * 8 entries, each block scaled
+    and rounded to float16.  Each entry of A A^T errs by at most
+    gamma_n |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec. 3.1),
+    in any order of summation; the two scalings round by eps/2 relative
+    each and the cast to float16 by 2^-11 relative or 2^-25 absolute
+    (solvers.GramResidual bounds their effect).  Logs its seconds and
+    megabytes."""
+    m = A.m
+    start = time.perf_counter()
+    norms = np.sqrt(A.row_norms_sq)
+    inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
+    packed = np.empty(m * (m + 1) // 2, dtype=np.float16)
+    height = max(1, 8 * _REACH_BLOCK // m)
+    pos = 0
+    for s in range(0, m, height):
+        e = min(m, s + height)
+        block = A.dense[s:e] @ A.dense[:e].T
+        block *= inv[s:e, None]
+        block *= inv[:e]
+        for k, row in enumerate(block, s + 1):
+            packed[pos:pos + k] = row[:k]
+            pos += k
+    log.info("row cosines of a %d x %d matrix: %.3f s, %.1f MB", m, A.n,
+             time.perf_counter() - start, packed.nbytes / 1e6)
+    return _readonly(packed)
+
+
 def _row_dots(P, Q) -> np.ndarray:
     """Row sums of the entrywise product P * Q; P dense or sparse."""
     if sp.issparse(P):
@@ -344,6 +410,18 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
     the bytes of :func:`matvec`.  The caller keeps d small enough that
     neither fl32(d) nor the product overflows."""
     return A32 @ d.astype(np.float32)
+
+
+def cosine_column(A: MatrixHandle, i: int, out: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Column i of the symmetric cosine matrix (:attr:`MatrixHandle.row_cosines`)
+    into the float16 m-vector `out`: row i's own i + 1 entries, which are
+    contiguous, then entry i of each later row, gathered.  `starts` holds
+    l (l + 1) / 2 for l = 0 .. m, as int64."""
+    packed = A._cosines
+    out[:i + 1] = packed[starts[i]:starts[i + 1]]
+    np.take(packed, starts[i + 1:-1] + i, out=out[i + 1:])
+    return out
 
 
 def row_buffer(A: MatrixHandle) -> np.ndarray:

@@ -17,10 +17,14 @@ r = b - A x - z, and the greedy methods pick the row of largest |r_i|.
 solve forms r by a float64 pass over A only where a residual certificate,
 asked through the four calls of ResidualCertificate, cannot certify the
 pick or prove that the pass would give RES >= tol and not raise; and at
-trace rows and the last iteration.  choose_certificate gives one of three:
-  ResidualShadow       EMRK/MEMRK on a dense matrix of at least
-                       _SHADOW_MIN_ENTRIES entries: r from a float32 pass,
-                       anchored at the last float64 pass, bounded entrywise.
+trace rows and the last iteration.  choose_certificate gives one of these:
+  AnchoredResidual     EMRK/MEMRK on a dense matrix of at least
+                       _SHADOW_MIN_ENTRIES entries: r anchored at the last
+                       float64 pass and bounded entrywise, advanced by one of
+                       two increment sources:
+    GramResidual       one column of the handle's float16 row cosines per
+                       x-step, where they fit (matrix._fits_cosines);
+    ResidualShadow     else one float32 pass over A per x-step.
   ResidualFloor        REK/PREK with a RES stop: a lower bound on ||r||
                        moved at O(1) per step, rebuilt in O(n^2) where the
                        handle keeps A^T A (matrix._keeps_gram).
@@ -111,6 +115,7 @@ class SolveReport:
     zero_row_skips: int = 0
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
     full_passes: int = 0      # float64 passes over A (mat-vecs)
+    gram_steps: int = 0       # x-steps a GramResidual advanced r~ by
 
 
 # -- selection ----------------------------------------------------------------
@@ -190,10 +195,11 @@ def select_max_residual_row(r: np.ndarray) -> int:
 
 
 def z_project_column(z: np.ndarray, A: mx.MatrixHandle, j: int,
-                     floor: "ResidualFloor | None" = None) -> np.ndarray:
+                     floor: "ResidualCertificate | None" = None
+                     ) -> np.ndarray:
     """z -= (A_(j)^T z / ||A_(j)||^2) A_(j), in place; kills column j from z.
 
-    `floor`, when given, is moved along with z.
+    `floor`, when given (a certificate's `stepped`), is moved along with z.
     """
     nsq = A.col_table[1][j]
     if nsq <= 0.0:
@@ -205,12 +211,13 @@ def z_project_column(z: np.ndarray, A: mx.MatrixHandle, j: int,
 
 
 def x_project_row(x: np.ndarray, A: mx.MatrixHandle, i: int, rhs_i: float,
-                  floor: "ResidualFloor | None" = None,
+                  floor: "ResidualCertificate | None" = None,
                   xs: np.ndarray | None = None) -> np.ndarray:
     """x += ((rhs_i - A^(i) x) / ||A^(i)||^2) (A^(i))^T, in place.
 
-    `floor`, when given, is moved along with x; `xs`, a matrix.row_buffer
-    of A, is handed to matrix.row_dot.
+    `floor`, when given (a certificate's `stepped`: a ResidualFloor or a
+    GramResidual), is moved along with x; `xs`, a matrix.row_buffer of A,
+    is handed to matrix.row_dot.
     """
     nsq = A.row_table[1][i]
     if nsq <= 0.0:
@@ -247,12 +254,13 @@ class ResidualCertificate:
     This base certifies nothing, so every pick and stop test takes a float64
     pass: the exact path, which the other certificates must reproduce.
     z_project_column and x_project_row move `stepped`, if not None, with
-    each step; floor_refreshes and shadow_passes count a certificate's work.
+    each step; floor_refreshes, shadow_passes and gram_steps count a
+    certificate's work.
     """
 
     __slots__ = ()
     stepped = None
-    floor_refreshes = shadow_passes = 0
+    floor_refreshes = shadow_passes = gram_steps = 0
 
     def advance(self, x: np.ndarray) -> None:
         pass
@@ -417,148 +425,108 @@ class ResidualFloor(ResidualCertificate):
         return safe and M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
 
 
-# -- float32 shadow of the greedy residual ------------------------------------
+# -- anchored greedy residual --------------------------------------------------
 
 _U32 = 2.0 ** -24   # float32 unit roundoff
 _TINY = 2.0 ** -126  # float32's smallest normal number
-# Covers 1 / (1 - eps) and the few roundings of each shadow margin formula.
+_SUB = 2.0 ** -1074  # float64's smallest subnormal number
+# float16's unit roundoff 2^-11, with room for 1 / (1 - 2^-11) and a cast
+# that rounds through float32 first
+_U16 = 2.0 ** -11 * (1.0 + 2.0 ** -9)
+# Covers 1 / (1 - eps) and the few roundings of each margin formula.
 _FAC = 1.0 + 8.0 * _EPS
-# Fewest dense entries for which EMRK/MEMRK use a ResidualShadow: below it a
-# float32 pass and its bound save less than they cost (BENCH_greedy_shadow.json).
+# Fewest dense entries for which EMRK/MEMRK use an AnchoredResidual: below it
+# its increments and bound save less than they cost (BENCH_greedy_shadow.json).
 _SHADOW_MIN_ENTRIES = 1 << 18
 
 
-class ResidualShadow(ResidualCertificate):
+class AnchoredResidual(ResidualCertificate):
     """The certificate of EMRK/MEMRK on a dense handle: the greedy pick and
-    the stop test from a float32 pass over A instead of a float64 one.
+    the stop test from an anchored residual instead of a float64 pass.
 
-    Each float64 pass at an iterate x_a forms u_a = fl(b - fl(A x_a)); the
-    shadow keeps x_a and u_a (`anchor`).  After an x-step to x, `advance`
-    forms d^ = fl(x - x_a), w = fl32(A32 fl32(d^)) (matrix.matvec_single,
-    A32 = fl32(A) column-major) and v~ = fl(u_a - w).  With the current z,
+    Each float64 pass at an iterate x_a forms u_a = fl(b - fl(A x_a)), and
+    `anchor` restarts from it.  After the x-steps to x, a subclass, the
+    increment source, forms v~ from u_a and sets, in `advance`, a vector
+    W >= 0, a scalar beta and w_norm >= ||W|| such that with the current z,
     r~ = fl(v~ - z) stands in for the r^ = fl(fl(b - fl(A x)) - z) that a
-    float64 pass forms.  With eps = 2^-52 (twice float64's unit roundoff),
-    u32 = 2^-24, tau = 2^-126, g32 = (n + 3) u32 / (1 - (n + 3) u32) and
-    a_i row i of A, the bound is
-      |r~_i - r^_i| <= e_i = alpha ||a_i|| + beta0 + 3 eps |r~_i|,
-      alpha = (g32 + 2 eps) ||d^|| + (n + 1) eps (||x|| + ||x_a||)
-              + 3 tau sqrt(n),
-      beta0 = 2 eps ||u_a||_inf + 2 tau (||d^||_1 + 3 n).
-    Exactly, b_i - a_i x = (b_i - a_i x_a) - a_i d; term by term:
-      - The float32 pass.  fl32 rounds each entry of A and d^ by at most
-        u32 relative, and the n-term product errs by at most
-        gamma_n(u32) |A32| |fl32(d^)| entrywise (Higham, Accuracy and
-        Stability of Numerical Algorithms, 2002, sec. 3.1), in any order of
-        summation: |w_i - a_i d^| <= ((n + 2) u32 + u32^2) / (1 - n u32)
-        ||a_i|| ||d^|| <= g32 ||a_i|| ||d^||.
-      - Underflow.  An entry of A or d^, a product or a partial sum below
-        tau may turn subnormal or, under flush-to-zero, zero; each errs by
-        at most tau absolutely.  That adds at most 2 tau (||a_i||_1 +
-        ||d^||_1 + 2n) <= 2 tau (sqrt(n) ||a_i|| + ||d^||_1 + 2n), the
-        factor 2 covering the relative terms on top; float64 underflow in
-        the two float64 passes adds well under tau n more.
-      - The anchor distance.  d^ rounds d = x - x_a: |a_i (d - d^)| <=
-        eps/2 ||a_i|| ||d^|| (1 + eps).
+    float64 pass forms:
+      |r~_i - r^_i| <= e_i = W_i + beta + 3 eps |r~_i|.
+    There are two sources: ResidualShadow, one float32 pass over A per
+    x-step, and GramResidual, one column of the float16 row cosines per
+    x-step.  With eps = 2^-52 (twice float64's unit roundoff), a_i row i of
+    A and ||a_i|| (`norms`) stored times 1 + gamma, gamma = (m + n + 8) eps,
+    which covers their rounding, the terms both share are:
       - The two float64 passes.  fl(a_i x) and fl(a_i x_a) err by at most
         gamma_n(eps/2) |a_i| |x| <= n eps ||a_i|| ||x||, and the same with
-        x_a.  fl(b_i - p) errs by at most eps/2 |b_i - p|, and |b_i - p| is
-        at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1 + eps) + ||a_i||
-        ||d|| + n eps ||a_i|| (||x|| + ||x_a||) for r^: together
-        eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||d|| and a second-order
-        term.
-      - v~'s subtraction errs by at most eps/2 (|u_a_i| + |w_i|), with
-        |w_i| <= 2 ||a_i|| ||d^|| + (the underflow) as g32 <= 1.  The last
-        subtractions of r~ and r^ err by at most eps/2 |r~_i| and eps/2
-        |r^_i| (relative to their results), and |r^_i| <= |r~_i| + e_i;
-        solved for e_i this puts 1 / (1 - eps) on the sum and adds
+        x_a (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+        sec. 3.1).  fl(b_i - p) errs by at most eps/2 |b_i - p|, and
+        |b_i - p| is at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1 +
+        eps) + ||a_i|| ||x - x_a|| + n eps ||a_i|| (||x|| + ||x_a||) for r^:
+        together eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||x - x_a|| and
+        a second-order term.  W_i holds (n + 1) eps ||a_i|| (||x|| +
+        ||x_a||) and beta 2 eps ||u_a||_inf, with slack for the
+        second-order terms; each source covers eps/2 ||a_i|| ||x - x_a||.
+      - The last subtractions of r~ and r^ err by at most eps/2 |r~_i| and
+        eps/2 |r^_i| (relative to their results), and |r^_i| <= |r~_i| +
+        e_i; solved for e_i this puts 1 / (1 - eps) on the sum and adds
         2 eps |r~_i| / (1 - eps) <= 3 eps |r~_i|.
-    Summed: g32 + 2 eps on ||a_i|| ||d^||, (n + 1) eps on ||a_i|| (||x|| +
-    ||x_a||) and 2 eps on ||u_a||_inf, each with slack for the
-    second-order terms.  The norms are stored times 1 + gamma,
-    gamma = (m + n + 8) eps, which covers their rounding; alpha and beta0
-    times _FAC.
       - Pick (`pick`).  i* = argmax |r~| is certified when |r~_i*| - e_i* >
         |r~_j| + e_j for every j != i*, using |r~_j| <= |r~_i*| in e_j; then
         |r^_i*| > |r^_j|, so argmax |r^| = i* with no tie.  e_i* and the
         right side are each taken times 1 + 4 eps, which covers the
         roundings of both sides.  Else, or if row i* is all zero, -1.
       - Stop test (`excludes_stop`).  ||r^|| >= ||r~|| - ||e|| and ||e|| <=
-        alpha F + beta0 sqrt(m) + 3 eps ||r~||, F >= ||(||a_i||)_i||; with
-        M = ||r~|| - ||e|| > 0, a float64 pass would give s^ >= M^2 (1 -
-        gamma), so M^2 (1 - gamma) >= tol denom (1 + 4 eps) proves
-        fl(s^ / denom) >= tol, as in ResidualFloor.  It also needs
-        2 (||r~|| + ||e||)^2 / denom finite, which bounds the RES a float64
-        pass would form, and max |x| <= DIVERGENCE_CAP, so the pass it
-        skips would neither stop the run nor raise.
-    `advance` makes no pass, and sets beta0 = inf so that neither test
-    passes, when ||d^||_1 max(1, max |A32|) > float32 max / 2, which keeps
-    fl32(d^), every product and every partial sum of the pass in range, or
-    when max |x| > DIVERGENCE_CAP.  A NaN fails both tests.
+        w_norm + beta sqrt(m) + 3 eps ||r~||; with M = ||r~|| - ||e|| > 0,
+        a float64 pass would give s^ >= M^2 (1 - gamma), so M^2 (1 - gamma)
+        >= tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol, as in
+        ResidualFloor.  It also needs 2 (||r~|| + ||e||)^2 / denom finite,
+        which bounds the RES a float64 pass would form, and max |x| <=
+        DIVERGENCE_CAP, so the pass it skips would neither stop the run nor
+        raise.
+    A source sets beta = inf, so that neither test passes, where it cannot
+    bound its increment or max |x| > DIVERGENCE_CAP.  A NaN fails both
+    tests.
     """
 
-    __slots__ = ("A32", "gamma", "norms", "frob", "root_m", "c_delta",
-                 "c_x", "tau_row", "tau_fixed", "limit", "buf", "shadow_passes",
-                 "x_a", "u_a", "x_a_norm", "u_a_term", "v", "alpha", "beta0")
+    __slots__ = ("gamma", "norms", "root_m", "c_x", "row_sq", "buf", "W",
+                 "x_a_norm", "u_a", "u_a_term", "v", "beta", "w_norm")
 
-    def __init__(self, A: mx.MatrixHandle, A32: np.ndarray):
+    def __init__(self, A: mx.MatrixHandle):
         m, n = A.m, A.n
-        self.A32 = A32
         self.gamma = g = (m + n + 8) * _EPS
         self.norms = np.sqrt(A.row_norms_sq) * (1.0 + g)
-        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
         self.root_m = math.sqrt(m) * (1.0 + g)
-        g32 = (n + 3) * _U32 / (1.0 - (n + 3) * _U32)
-        self.c_delta = g32 + 2.0 * _EPS
         self.c_x = (n + 1) * _EPS
-        self.tau_row = 3.0 * _TINY * math.sqrt(n) * (1.0 + g)
-        self.tau_fixed = 6.0 * _TINY * n
-        amax = max(float(A32.max()), -float(A32.min()), 1.0)
-        self.limit = mx._F32_MAX / 2.0 / amax * _DOWN
+        self.row_sq = A.row_table[1]
         self.buf = np.empty(m)
-        self.shadow_passes = 0
+        self.W = np.zeros(m)
 
     def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
                s: float | None) -> None:
         """Restart from a float64 pass at x, u = fl(b - fl(A x))."""
-        self.x_a = x.copy()
+        # x beyond DIVERGENCE_CAP may overflow ||x||; solve raises next
+        with np.errstate(over="ignore"):
+            self.x_a_norm = math.sqrt(x.dot(x)) * (1.0 + self.gamma)
         self.u_a = u
-        self.x_a_norm = math.sqrt(x.dot(x)) * (1.0 + self.gamma)
         self.u_a_term = 2.0 * _EPS * float(abs(u).max())
-
-    def advance(self, x: np.ndarray) -> None:
-        """One float32 pass at x: sets v~, alpha and beta0."""
-        g = self.gamma
-        d = x - self.x_a
-        d1 = float(abs(d).sum()) * (1.0 + g)
-        if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
-            self.v, self.alpha, self.beta0 = self.u_a, 0.0, math.inf
-            return
-        self.shadow_passes += 1
-        self.v = self.u_a - mx.matvec_single(self.A32, d)
-        nd = math.sqrt(d.dot(d)) * (1.0 + g)
-        nx = math.sqrt(x.dot(x)) * (1.0 + g)
-        self.alpha = (self.c_delta * nd + self.c_x * (nx + self.x_a_norm)
-                      + self.tau_row) * _FAC
-        self.beta0 = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
 
     def bound(self, r: np.ndarray) -> np.ndarray:
         """e, entrywise, for r = r~ = fl(v~ - z)."""
-        return self.alpha * self.norms + self.beta0 + 3.0 * _EPS * abs(r)
+        return self.W + self.beta + 3.0 * _EPS * abs(r)
 
     def pick(self, z: np.ndarray) -> int:
-        """The row a float64 pass would pick, argmax |r^|, or -1 when the
-        float32 pass cannot certify it."""
+        """The row a float64 pass would pick, argmax |r^|, or -1 when r~
+        cannot certify it."""
         r = self.v - z
         i = select_max_residual_row(r)
         a = np.abs(r, out=r)
-        top, norm = a.item(i), self.norms.item(i)
-        if not (top < math.inf and norm > 0.0):
+        top = a.item(i)
+        if not (top < math.inf and self.row_sq[i] > 0.0):
             return -1
-        beta = self.beta0 + 3.0 * _EPS * top
-        others = np.multiply(self.norms, self.alpha, out=self.buf)
-        others += a
+        beta = self.beta + 3.0 * _EPS * top
+        lo = top - (self.W.item(i) + beta) * _UP
+        others = np.add(self.W, a, out=self.buf)
         others[i] = -math.inf
-        lo = top - (self.alpha * norm + beta) * _UP
         return i if lo > (float(others.max()) + beta) * _UP else -1
 
     def excludes_stop(self, z: np.ndarray, tol_denom: float,
@@ -566,7 +534,7 @@ class ResidualShadow(ResidualCertificate):
         g = self.gamma
         r = self.v - z
         norm = math.sqrt(float(r @ r))
-        e = (self.alpha * self.frob + self.beta0 * self.root_m
+        e = (self.w_norm + self.beta * self.root_m
              + 3.0 * _EPS * norm * (1.0 + g)) * _UP
         M = (norm * (1.0 - g) - e) * _DOWN
         U = (norm * (1.0 + g) + e) * _UP
@@ -574,14 +542,228 @@ class ResidualShadow(ResidualCertificate):
             and 2.0 * U * U / denom < math.inf
 
 
+class ResidualShadow(AnchoredResidual):
+    """The float32 increment source: after an x-step to x, `advance` forms
+    d^ = fl(x - x_a), w = fl32(A32 fl32(d^)) (matrix.matvec_single, A32 =
+    fl32(A) column-major) and v~ = fl(u_a - w), with x_a the iterate of the
+    last anchor.  With u32 = 2^-24, tau = 2^-126 and g32 = (n + 3) u32 /
+    (1 - (n + 3) u32), W = alpha ||a_i|| and beta = beta0:
+      alpha = (g32 + 2 eps) ||d^|| + (n + 1) eps (||x|| + ||x_a||)
+              + 3 tau sqrt(n),
+      beta0 = 2 eps ||u_a||_inf + 2 tau (||d^||_1 + 3 n).
+    Exactly, b_i - a_i x = (b_i - a_i x_a) - a_i d; beyond the terms of
+    AnchoredResidual:
+      - The float32 pass.  fl32 rounds each entry of A and d^ by at most
+        u32 relative, and the n-term product errs by at most
+        gamma_n(u32) |A32| |fl32(d^)| entrywise (Higham 2002, sec. 3.1), in
+        any order of summation: |w_i - a_i d^| <= ((n + 2) u32 + u32^2) /
+        (1 - n u32) ||a_i|| ||d^|| <= g32 ||a_i|| ||d^||.
+      - Underflow.  An entry of A or d^, a product or a partial sum below
+        tau may turn subnormal or, under flush-to-zero, zero; each errs by
+        at most tau absolutely.  That adds at most 2 tau (||a_i||_1 +
+        ||d^||_1 + 2n) <= 2 tau (sqrt(n) ||a_i|| + ||d^||_1 + 2n), the
+        factor 2 covering the relative terms on top; float64 underflow in
+        the two float64 passes adds well under tau n more.
+      - The anchor distance.  d^ rounds d = x - x_a: |a_i (d - d^)| <=
+        eps/2 ||a_i|| ||d^|| (1 + eps), and the float64 passes' eps/2
+        ||a_i|| ||d|| adds as much.
+      - v~'s subtraction errs by at most eps/2 (|u_a_i| + |w_i|), with
+        |w_i| <= 2 ||a_i|| ||d^|| + (the underflow) as g32 <= 1.
+    Summed: g32 + 2 eps on ||a_i|| ||d^||, each with slack for the
+    second-order terms; alpha and beta0 are taken times _FAC, and w_norm
+    is alpha F, F >= ||(||a_i||)_i||.  `advance` makes no pass, and sets
+    beta = inf, when ||d^||_1 max(1, max |A32|) > float32 max / 2, which
+    keeps fl32(d^), every product and every partial sum of the pass in
+    range, or when max |x| > DIVERGENCE_CAP.
+    """
+
+    __slots__ = ("A32", "frob", "c_delta", "tau_row", "tau_fixed", "limit",
+                 "shadow_passes", "x_a")
+
+    def __init__(self, A: mx.MatrixHandle, A32: np.ndarray):
+        super().__init__(A)
+        n, g = A.n, self.gamma
+        self.A32 = A32
+        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
+        g32 = (n + 3) * _U32 / (1.0 - (n + 3) * _U32)
+        self.c_delta = g32 + 2.0 * _EPS
+        self.tau_row = 3.0 * _TINY * math.sqrt(n) * (1.0 + g)
+        self.tau_fixed = 6.0 * _TINY * n
+        amax = max(float(A32.max()), -float(A32.min()), 1.0)
+        self.limit = mx._F32_MAX / 2.0 / amax * _DOWN
+        self.shadow_passes = 0
+
+    def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
+               s: float | None) -> None:
+        super().anchor(x, z, u, s)
+        self.x_a = x.copy()
+
+    def advance(self, x: np.ndarray) -> None:
+        """One float32 pass at x: sets v~, W and beta."""
+        g = self.gamma
+        d = x - self.x_a
+        d1 = float(abs(d).sum()) * (1.0 + g)
+        if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
+            self.v, self.beta, self.w_norm = self.u_a, math.inf, 0.0
+            self.W.fill(0.0)
+            return
+        self.shadow_passes += 1
+        self.v = self.u_a - mx.matvec_single(self.A32, d)
+        nd = math.sqrt(d.dot(d)) * (1.0 + g)
+        nx = math.sqrt(x.dot(x)) * (1.0 + g)
+        alpha = (self.c_delta * nd + self.c_x * (nx + self.x_a_norm)
+                 + self.tau_row) * _FAC
+        np.multiply(self.norms, alpha, out=self.W)
+        self.w_norm = alpha * self.frob
+        self.beta = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
+
+
+class GramResidual(AnchoredResidual):
+    """The Gram increment source: v~ starts at u_a, and each x-step x' =
+    fl(x + fl(c a_i^T)) moves it, in `row_step`, by
+      v~ = fl(v~ - w), w = fl(s t), s = fl(c nu_i), t = fl(nu (.) C_i),
+    where nu_l = fl(sqrt(||a_l||^2)) and C_i is column i of the float16
+    cosines of the handle (matrix.MatrixHandle.row_cosines): an m-vector
+    read per step instead of the m n entries of A.  Exactly, an x-step moves
+    b - A x by -c A a_i^T - A delta, delta = x' - x - c a_i^T, the rounding
+    of the stored x.  With u16 = 2^-11, N_l = nu_l (1 + gamma) + tau >=
+    ||a_l|| (`norms`), tau = sqrt(n) 2^-537 (1 + gamma) (a row whose squared
+    norm underflows to 0 has norm below sqrt(n 2^-1074)), and K the x-steps
+    since the anchor, beyond the terms of AnchoredResidual:
+      - Gram and cosine.  fl(A A^T)_li errs by at most gamma_n(eps/2)
+        ||a_l|| ||a_i|| + n 2^-1075 of underflow; its two scalings by
+        1 / nu, the products s and t, and an underflow of the scaled cosine
+        below 2^-1022 add under 5 eps/2 ||a_l|| ||a_i|| more; the float16
+        cast errs by at most u16 |C_li| / (1 - u16) or, below 2^-14,
+        2^-25.  With eps/2 for the float64 passes' ||x - x_a|| term, each
+        step adds |c| (kappa N_i N_l + u16' nu_i nu_l |C_li|), kappa =
+        (n + 8) eps + 2^-23, u16' = u16 (1 + 2^-9), and |c| n 2^-1073 to
+        e_l.  A row l with nu_l = 0 has C_li = 0, and adds |c| tau N_i,
+        since |a_l a_i^T| <= tau N_i.
+      - The float16 term sums over the steps, as F_l = sum fl(|w_l|)
+        (`F`): |w_l| >= |c| nu_i nu_l |C_li| (1 - 3 eps/2) less underflow,
+        and w's own two roundings add 3 eps/2 |w_l| each step.
+      - v~'s subtractions err by at most eps/2 |v~_l| each, and |v~_l| <=
+        ||u_a||_inf + F_l (1 + eps): K eps/2 (||u_a||_inf + F_l) in all.
+      - The stored x.  |delta_j| <= eps/2 (|c a_ij| + |x'_j|) (1 + eps) +
+        2^-1075, so |a_l delta| <= N_l (eps/2 (|c| N_i + ||x'||) (1 + eps)
+        + tau); xi >= ||x'|| is carried as (xi + |c| N_i) (1 + 2 eps) + tau
+        from ||x_a|| (1 + gamma).
+      - Underflow of the products s, t and w adds (|s| + 2 max nu + 1)
+        2^-1074 per step, and that of the two float64 passes n 2^-1073.
+    Summed, W_l = alpha N_l + phi F_l with alpha = ((n + 1) eps (||x|| +
+    ||x_a||) + sum over the steps of kappa |c| N_i + eps (|c| N_i + xi) +
+    tau) _FAC and phi = (u16 (1 + 2^-9) + (K + 4) eps) (1 + (K + 4) eps)
+    _FAC, the last factor covering the rounding of F's sums; beta = (2 eps
+    ||u_a||_inf (1 + K) + the absolute terms) _FAC; w_norm = ||W|| (1 +
+    gamma).  These hold while K eps < 2^-10, for any run of fewer than 2^42
+    x-steps.  A step makes no update, and every later test fails until the
+    next anchor, when ||u_a||_inf + ||x_a|| + sum |s| (2 max nu + 1) passes
+    a sixteenth of float64's range, which keeps v~, F and W finite, or when
+    c is not finite.
+    """
+
+    __slots__ = ("A", "nu", "nu_list", "norm_list", "tau", "kappa",
+                 "under_c", "spread", "tau_fixed", "starts", "column", "F",
+                 "room", "steps", "xi", "alpha_sum", "beta_sum", "gram_steps")
+
+    def __init__(self, A: mx.MatrixHandle):
+        super().__init__(A)
+        m, n, g = A.m, A.n, self.gamma
+        self.A = A
+        self.nu = np.sqrt(A.row_norms_sq)
+        self.nu_list = self.nu.tolist()
+        self.tau = math.sqrt(n) * 2.0 ** -537 * (1.0 + g)
+        self.norms += self.tau
+        self.norm_list = self.norms.tolist()
+        self.kappa = (n + 8) * _EPS + 2.0 ** -23
+        self.under_c = n * 2.0 ** -1073
+        self.spread = 2.0 * float(self.nu.max()) + 1.0
+        self.tau_fixed = n * 2.0 ** -1072
+        starts = np.arange(m + 1, dtype=np.int64)
+        self.starts = starts * (starts + 1) // 2
+        self.column = np.empty(m, dtype=np.float16)
+        self.v = np.empty(m)
+        self.F = np.empty(m)
+        self.gram_steps = 0
+
+    @property
+    def stepped(self) -> "GramResidual":
+        return self
+
+    def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
+               s: float | None) -> None:
+        super().anchor(x, z, u, s)
+        np.copyto(self.v, u)
+        self.F.fill(0.0)
+        self.room = float(np.finfo(np.float64).max) / 16.0 \
+            - self.u_a_term / (2.0 * _EPS) - self.x_a_norm
+        self.steps = 0
+        self.xi = self.x_a_norm
+        self.alpha_sum = self.beta_sum = 0.0
+
+    def column_step(self, j: int, c: float) -> None:
+        pass
+
+    def row_step(self, i: int, c: float) -> None:
+        s = c * self.nu_list[i]
+        room = self.room - abs(s) * self.spread
+        if not room >= 0.0:  # also for a NaN
+            self.room = -math.inf
+            return
+        self.room = room
+        t = self.buf
+        # cast, then multiply: faster than one float16-float64 multiply
+        t[...] = mx.cosine_column(self.A, i, self.column, self.starts)
+        w = np.multiply(np.multiply(t, self.nu, out=t), s, out=t)
+        np.subtract(self.v, w, out=self.v)
+        np.add(self.F, np.abs(w, out=w), out=self.F)
+        self.gram_steps += 1
+        self.steps += 1
+        a = abs(c) * self.norm_list[i]
+        self.xi = (self.xi + a) * (1.0 + 2.0 * _EPS) + self.tau
+        self.alpha_sum += self.kappa * a + _EPS * (a + self.xi) + self.tau
+        self.beta_sum += abs(c) * (self.tau * self.norm_list[i] + self.under_c) \
+            + (abs(s) + self.spread) * _SUB
+
+    def advance(self, x: np.ndarray) -> None:
+        """Sets W and beta for v~ as the steps since the anchor left it."""
+        if not (self.room >= 0.0 and abs(x).max() <= DIVERGENCE_CAP):
+            self.beta, self.w_norm = math.inf, 0.0
+            self.W.fill(0.0)
+            return
+        g, K = self.gamma, self.steps
+        nx = math.sqrt(x.dot(x)) * (1.0 + g)
+        alpha = (self.c_x * (nx + self.x_a_norm) + self.alpha_sum) * _FAC
+        phi = (_U16 + (K + 4) * _EPS) * (1.0 + (K + 4) * _EPS) * _FAC
+        W = np.multiply(self.norms, alpha, out=self.W)
+        W += np.multiply(self.F, phi, out=self.buf)
+        self.w_norm = math.sqrt(float(W @ W)) * (1.0 + g)
+        self.beta = (self.u_a_term * (1 + K) + self.beta_sum
+                     + self.tau_fixed) * _FAC
+
+
 def choose_certificate(method: str, A: mx.MatrixHandle, b: np.ndarray,
-                       budget: bool) -> ResidualCertificate:
-    """The certificate solve runs `method` with: a ResidualShadow for
-    EMRK/MEMRK on a dense handle of at least _SHADOW_MIN_ENTRIES entries
-    whose float32 copy is finite (n < 2^22 keeps g32 below 1), a
-    ResidualFloor for REK/PREK with a RES stop, else the exact path."""
+                       budget: bool, max_outer: int) -> ResidualCertificate:
+    """The certificate solve runs `method` with: for EMRK/MEMRK on a dense
+    handle of at least _SHADOW_MIN_ENTRIES entries (n < 2^22 keeps g32
+    below 1), a GramResidual where the handle's row cosines fit
+    (matrix._fits_cosines) and are built or repaid, else a ResidualShadow
+    where A's float32 copy is finite; a ResidualFloor for REK/PREK with a
+    RES stop; else the exact path.
+
+    A solve builds the cosines only if max_outer >= m: the build took as
+    long as the per-iteration time it saves over 0.13 m to 1.26 m
+    iterations, on four shapes from 700 x 400 to 20000 x 500
+    (BENCH_gram_greedy.json), so a shorter solve, such as a one-iteration
+    set-up pass, would not repay it.  Once built, the handle keeps them for
+    every later greedy solve."""
     if method in (EMRK, MEMRK):
         if A.m * A.n >= _SHADOW_MIN_ENTRIES and A.n < 1 << 22:
+            if mx._fits_cosines(A) and (A._cosines is not None
+                                        or max_outer >= A.m):
+                A.row_cosines  # built on first use
+                return GramResidual(A)
             A32 = mx.single_copy(A)  # None for CSR, or beyond float32
             if A32 is not None:
                 return ResidualShadow(A, A32)
@@ -651,7 +833,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(0, 0.0)
         return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
 
-    cert = choose_certificate(method, A, b, budget)
+    cert = choose_certificate(method, A, b, budget, config.max_outer)
     stepped = cert.stepped
     cert.anchor(x, z, u, 0.0)  # r = b - b = 0 exactly
     if not budget:
@@ -719,11 +901,12 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(k, res)
     log.debug("%s: %d iterations, %d float64 passes, %d full residual "
               "recomputes, %d floor refreshes, %d float32 shadow passes, %d "
-              "zero-row skips", method, k, passes, resyncs,
-              cert.floor_refreshes, cert.shadow_passes, zero_row_skips)
+              "Gram steps, %d zero-row skips", method, k, passes, resyncs,
+              cert.floor_refreshes, cert.shadow_passes, cert.gram_steps,
+              zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
                        resyncs, cert.floor_refreshes, zero_row_skips,
-                       cert.shadow_passes, passes)
+                       cert.shadow_passes, passes, cert.gram_steps)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

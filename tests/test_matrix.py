@@ -190,6 +190,61 @@ class TestSinglePrecision:
         assert np.all(abs(w.astype(np.float64) - A.dense @ d) <= slack * 1.01)
 
 
+class TestRowCosines:
+    """The packed float16 cosines of the rows (MatrixHandle.row_cosines)
+    that dense EMRK/MEMRK step their anchored residual with."""
+
+    def test_column_is_the_rounded_cosine(self):
+        rng = np.random.default_rng(5)
+        entries = rng.standard_normal((70, 9)) * np.logspace(-3, 3, 70)[:, None]
+        entries[4] = 0.0
+        entries[9] = entries[2]
+        A = mx.from_dense(entries)
+        norms = np.sqrt(A.row_norms_sq)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cos = (entries @ entries.T) / np.outer(norms, norms)
+        cos[4] = cos[:, 4] = 0.0
+        assert A.row_cosines.dtype == np.float16
+        assert A.row_cosines.size == 70 * 71 // 2
+        starts = np.arange(71) * np.arange(1, 72) // 2
+        out = np.empty(70, dtype=np.float16)
+        for i in range(70):
+            col = mx.cosine_column(A, i, out, starts).astype(np.float64)
+            # float16 rounding on the float64 cosine: 2^-11 relative, or
+            # 2^-25 below float16's smallest normal number
+            assert np.all(abs(col - cos[:, i]) <= 2.0 ** -11 * abs(cos[:, i])
+                          + 2.0 ** -25), i
+        assert mx.cosine_column(A, 9, out, starts)[2] == 1.0
+
+    def test_built_on_first_use_and_kept(self):
+        A = mx.from_dense(np.random.default_rng(6).standard_normal((40, 5)))
+        assert A._cosines is None
+        first = A.row_cosines
+        assert A.row_cosines is first and not first.flags.writeable
+
+    def test_gate(self):
+        rng = np.random.default_rng(7)
+        # m (m + 1) bytes <= 16 m n, the bytes of A and its row-major copy
+        assert mx.from_dense(rng.standard_normal((159, 10))).row_cosines is not None
+        assert mx.from_dense(rng.standard_normal((160, 10))).row_cosines is None
+        assert mx.from_scipy(sp.eye(3, format="csr")).row_cosines is None
+        huge = np.eye(3)
+        huge[0, 0] = 1e155  # ||A||_F^2 overflows
+        assert mx.from_dense(huge).row_cosines is None
+
+    def test_underflowing_row_has_zero_cosines(self):
+        A = mx.from_dense([[1e-150, 1e-150], [0.0, 1.5e-162]])
+        assert A.row_norms_sq[1] == 0.0
+        assert A.row_cosines.tolist() == [1.0, 0.0, 0.0]
+
+    def test_build_is_logged(self, caplog):
+        A = mx.from_dense(np.random.default_rng(8).standard_normal((30, 4)))
+        with caplog.at_level("INFO", logger="kmz.matrix"):
+            A.row_cosines
+        assert "row cosines of a 30 x 4 matrix" in caplog.text
+        assert "MB" in caplog.text
+
+
 class TestMatrixMarket:
     def test_roundtrip_dense(self, tmp_path):
         A = mx.from_dense(np.random.default_rng(3).standard_normal((3, 2)))

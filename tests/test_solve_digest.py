@@ -4,7 +4,7 @@ tests/data/solve_digest.json holds, for each cell, the SHA-1 of x_final,
 outer_iters, final_res, the trace rows and every SolveReport counter (or
 the error a solve raised): the five benchmark cells (REK, PREK, EMRK,
 MEMRK4, MEMRK6) x {tol, budget, trace} on four dense matrices, some above
-the A^T A and float32-shadow gates, and a CSR one.  The last bits of a
+the A^T A, float32-shadow and row-cosine gates, and a CSR one.  The last bits of a
 dot product depend on the BLAS and on the processor core it dispatches to,
 so the digest is keyed by numpy version, BLAS name and version and OpenBLAS
 core; under any other key the test skips and names the key it lacks.
@@ -38,8 +38,8 @@ DIGEST = Path(__file__).parent / "data" / "solve_digest.json"
 CELLS = (("rek", 1), ("prek", 1), ("emrk", 1), ("memrk", 4), ("memrk", 6))
 MODES = ("tol", "budget", "trace")
 # name -> (m, n, tol); the 1400 x 100 handle keeps A^T A, the 2200 x 120
-# one also runs the float32 shadow, and 700 x 400 runs the shadow without
-# A^T A
+# one also runs the float32 shadow (its row cosines would not fit), and
+# 700 x 400 steps its greedy residual by the row cosines, without A^T A
 SHAPES = {
     "dense_200x50_rank_deficient": (200, 50, 1e-8),
     "dense_1400x100": (1400, 100, 1e-6),
@@ -110,7 +110,7 @@ def digest_cell(A, b, tol, method, omega, mode, x_star) -> dict:
                   for k, res, err in report.trace],
         "counters": {key: getattr(report, key) for key in (
             "resyncs", "floor_refreshes", "zero_row_skips", "shadow_passes",
-            "full_passes")},
+            "full_passes", "gram_steps")},
     }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import fields, replace
 
@@ -390,6 +391,19 @@ def exact_path(mp):
     mp.setattr(sv, "choose_certificate", lambda *args: sv.ResidualCertificate())
 
 
+# The two increment sources of a dense greedy AnchoredResidual: a column of
+# the row cosines per x-step (GramResidual), or a float32 pass over A
+# (ResidualShadow).
+SOURCES = ("gram", "pass")
+
+
+def use_source(mp, source):
+    """Makes a dense greedy solve above the shadow gate advance r~ from
+    `source`: "pass" takes the float32 pass by failing the cosines' gate."""
+    if source == "pass":
+        mp.setattr(mx, "_fits_cosines", lambda A: False)
+
+
 def raised_at(cfg, A, b):
     """The outer iteration at which solve raises DivergenceError."""
     with pytest.raises(DivergenceError) as info:
@@ -440,20 +454,25 @@ class TestCarriedResidual:
                 assert floor.floor_refreshes > 0
                 assert floor.resyncs < o1.resyncs, (seed, method)
         assert (A._gram is not None) == (case == "gated")
-        # greedy runs on the float32 shadow (gate patched to take any dense
-        # shape) take the exact path's iterates
+        # greedy runs on either increment source of the anchored residual
+        # (gate patched to take any dense shape) take the exact path's
+        # iterates
         cfg = SolverConfig(method=sv.EMRK, tol=tol, seed=0)
-        with monkeypatch.context() as mp:
-            mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
-            greedy = solve(cfg, A, b)
         with monkeypatch.context() as mp:
             exact_path(mp)
             plain = solve(cfg, A, b)
-        assert greedy.x_final.tobytes() == plain.x_final.tobytes()
-        assert (greedy.outer_iters, greedy.final_res) == \
-            (plain.outer_iters, plain.final_res)
-        assert greedy.full_passes + greedy.shadow_passes >= greedy.outer_iters
-        assert (greedy.shadow_passes > 0) == A.is_dense
+        for source in SOURCES:
+            with monkeypatch.context() as mp:
+                mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+                use_source(mp, source)
+                greedy = solve(cfg, A, b)
+            assert greedy.x_final.tobytes() == plain.x_final.tobytes()
+            assert (greedy.outer_iters, greedy.final_res) == \
+                (plain.outer_iters, plain.final_res)
+            assert greedy.full_passes + greedy.shadow_passes \
+                + greedy.gram_steps >= greedy.outer_iters
+            assert (greedy.shadow_passes > 0) == (A.is_dense and source == "pass")
+            assert (greedy.gram_steps > 0) == (A.is_dense and source == "gram")
 
     def test_first_iteration_stop_is_kept(self, monkeypatch):
         # small-200x50 seed 48 of the benchmark stops at k = 1 (RES_1 < tol
@@ -838,14 +857,24 @@ class TestFullPasses:
                               (sv.MEMRK, 4), (sv.MEMRK, 6)):
             for tol, max_outer, trace_every in ((1e-6, 3000, 0),
                                                 (None, 300, 100)):
-                calls.clear()
-                before_first_step.clear()
-                rep = solve(SolverConfig(method=method, omega=omega, tol=tol,
-                                         max_outer=max_outer, seed=3,
-                                         trace_every=trace_every), A, b)
-                key = (method, omega, tol)
-                assert rep.full_passes == len(calls) >= 1, key
-                assert before_first_step == [0], key  # x starts at 0: no pass
+                for source in SOURCES:
+                    calls.clear()
+                    before_first_step.clear()
+                    with monkeypatch.context() as mp:
+                        use_source(mp, source)
+                        rep = solve(SolverConfig(
+                            method=method, omega=omega, tol=tol,
+                            max_outer=max_outer, seed=3,
+                            trace_every=trace_every), A, b)
+                    key = (method, omega, tol, source)
+                    assert rep.full_passes == len(calls) >= 1, key
+                    # x starts at 0: no pass
+                    assert before_first_step == [0], key
+                    greedy = method != sv.REK and method != sv.PREK \
+                        and shape == "above_gates"
+                    assert (rep.gram_steps > 0) == (greedy and source == "gram")
+                    assert (rep.shadow_passes > 0) == \
+                        (greedy and source == "pass")
         assert (A._gram is not None) == (shape == "above_gates")
 
     @pytest.mark.parametrize("case", ["tall", "rank_deficient", "csr", "gated"])
@@ -1378,6 +1407,276 @@ class TestResidualShadow:
                f"{rep.shadow_passes} float32 shadow passes" in caplog.text
 
 
+def new_gram(A, x, b):
+    A.row_cosines
+    gram = sv.GramResidual(A)
+    gram.anchor(x, b, b - mx.matvec(A, x), None)
+    return gram
+
+
+def new_anchored(source, A, x, b):
+    """An AnchoredResidual of A from `source`, anchored at x; None where the
+    source cannot serve A."""
+    if source == "gram":
+        return new_gram(A, x, b) if mx._fits_cosines(A) else None
+    return new_shadow(A, x, b) if mx.single_copy(A) is not None else None
+
+
+def greedy_walk(cert, A, b, steps, rng, omega=1):
+    """`steps` MEMRK(omega) iterations that pick by a float64 pass, with
+    `cert` moved along, asked for each pick and stop test and anchored
+    where solve would anchor it.  Asserts at every step that its bound
+    covers the float64 residual, that a pick it certifies is the float64
+    argmax, and that it does not exclude a stop a float64 pass would make.
+    Ends early at a zero-norm row, whose x-step solve skips or raises.
+    Returns the number of certified picks."""
+    x, z = np.zeros(A.n), b.copy()
+    cert.anchor(x, z, b, 0.0)
+    fresh, certified = True, 0
+    denom = float(b @ b)
+    for k in range(steps):
+        for _ in range(omega):
+            z_project_column(z, A, sample_column_weighted(rng, A), cert.stepped)
+        i = select_max_residual_row(b - mx.matvec(A, x) - z)
+        if not fresh:
+            assert covered(cert, A, x, b, z), k  # at the pick's z
+            pick = cert.pick(z)
+            assert pick in (-1, i), k
+            certified += pick >= 0
+            if pick < 0:
+                cert.anchor(x, z, b - mx.matvec(A, x), None)
+        if A.row_table[1][i] == 0.0:
+            break
+        x_project_row(x, A, i, b[i] - z[i], cert.stepped)
+        if not abs(x).max() <= sv.DIVERGENCE_CAP:
+            break  # solve raises at its next float64 pass
+        fresh = False
+        cert.advance(x)
+        assert covered(cert, A, x, b, z), k  # at the stop test's z
+        r_hat = b - mx.matvec(A, x) - z
+        res = float(r_hat @ r_hat) / denom
+        stopping = np.nextafter(res, np.inf) * denom * sv._UP
+        assert not cert.excludes_stop(z, stopping, denom), k
+    return certified
+
+
+class TestGramResidual:
+    """EMRK/MEMRK on a dense matrix above _SHADOW_MIN_ENTRIES whose row
+    cosines fit (matrix._fits_cosines) step r~ by one column of the cosines
+    per x-step (GramResidual), bounded so that every pick, iterate and count
+    is the float64 path's."""
+
+    @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "row_scaled"])
+    def test_bound_covers_the_float64_residual(self, kind):
+        A, b = shadow_case(kind)
+        gram = sv.GramResidual(A) if A.row_cosines is not None else None
+        certified = greedy_walk(gram, A, b, 1500, np.random.default_rng(24),
+                                omega=2)
+        assert gram.gram_steps == 1500
+        # tight enough to pay: measured 1455-1499 certified picks of 1499
+        assert certified >= 1300
+
+    def test_bound_covers_the_underflowing_row(self):
+        # row 1's squared norm underflows to 0, so its cosines are 0; the
+        # x-step on row 0 (c = 5e299) moves r_1 by c a_1 a_0^T = -7.5e-13,
+        # which only the absolute term |c| tau N_0 covers
+        A, b = handle([[1e-150, 1e-150], [0.0, 1.5e-162]]), np.ones(2)
+        gram = new_gram(A, np.zeros(2), b)
+        x, z = np.zeros(2), np.array([0.0, 1.0])
+        x_project_row(x, A, 0, 1.0, gram)
+        gram.advance(x)
+        r_hat = b - mx.matvec(A, x) - z
+        assert r_hat[1] == pytest.approx(-7.5e-13, rel=1e-3)
+        assert (gram.v - z)[1] == 0.0
+        assert covered(gram, A, x, b, z)
+
+    def test_bound_covers_the_rounding_of_the_stored_x(self):
+        # x = 2^53, where float64's spacing is 2: each step x += 0.75 leaves
+        # x as it is, while r~ moves by 0.75 a step; after 40 steps that is
+        # 30, beyond every term but the stored-x rounding (u_a is 0)
+        A, b = handle(np.ones((3, 1))), np.full(3, 2.0 ** 53)
+        x = np.full(1, 2.0 ** 53)
+        gram, z = new_gram(A, x, b), np.zeros(3)
+        for k in range(40):
+            gram.row_step(0, 0.75)
+            mx.axpy_row(x, A, 0, 0.75)
+            gram.advance(x)
+            assert covered(gram, A, x, b, z), k
+        assert x[0] == 2.0 ** 53 and (gram.v - z)[0] == -30.0
+
+    def test_near_parallel_rows_cover_the_float16_rounding(self):
+        # cosines near 1, where float16's spacing is 2^-11: a step on row 0
+        # moves r_1 by about c ||a_0|| ||a_1||, and its rounding is seen
+        rng = np.random.default_rng(31)
+        row = rng.standard_normal(6)
+        entries = np.array([row * (1.0 + 1e-4 * k) + 1e-3 * rng.standard_normal(6)
+                            for k in range(12)])
+        A, b = handle(entries), rng.standard_normal(12)
+        greedy_walk(sv.GramResidual(A) if A.row_cosines is not None else None,
+                    A, b, 300, np.random.default_rng(32), omega=1)
+
+    def test_overflowing_step_turns_the_source_off(self):
+        A, b = handle([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.ones(3)
+        gram = new_gram(A, np.zeros(2), b)
+        x = np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gram.row_step(0, 1e307)
+            mx.axpy_row(x, A, 0, 1e307)
+            gram.advance(x)
+            assert gram.gram_steps == 0
+            assert gram.pick(np.zeros(3)) == -1
+            assert not gram.excludes_stop(np.zeros(3), 1e-300, 3.0)
+            gram.row_step(1, np.nan)  # stays off until the next anchor
+            assert gram.gram_steps == 0
+        x = np.zeros(2)
+        gram.anchor(x, b, b - mx.matvec(A, x), None)
+        gram.row_step(1, 0.5)
+        assert gram.gram_steps == 1
+
+    def test_short_solves_do_not_build_the_cosines(self, monkeypatch):
+        # a solve capped below m iterations takes the float32 pass and
+        # leaves the handle without cosines
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        A, b = tall_problem(33, m=400, n=40)
+        short = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=399), A, b)
+        assert A._cosines is None and short.gram_steps == 0 < short.shadow_passes
+        full = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=400), A, b)
+        assert A._cosines is not None and full.shadow_passes == 0 < full.gram_steps
+        again = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=399), A, b)
+        assert again.gram_steps > 0
+        assert again.x_final.tobytes() == short.x_final.tobytes()
+
+    def test_debug_log_counts_gram_steps(self, caplog, monkeypatch):
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        A, b = tall_problem(29, m=600, n=60)
+        with caplog.at_level("DEBUG", logger="kmz"):
+            rep = solve(SolverConfig(method=sv.EMRK, seed=0), A, b)
+        assert 0 < rep.full_passes < rep.gram_steps == rep.outer_iters
+        assert f"{rep.full_passes} float64 passes" in caplog.text
+        assert f"0 float32 shadow passes, {rep.gram_steps} Gram steps" \
+            in caplog.text
+        assert "row cosines of a 600 x 60 matrix" in caplog.text
+
+
+@st.composite
+def anchored_cases(draw):
+    """(entries, b, seed, omega): a small dense matrix whose rows span
+    scales from 1e-100 to 1e100 (squared norms may underflow to 0), with
+    zero, duplicated and near-parallel rows drawn in."""
+    m, n = draw(st.integers(2, 12)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    spread = draw(st.sampled_from([0, 2, 50]))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    entries = rng.standard_normal((m, n)) * scale \
+        * 10.0 ** rng.integers(-spread, spread + 1, size=(m, 1))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "near"]),
+                              max_size=3)):
+        k, j = rng.integers(m, size=2)
+        if kind == "zero":
+            entries[k] = 0.0
+        elif kind == "dup":
+            entries[k] = entries[j]
+        else:  # near-parallel: cosine near 1, where float16 rounds most
+            entries[k] = entries[j] * (1.0 + 1e-3 * rng.standard_normal(n))
+    b = rng.standard_normal(m) * 10.0 ** draw(st.integers(-100, 100))
+    return entries, b, seed, draw(st.integers(1, 3))
+
+
+UNDERFLOW = np.array([[1e-150, 1e-150], [0.0, 1.5e-162]])
+
+
+class TestAnchoredResidualSoundness:
+    """Property-based: on drawn matrices, with the gates patched to 0, the
+    bound e of both increment sources covers the float64 residual at every
+    step, every certified pick is the float64 argmax, and solve gives the
+    exact path's iterates, counts and raises."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=anchored_cases())
+    @example(case=(UNDERFLOW, np.ones(2), 0, 1))
+    @example(case=(UNDERFLOW, np.array([1.0, 1e-150]), 1, 2))
+    def test_bound_covers_the_float64_residual(self, case):
+        entries, b, seed, omega = case
+        A = handle(entries)
+        if A.frob_sq == 0.0:
+            return
+        for source in SOURCES:
+            cert = new_anchored(source, A, np.zeros(A.n), b)
+            if cert is not None:
+                greedy_walk(cert, A, b, 40, np.random.default_rng(seed), omega)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=anchored_cases(), start=st.integers(-60, 60),
+           noise=st.integers(-30, 0),
+           steps=st.lists(st.tuples(st.integers(0, 11), st.floats(-1.0, 1.0),
+                                    st.integers(-60, 10)),
+                          min_size=1, max_size=40))
+    # x near 2^50, spacing 2^-2, and steps of 0.75 2^-4 that each round away
+    @example(case=(np.ones((3, 1)), np.zeros(3), 0, 1), start=53, noise=-1000,
+             steps=[(0, 0.75, -57)] * 40)
+    def test_bound_covers_any_x_steps(self, case, start, noise, steps):
+        # x-steps x += c a_i^T with any c, from an anchor x_a at which b is
+        # nearly A x_a: then the roundings of the stored x, not r, set the
+        # error of r~
+        entries, _, seed, _ = case
+        A = handle(entries)
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.standard_normal(A.n) * 2.0 ** 20) * 2.0 ** (start - 20)
+        b = mx.matvec(A, x) + rng.standard_normal(A.m) * 2.0 ** (start + noise)
+        if not np.isfinite(b).all():
+            return
+        z = np.zeros(A.m)
+        for source in SOURCES:
+            cert = new_anchored(source, A, x, b)
+            if cert is None:
+                continue
+            xs = x.copy()
+            for row, c, size in steps:
+                i = row % A.m
+                if A.row_table[1][i] == 0.0:
+                    continue
+                c *= 2.0 ** (start + size) / A.row_table[1][i] ** 0.5
+                if source == "gram":
+                    cert.row_step(i, c)
+                mx.axpy_row(xs, A, i, c)
+                if not np.isfinite(xs).all():
+                    break
+                cert.advance(xs)
+                assert covered(cert, A, xs, b, z), (source, row)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=anchored_cases(), method=st.sampled_from([sv.EMRK, sv.MEMRK]),
+           budget=st.booleans())
+    @example(case=(UNDERFLOW, np.ones(2), 0, 1), method=sv.EMRK, budget=False)
+    def test_solve_takes_the_exact_path(self, case, method, budget):
+        entries, b, seed, omega = case
+        A = handle(entries)
+        cfg = SolverConfig(method=method, omega=omega if method == sv.MEMRK else 1,
+                           seed=seed % 1000, tol=None if budget else 1e-6,
+                           max_outer=60)
+
+        def outcome(mp, source=None):
+            if source is None:
+                exact_path(mp)
+            else:
+                mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+                use_source(mp, source)
+            try:
+                rep = solve(cfg, A, b)
+            except (SolverError, DivergenceError) as exc:
+                return type(exc).__name__, str(exc)
+            return (rep.x_final.tobytes(), rep.outer_iters, rep.final_res,
+                    rep.converged, rep.trace, rep.zero_row_skips)
+
+        with pytest.MonkeyPatch.context() as mp:
+            want = outcome(mp)
+        for source in SOURCES:
+            with pytest.MonkeyPatch.context() as mp:
+                assert outcome(mp, source) == want, source
+
+
 def matrix_shape(shape, mp):
     """(A, b, tol) for a shape of the certificate matrix.  "above_gates" is
     300 x 50 with the certificates' gates patched on: the greedy methods
@@ -1414,7 +1713,8 @@ def rows_handle(A, keeps, monkeypatch):
 class TestCertificateMatrix:
     """Each certificate gives the exact path's iterates, counts, RES, trace
     rows and raise iteration: the five benchmark cells x {tol, budget,
-    trace}, and a run that diverges, on each shape of matrix_shape.  On a
+    trace}, and a run that diverges, on each shape of matrix_shape, with
+    both increment sources (SOURCES) of the greedy shapes above the gates.  On a
     column-major dense shape the fast path also reads its x-step rows from
     the row-major copy (matrix.MatrixHandle.rows, through a stride-2 copy
     of x), and the exact path the strided rows of the stored array;
@@ -1424,19 +1724,30 @@ class TestCertificateMatrix:
         monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
         dense, b = tall_problem(55, m=60, n=10)
         sparse = mx.from_scipy(scipy.sparse.csr_matrix(dense.dense))
-        for A in (dense, sparse):
+        tall, _ = tall_problem(55, m=161, n=10)  # m + 1 > 16 n: no cosines
+        # a solve of m = 60 iterations may build the cosines
+        for A, max_outer in ((dense, 59), (dense, 60), (dense, 1),
+                             (sparse, 50), (tall, 5000)):
             for method in sv.METHODS:
                 for budget in (False, True):
-                    cert = sv.choose_certificate(method, A, b, budget)
+                    built = dense._cosines is not None
+                    cert = sv.choose_certificate(method, A, b, budget, max_outer)
+                    key = (method, budget, A.shape, max_outer)
                     if method in (sv.EMRK, sv.MEMRK) and A.is_dense:
                         expected = sv.ResidualShadow
+                        if A is dense and (built or max_outer >= 60):
+                            expected = sv.GramResidual
                     elif method in (sv.REK, sv.PREK) and not budget:
                         expected = sv.ResidualFloor
                     else:
                         expected = sv.ResidualCertificate
-                    assert type(cert) is expected, (method, budget, A.is_dense)
-                    # only the floor moves with the z- and x-steps
-                    assert (cert.stepped is cert) == (expected is sv.ResidualFloor)
+                    assert type(cert) is expected, key
+                    # the floor and the Gram source move with the x-steps
+                    assert (cert.stepped is cert) == \
+                        (expected in (sv.ResidualFloor, sv.GramResidual)), key
+            # built by the first greedy solve that repays them, then kept
+            assert (dense._cosines is not None) == (max_outer >= 60 or built)
+        assert tall._cosines is None and sparse.row_cosines is None
 
     @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "c_order",
                                        "csr", "dense_as_csr"])
@@ -1447,10 +1758,13 @@ class TestCertificateMatrix:
         if A.is_dense:
             assert (A.rows is A.dense) == (shape == "c_order")
             assert A_exact.rows is A_exact.dense
-        for method, omega in ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1),
-                              (sv.MEMRK, 4), (sv.MEMRK, 6)):
+        gated = shape in ("above_gates", "c_order")
+        for (method, omega), source in itertools.product(
+                ((sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4),
+                 (sv.MEMRK, 6)), SOURCES):
             greedy = method in (sv.EMRK, sv.MEMRK)
-            gated = shape in ("above_gates", "c_order")
+            if source != "gram" and not (greedy and gated):
+                continue  # one source only: the certificate reads none
             shadowed = greedy and gated
             refreshed = not greedy and (gated or shape == "dense_as_csr")
             for mode in ("tol", "budget", "trace"):
@@ -1459,8 +1773,10 @@ class TestCertificateMatrix:
                                    max_outer=400 if mode == "budget" else 50_000,
                                    trace_every=37 if mode == "trace" else 0)
                 x_star = x_ls if mode == "trace" else None
-                fast = solve(cfg, A, b, x_star=x_star)
-                key = (shape, method, omega, mode)
+                with monkeypatch.context() as mp:
+                    use_source(mp, source)
+                    fast = solve(cfg, A, b, x_star=x_star)
+                key = (shape, method, omega, mode, source)
                 peaks = []
                 with monkeypatch.context() as mp:
                     exact_path(mp)
@@ -1472,16 +1788,18 @@ class TestCertificateMatrix:
                     (exact.outer_iters, exact.final_res, exact.converged,
                      exact.trace, exact.zero_row_skips), key
                 # the shortcut ran
-                assert exact.shadow_passes == exact.floor_refreshes == 0
-                assert (fast.shadow_passes > 0) == shadowed, key
+                assert exact.shadow_passes == exact.floor_refreshes == \
+                    exact.gram_steps == 0
+                assert (fast.shadow_passes > 0) == (shadowed and source == "pass")
+                assert (fast.gram_steps > 0) == (shadowed and source == "gram")
                 assert (fast.floor_refreshes > 0) == (refreshed and mode != "budget")
                 if mode != "tol":
                     continue
                 assert exact.resyncs == exact.outer_iters
                 if shadowed:
                     assert fast.resyncs <= fast.outer_iters / 20, key
-                    assert fast.full_passes + fast.shadow_passes >= \
-                        fast.outer_iters
+                    assert fast.full_passes + fast.shadow_passes + \
+                        fast.gram_steps >= fast.outer_iters
                 elif not greedy:
                     assert fast.resyncs <= fast.outer_iters / 3, key
                 # x first passes a cap set just below its largest entry: a
@@ -1489,6 +1807,7 @@ class TestCertificateMatrix:
                 top = int(np.argmax(peaks))
                 with monkeypatch.context() as mp:
                     mp.setattr(sv, "DIVERGENCE_CAP", max(peaks[:top], default=0.0))
+                    use_source(mp, source)
                     raised = raised_at(cfg, A, b)
                     exact_path(mp)
                     assert raised == raised_at(cfg, A_exact, b) == top + 1, key
