@@ -70,17 +70,18 @@ class MatrixHandle:
     call on one scalar) and one view per column (col_views).  Built on first
     use: the row views with the row-major copy (:attr:`rows`),
     :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read,
-    and :attr:`row_cosines`, the packed float16 cosines of every pair of
-    rows, which only EMRK/MEMRK read.  None of the three may be alive
-    during a set-up SVD of A, where peak memory is set: at 6000 x 500 the
-    cosines take 36 MB and the row-major copy 24 MB, so building them with
-    the handle would lift that peak.
+    and :attr:`row_cosines`, the float16 cosines of every pair of rows in
+    tile-column panels, with the views that :func:`cosine_column` reads
+    them through, which only EMRK/MEMRK read.  None of the three may be
+    alive during a set-up SVD of A, where peak memory is set: at 6000 x 500
+    the cosines take 36 MB and the row-major copy 24 MB, so building them
+    with the handle would lift that peak.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
                  "col_norms_sq", "frob_sq", "row_table", "col_table",
                  "col_views", "_rows", "_row_views", "_row_reach", "_gram",
-                 "_cosines")
+                 "_cosines", "_panels")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -123,6 +124,8 @@ class MatrixHandle:
         # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
         self._gram = None
         self._cosines = None
+        # the views of the row cosines that cosine_column reads
+        self._panels = None
 
     @property
     def row_reach(self) -> list:
@@ -139,14 +142,16 @@ class MatrixHandle:
     @property
     def row_cosines(self) -> np.ndarray | None:
         """The cosines fl16(a_l a_i^T / (||a_l|| ||a_i||)) of the rows l >= i
-        of a dense handle that passes :func:`_fits_cosines`, packed row by
-        row: row l's l + 1 entries start at l (l + 1) / 2, and a cosine
-        with an all-zero (or underflowing) row is 0.  Built on first use by
-        :func:`_row_cosines`; None where the gate fails.  Column i is read
-        by :func:`cosine_column`.
+        of a dense handle that passes :func:`_fits_cosines`, as one
+        read-only float16 array of tile-column panels of width _TILE: panel
+        I holds rows l >= I b of columns I b .. (I + 1) b - 1, C-order, its
+        diagonal tile in full (see :func:`_row_cosines`).  A cosine with an
+        all-zero (or underflowing) row is 0.  Built on first use, with the
+        panel views, by :func:`_row_cosines`; None where the gate fails.
+        Column i is read by :func:`cosine_column`, in two slices.
         """
         if self._cosines is None and _fits_cosines(self):
-            self._cosines = _row_cosines(self)
+            self._cosines, self._panels = _row_cosines(self)
         return self._cosines
 
     @property
@@ -201,6 +206,13 @@ _DENSE_GRAM_RATIO = 100
 _GRAM_MIN_ENTRIES = 1 << 17
 # Fewest entries for which a dense handle keeps a row-major copy; see _keeps_rows.
 _ROWS_MIN_ENTRIES = 1 << 19
+# Width b of the tile-column panels of the row cosines (_row_cosines).  On
+# 6000 x 500 (BENCH_cosine_panels.json, medians) a random column read into
+# float64 took 25.6 us at b = 16 and 38.5 us at b = 32 (65.5 us from a
+# packed triangle), the build 0.61 s and 0.52 s (0.74 s packed), and an
+# EMRK iteration 181 and 182 us (213 us packed), a tie: the faster read
+# decides.
+_TILE = 16
 
 
 def _keeps_gram(A: MatrixHandle) -> bool:
@@ -218,13 +230,20 @@ def _keeps_gram(A: MatrixHandle) -> bool:
 
 def _fits_cosines(A: MatrixHandle) -> bool:
     """Whether a dense handle may build :attr:`MatrixHandle.row_cosines`:
-    m (m + 1) <= 16 m n, so that the m (m + 1) bytes of the packed float16
-    lower triangle are no more than those of A and its row-major copy, and
-    2 ||A||_F^2 finite, which keeps every entry of A A^T finite.  A full
-    square float16 matrix would take 72 MB at 6000 x 500 and lift the
-    solve's peak memory above that of the set-up SVD."""
-    return (A.dense is not None and A.m + 1 <= 16 * A.n
+    their panel store (:func:`_cosine_bytes`) takes no more than the 16 m n
+    bytes of A and its row-major copy, and 2 ||A||_F^2 is finite, which
+    keeps every entry of A A^T finite.  A full square float16 matrix would
+    take 72 MB at 6000 x 500 and lift the solve's peak memory above that of
+    the set-up SVD."""
+    return (A.dense is not None and _cosine_bytes(A.m) <= 16 * A.m * A.n
             and 2.0 * A.frob_sq < math.inf)
+
+
+def _cosine_bytes(m: int) -> int:
+    """Bytes of the row cosines' panel store for m rows, the padding and
+    the full diagonal tiles counted: 2 b sum_I (m - I b), b = _TILE, which
+    is m (m + b) where b divides m."""
+    return 2 * _TILE * int(_panel_heights(m).sum())
 
 
 def _keeps_rows(A: MatrixHandle) -> bool:
@@ -321,34 +340,64 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     return reach, (_readonly(H) if gram and _keeps_gram(A) else None)
 
 
-def _row_cosines(A: MatrixHandle) -> np.ndarray:
-    """The packed float16 lower triangle of C = D A A^T D, D = diag(1 / nu),
-    nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0): A A^T in float64 by BLAS-3
-    in row blocks of at most _REACH_BLOCK * 8 entries, each block scaled
-    and rounded to float16.  Each entry of A A^T errs by at most
-    gamma_n |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec. 3.1),
-    in any order of summation; the two scalings round by eps/2 relative
-    each and the cast to float16 by 2^-11 relative or 2^-25 absolute
-    (solvers.GramResidual bounds their effect).  Logs its seconds and
-    megabytes."""
-    m = A.m
+def _panel_heights(m: int) -> np.ndarray:
+    """Rows of each tile-column panel of an m x m cosine matrix: panel I
+    holds rows I b .. m - 1, b = _TILE."""
+    return m - np.arange(0, m, _TILE)
+
+
+def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
+    """(store, (panels, tile_rows, base)): the lower triangle of C = D A A^T
+    D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0), in
+    float16 tile-column panels of width b = _TILE.  Panel I is the C-order
+    block C[I b:, I b:(I + 1) b] (a view in `panels`, zero-padded beyond
+    column m - 1), and its diagonal tile is stored in full: the upper half
+    mirrors the lower, so C_li for l < i in that tile holds row i's value,
+    C_il.  Row i of panel L < i // b is row base[L] + i of `tile_rows`, the
+    store viewed as (-1, b).  :func:`cosine_column` reads column i from
+    these views.
+
+    A A^T is formed in float64 by BLAS-3 in row blocks of at most
+    _REACH_BLOCK * 8 entries, each block scaled, rounded to float16 once
+    and copied into the panels it crosses.  Each entry of A A^T errs by at
+    most gamma_n |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec.
+    3.1), in any order of summation; the two scalings round by eps/2
+    relative each and the cast to float16 by 2^-11 relative or 2^-25
+    absolute (solvers.GramResidual bounds their effect).  Logs its seconds
+    and megabytes."""
+    m, b = A.m, _TILE
     start = time.perf_counter()
     norms = np.sqrt(A.row_norms_sq)
     inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
-    packed = np.empty(m * (m + 1) // 2, dtype=np.float16)
+    sizes = _panel_heights(m) * b
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    store = np.zeros(offsets[-1], dtype=np.float16)
+    panels = [store[o:o + k].reshape(-1, b) for o, k in zip(offsets, sizes)]
     height = max(1, 8 * _REACH_BLOCK // m)
-    pos = 0
+    # one buffer of each type for every block: a fresh 8 MB block per
+    # GEMM would fault in its pages on every call
+    wide, narrow = np.empty(height * m), np.empty(height * m, np.float16)
     for s in range(0, m, height):
         e = min(m, s + height)
-        block = A.dense[s:e] @ A.dense[:e].T
+        block = np.matmul(A.dense[s:e], A.dense[:e].T,
+                          out=wide[:(e - s) * e].reshape(e - s, e))
         block *= inv[s:e, None]
         block *= inv[:e]
-        for k, row in enumerate(block, s + 1):
-            packed[pos:pos + k] = row[:k]
-            pos += k
+        block16 = narrow[:block.size].reshape(block.shape)
+        block16[...] = block
+        for top in range(0, e, b):
+            lo = max(s, top)
+            tile = block16[lo - s:, top:top + b]
+            panels[top // b][lo - top:e - top, :tile.shape[1]] = tile
+    for panel in panels:  # the mirror: upper half of the diagonal tile
+        h = min(b, len(panel))
+        tile, upper = panel[:h, :h], np.triu_indices(h, 1)
+        tile[upper] = tile.T[upper]
+    base = offsets[:-1] // b - np.arange(0, m, b)
     log.info("row cosines of a %d x %d matrix: %.3f s, %.1f MB", m, A.n,
-             time.perf_counter() - start, packed.nbytes / 1e6)
-    return _readonly(packed)
+             time.perf_counter() - start, store.nbytes / 1e6)
+    return _readonly(store), ([_readonly(p) for p in panels],
+                              _readonly(store.reshape(-1, b)), base)
 
 
 def _row_dots(P, Q) -> np.ndarray:
@@ -412,15 +461,19 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
     return A32 @ d.astype(np.float32)
 
 
-def cosine_column(A: MatrixHandle, i: int, out: np.ndarray,
-                  starts: np.ndarray) -> np.ndarray:
+def cosine_column(A: MatrixHandle, i: int, out: np.ndarray) -> np.ndarray:
     """Column i of the symmetric cosine matrix (:attr:`MatrixHandle.row_cosines`)
-    into the float16 m-vector `out`: row i's own i + 1 entries, which are
-    contiguous, then entry i of each later row, gathered.  `starts` holds
-    l (l + 1) / 2 for l = 0 .. m, as int64."""
-    packed = A._cosines
-    out[:i + 1] = packed[starts[i]:starts[i + 1]]
-    np.take(packed, starts[i + 1:-1] + i, out=out[i + 1:])
+    into the m-vector `out`, cast to its dtype.  With I = i // b, b = _TILE,
+    the entries l >= I b are column i - I b of panel I, a slice with a
+    stride of b entries; the entries l < I b are row i of panels 0 .. I - 1,
+    I contiguous b-entry rows of the store, gathered."""
+    if not 0 <= i < A.m:
+        raise MatrixError(f"row index {i} out of range [0, {A.m})")
+    panels, tile_rows, base = A._panels
+    I, k = divmod(i, _TILE)
+    top = I * _TILE
+    out[top:] = panels[I][:, k]
+    out[:top] = np.take(tile_rows, base[:I] + i, axis=0).reshape(top)
     return out
 
 

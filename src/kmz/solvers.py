@@ -623,8 +623,10 @@ class GramResidual(AnchoredResidual):
     fl(x + fl(c a_i^T)) moves it, in `row_step`, by
       v~ = fl(v~ - w), w = fl(s t), s = fl(c nu_i), t = fl(nu (.) C_i),
     where nu_l = fl(sqrt(||a_l||^2)) and C_i is column i of the float16
-    cosines of the handle (matrix.MatrixHandle.row_cosines): an m-vector
-    read per step instead of the m n entries of A.  Exactly, an x-step moves
+    cosines of the handle (matrix.MatrixHandle.row_cosines), read by
+    matrix.cosine_column straight into the float64 buffer t from two slices
+    of their tile-column panels: an m-vector per step instead of the m n
+    entries of A.  Exactly, an x-step moves
     b - A x by -c A a_i^T - A delta, delta = x' - x - c a_i^T, the rounding
     of the stored x.  With u16 = 2^-11, N_l = nu_l (1 + gamma) + tau >=
     ||a_l|| (`norms`), tau = sqrt(n) 2^-537 (1 + gamma) (a row whose squared
@@ -664,7 +666,7 @@ class GramResidual(AnchoredResidual):
     """
 
     __slots__ = ("A", "nu", "nu_list", "norm_list", "tau", "kappa",
-                 "under_c", "spread", "tau_fixed", "starts", "column", "F",
+                 "under_c", "spread", "tau_fixed", "F",
                  "room", "steps", "xi", "alpha_sum", "beta_sum", "gram_steps")
 
     def __init__(self, A: mx.MatrixHandle):
@@ -680,9 +682,6 @@ class GramResidual(AnchoredResidual):
         self.under_c = n * 2.0 ** -1073
         self.spread = 2.0 * float(self.nu.max()) + 1.0
         self.tau_fixed = n * 2.0 ** -1072
-        starts = np.arange(m + 1, dtype=np.int64)
-        self.starts = starts * (starts + 1) // 2
-        self.column = np.empty(m, dtype=np.float16)
         self.v = np.empty(m)
         self.F = np.empty(m)
         self.gram_steps = 0
@@ -712,9 +711,8 @@ class GramResidual(AnchoredResidual):
             self.room = -math.inf
             return
         self.room = room
-        t = self.buf
         # cast, then multiply: faster than one float16-float64 multiply
-        t[...] = mx.cosine_column(self.A, i, self.column, self.starts)
+        t = mx.cosine_column(self.A, i, self.buf)
         w = np.multiply(np.multiply(t, self.nu, out=t), s, out=t)
         np.subtract(self.v, w, out=self.v)
         np.add(self.F, np.abs(w, out=w), out=self.F)

@@ -4,6 +4,8 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmz import matrix as mx
 from kmz.errors import MatrixError, MatrixFormatError
@@ -190,9 +192,82 @@ class TestSinglePrecision:
         assert np.all(abs(w.astype(np.float64) - A.dense @ d) <= slack * 1.01)
 
 
+def packed_cosines(A: mx.MatrixHandle) -> np.ndarray:
+    """The reference the panel store must match bit for bit: the lower
+    triangle of the cosines packed row by row, from the same float64 row
+    blocks and scalings, each row cast to float16 on its own."""
+    m = A.m
+    norms = np.sqrt(A.row_norms_sq)
+    inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
+    packed = np.empty(m * (m + 1) // 2, dtype=np.float16)
+    height = max(1, 8 * mx._REACH_BLOCK // m)
+    pos = 0
+    for s in range(0, m, height):
+        e = min(m, s + height)
+        block = A.dense[s:e] @ A.dense[:e].T
+        block *= inv[s:e, None]
+        block *= inv[:e]
+        for k, row in enumerate(block, s + 1):
+            packed[pos:pos + k] = row[:k]
+            pos += k
+    return packed
+
+
+def packed_column(packed: np.ndarray, m: int, i: int) -> np.ndarray:
+    """Column i of the symmetric matrix whose lower triangle is `packed`:
+    row i's own i + 1 entries, then entry i of each later row."""
+    starts = np.arange(m + 1) * np.arange(1, m + 2) // 2
+    return np.concatenate((packed[starts[i]:starts[i + 1]],
+                           packed[starts[i + 1:-1] + i]))
+
+
+def cosine_handle(entries, mp) -> mx.MatrixHandle:
+    """A dense handle with its row cosines built, the gate's byte count
+    lifted: a matrix narrower than a tile's padding would not fit it."""
+    mp.setattr(mx, "_cosine_bytes", lambda m: 0)
+    A = mx.from_dense(entries)
+    assert A.row_cosines is not None
+    return A
+
+
+def assert_matches_packed(A: mx.MatrixHandle) -> None:
+    """Every column of A's panel store equals the packed reference, bit
+    for bit, read into float16 and into float64."""
+    packed = packed_cosines(A)
+    half, wide = np.empty(A.m, dtype=np.float16), np.empty(A.m)
+    for i in range(A.m):
+        want = packed_column(packed, A.m, i)
+        assert mx.cosine_column(A, i, half).tobytes() == want.tobytes(), i
+        assert mx.cosine_column(A, i, wide).tobytes() == \
+            want.astype(np.float64).tobytes(), i
+
+
+@st.composite
+def cosine_cases(draw):
+    """Entries of a dense matrix of 1 to 3 tiles of rows, with rows of
+    scales from 1e-165 (their squared norms underflow, to 0 below about
+    1e-162) to 1e150, and zero, duplicated and near-parallel rows drawn in."""
+    m = draw(st.integers(1, 3 * mx._TILE + 1))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = rng.standard_normal((m, n)) \
+        * 10.0 ** rng.integers(-165, 151, size=(m, 1))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "near"]),
+                              max_size=4)):
+        k, j = rng.integers(m, size=2)
+        if kind == "zero":
+            entries[k] = 0.0
+        elif kind == "dup":
+            entries[k] = entries[j]
+        else:
+            entries[k] = entries[j] * (1.0 + 1e-3 * rng.standard_normal(n))
+    return entries
+
+
 class TestRowCosines:
-    """The packed float16 cosines of the rows (MatrixHandle.row_cosines)
-    that dense EMRK/MEMRK step their anchored residual with."""
+    """The float16 cosines of the rows (MatrixHandle.row_cosines), stored as
+    tile-column panels, that dense EMRK/MEMRK step their anchored residual
+    with."""
 
     def test_column_is_the_rounded_cosine(self):
         rng = np.random.default_rng(5)
@@ -205,37 +280,106 @@ class TestRowCosines:
             cos = (entries @ entries.T) / np.outer(norms, norms)
         cos[4] = cos[:, 4] = 0.0
         assert A.row_cosines.dtype == np.float16
-        assert A.row_cosines.size == 70 * 71 // 2
-        starts = np.arange(71) * np.arange(1, 72) // 2
-        out = np.empty(70, dtype=np.float16)
+        assert A.row_cosines.nbytes == mx._cosine_bytes(70)
+        out = np.empty(70)
         for i in range(70):
-            col = mx.cosine_column(A, i, out, starts).astype(np.float64)
+            col = mx.cosine_column(A, i, out)
             # float16 rounding on the float64 cosine: 2^-11 relative, or
             # 2^-25 below float16's smallest normal number
             assert np.all(abs(col - cos[:, i]) <= 2.0 ** -11 * abs(cos[:, i])
                           + 2.0 ** -25), i
-        assert mx.cosine_column(A, 9, out, starts)[2] == 1.0
+        assert mx.cosine_column(A, 9, out)[2] == 1.0
+
+    @pytest.mark.parametrize("m", [1, 2, mx._TILE - 1, mx._TILE,
+                                   mx._TILE + 1, 3 * mx._TILE + 5, 300])
+    def test_columns_equal_the_packed_reference(self, m, monkeypatch):
+        # one tile or less, and tile widths that do and do not divide m
+        rng = np.random.default_rng(m)
+        entries = rng.standard_normal((m, 7)) * np.logspace(-2, 2, m)[:, None]
+        if m > 5:
+            entries[1] = 0.0
+            entries[3] = entries[m - 1]
+            entries[4] = 1e-163  # its squared norm underflows to 0
+        A = cosine_handle(entries, monkeypatch)
+        assert m <= 5 or A.row_norms_sq[4] == 0.0
+        assert_matches_packed(A)
+
+    def test_blocks_that_end_inside_a_diagonal_tile(self, monkeypatch):
+        # 8 * 57 // 90 = 5 rows a build block, so that block edges fall
+        # inside tiles: a block's copy writes the part of a diagonal tile's
+        # upper half that it holds from its own entries, scaled in the other
+        # order, and leaves the rest; the mirror replaces both
+        monkeypatch.setattr(mx, "_REACH_BLOCK", 57)
+        rng = np.random.default_rng(9)
+        entries = rng.standard_normal((90, 4)) * np.logspace(-3, 3, 90)[:, None]
+        assert_matches_packed(cosine_handle(entries, monkeypatch))
+
+    def test_diagonal_tile_holds_row_i_values_above_the_diagonal(
+            self, monkeypatch):
+        # C_01 from the GEMM's entry (0, 1), scaled by 1 / nu_0 first, and
+        # from row 1's entry (1, 0), scaled by 1 / nu_1 first: near a
+        # float16 rounding midpoint the two orders round apart, and the
+        # upper half must hold row 1's value, as the packed triangle did
+        mid = 1.0 - 2.0 ** -12  # halfway between two float16 numbers
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            alpha, beta = rng.uniform(1.0, 2.0, 2)
+            entries = np.array([[alpha, 0.0],
+                                [beta * mid, beta * np.sqrt(1.0 - mid * mid)]])
+            G = entries @ entries.T
+            inv = 1.0 / np.sqrt(mx.from_dense(entries).row_norms_sq)
+            row_1 = np.float16(G[1, 0] * inv[1] * inv[0])
+            if np.float16(G[0, 1] * inv[0] * inv[1]) != row_1:
+                break
+        else:
+            pytest.fail("no pair of rows whose two scalings round apart")
+        A = cosine_handle(entries, monkeypatch)
+        assert mx.cosine_column(A, 1, np.empty(2, np.float16))[0] == row_1
+        assert_matches_packed(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=cosine_cases())
+    def test_drawn_columns_equal_the_packed_reference(self, entries):
+        with pytest.MonkeyPatch.context() as mp:
+            assert_matches_packed(cosine_handle(entries, mp))
+
+    def test_column_index_out_of_range(self):
+        A = mx.from_dense(np.random.default_rng(10).standard_normal((20, 4)))
+        assert A.row_cosines is not None
+        out = np.empty(20)
+        for i in (20, -1, -21):
+            with pytest.raises(MatrixError, match="row index"):
+                mx.cosine_column(A, i, out)
 
     def test_built_on_first_use_and_kept(self):
         A = mx.from_dense(np.random.default_rng(6).standard_normal((40, 5)))
         assert A._cosines is None
         first = A.row_cosines
         assert A.row_cosines is first and not first.flags.writeable
+        panels, tile_rows, _ = A._panels
+        assert not any(view.flags.writeable for view in (*panels, tile_rows))
 
     def test_gate(self):
         rng = np.random.default_rng(7)
-        # m (m + 1) bytes <= 16 m n, the bytes of A and its row-major copy
-        assert mx.from_dense(rng.standard_normal((159, 10))).row_cosines is not None
-        assert mx.from_dense(rng.standard_normal((160, 10))).row_cosines is None
+        # the store takes m (m + b) bytes where b divides m, so 16 n - b
+        # rows of n = 10 fit in 16 m n, the bytes of A and its row-major copy
+        edge = 16 * 10 - mx._TILE
+        fits = mx.from_dense(rng.standard_normal((edge, 10))).row_cosines
+        assert fits is not None and fits.nbytes == edge * (edge + mx._TILE)
+        assert fits.nbytes <= 16 * edge * 10
+        assert mx.from_dense(rng.standard_normal((edge + 1, 10))).row_cosines is None
+        assert mx._cosine_bytes(edge + 1) > 16 * (edge + 1) * 10
         assert mx.from_scipy(sp.eye(3, format="csr")).row_cosines is None
         huge = np.eye(3)
         huge[0, 0] = 1e155  # ||A||_F^2 overflows
         assert mx.from_dense(huge).row_cosines is None
 
-    def test_underflowing_row_has_zero_cosines(self):
-        A = mx.from_dense([[1e-150, 1e-150], [0.0, 1.5e-162]])
+    def test_underflowing_row_has_zero_cosines(self, monkeypatch):
+        A = cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]], monkeypatch)
         assert A.row_norms_sq[1] == 0.0
-        assert A.row_cosines.tolist() == [1.0, 0.0, 0.0]
+        out = np.empty(2)
+        assert mx.cosine_column(A, 0, out).tolist() == [1.0, 0.0]
+        assert mx.cosine_column(A, 1, out).tolist() == [0.0, 0.0]
 
     def test_build_is_logged(self, caplog):
         A = mx.from_dense(np.random.default_rng(8).standard_normal((30, 4)))

@@ -5,13 +5,18 @@ outer_iters, final_res, the trace rows and every SolveReport counter (or
 the error a solve raised): the five benchmark cells (REK, PREK, EMRK,
 MEMRK4, MEMRK6) x {tol, budget, trace} on four dense matrices, some above
 the A^T A, float32-shadow and row-cosine gates, and a CSR one.  The last bits of a
-dot product depend on the BLAS and on the processor core it dispatches to,
-so the digest is keyed by numpy version, BLAS name and version and OpenBLAS
-core; under any other key the test skips and names the key it lacks.
+dot product depend on the BLAS, on the processor core it dispatches to and,
+for the SVD oracle whose x_star sets the trace rows' err_sq, on its thread
+count, so the digest is keyed by numpy version, BLAS name and version,
+OpenBLAS core and OpenBLAS threads; under any other key the test skips and
+names the key it lacks.
 
-A change that moves iterates on purpose regenerates the file with
+Run as a script, the module writes the digest of its own key into the file
+and keeps the other keys.  A change that moves iterates on purpose
+regenerates both thread counts kept today, the default and one thread:
 
-    PYTHONPATH=src python tests/test_solve_digest.py > tests/data/solve_digest.json
+    PYTHONPATH=src python tests/test_solve_digest.py
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_solve_digest.py
 
 and names the cells that changed.
 """
@@ -21,7 +26,6 @@ import glob
 import hashlib
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -52,25 +56,29 @@ BUDGET = 500       # iterations of the budget mode
 TRACE_EVERY = 37
 
 
-def openblas_core() -> str | None:
-    """The core OpenBLAS dispatches to, read from numpy's bundled library;
-    None where no such library or symbol is found."""
+def openblas() -> tuple[str | None, int | None]:
+    """(core, threads): the core OpenBLAS dispatches to and the number of
+    threads it runs, read from numpy's bundled library; (None, None) where
+    no such library or symbol is found."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
         lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_corename64_",
-                       "scipy_openblas_get_corename", "openblas_get_corename"):
-            corename = getattr(lib, symbol, None)
+        for name in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}",
+                     "openblas_get_{}"):
+            corename = getattr(lib, name.format("corename"), None)
             if corename is not None:
                 corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
+                threads = getattr(lib, name.format("num_threads"))
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return corename().decode(), threads()
+    return None, None
 
 
 def environment_key() -> str:
     env = bench.environment()
+    core, threads = openblas()
     return (f"numpy {env['numpy']}; blas {env['blas']['name']} "
-            f"{env['blas']['version']}; core {openblas_core()}")
+            f"{env['blas']['version']}; core {core}; threads {threads}")
 
 
 def problem(name: str):
@@ -141,8 +149,9 @@ def test_solves_match_the_committed_digest(name, committed):
 
 
 if __name__ == "__main__":
+    digest = json.loads(DIGEST.read_text()) if DIGEST.exists() else {}
     cells = {}
     for name in sorted(SHAPES):
         cells.update(digest_shape(name))
-    json.dump({environment_key(): cells}, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    digest[environment_key()] = cells
+    DIGEST.write_text(json.dumps(digest, indent=1, sort_keys=True) + "\n")

@@ -397,11 +397,21 @@ def exact_path(mp):
 SOURCES = ("gram", "pass")
 
 
+def lift_cosine_gate(mp):
+    """Lets a dense handle of any shape keep its row cosines (the gate's
+    finite-norm test still holds): on a matrix of a few columns the panel
+    store's padding alone outweighs the 16 m n bytes that the gate allows."""
+    mp.setattr(mx, "_cosine_bytes", lambda m: 0)
+
+
 def use_source(mp, source):
     """Makes a dense greedy solve above the shadow gate advance r~ from
-    `source`: "pass" takes the float32 pass by failing the cosines' gate."""
+    `source`: "pass" takes the float32 pass by failing the cosines' gate,
+    "gram" the row cosines with their byte gate lifted."""
     if source == "pass":
         mp.setattr(mx, "_fits_cosines", lambda A: False)
+    else:
+        lift_cosine_gate(mp)
 
 
 def raised_at(cfg, A, b):
@@ -1408,7 +1418,12 @@ class TestResidualShadow:
 
 
 def new_gram(A, x, b):
-    A.row_cosines
+    """A GramResidual of A anchored at x, its row cosines built with the
+    byte gate lifted; None where they cannot be built."""
+    with pytest.MonkeyPatch.context() as mp:
+        lift_cosine_gate(mp)
+        if A.row_cosines is None:
+            return None
     gram = sv.GramResidual(A)
     gram.anchor(x, b, b - mx.matvec(A, x), None)
     return gram
@@ -1418,7 +1433,7 @@ def new_anchored(source, A, x, b):
     """An AnchoredResidual of A from `source`, anchored at x; None where the
     source cannot serve A."""
     if source == "gram":
-        return new_gram(A, x, b) if mx._fits_cosines(A) else None
+        return new_gram(A, x, b)
     return new_shadow(A, x, b) if mx.single_copy(A) is not None else None
 
 
@@ -1724,7 +1739,7 @@ class TestCertificateMatrix:
         monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
         dense, b = tall_problem(55, m=60, n=10)
         sparse = mx.from_scipy(scipy.sparse.csr_matrix(dense.dense))
-        tall, _ = tall_problem(55, m=161, n=10)  # m + 1 > 16 n: no cosines
+        tall, _ = tall_problem(55, m=161, n=10)  # m + b > 16 n: no cosines
         # a solve of m = 60 iterations may build the cosines
         for A, max_outer in ((dense, 59), (dense, 60), (dense, 1),
                              (sparse, 50), (tall, 5000)):
