@@ -376,7 +376,8 @@ def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
     height = max(1, 8 * _REACH_BLOCK // m)
     # one buffer of each type for every block: a fresh 8 MB block per
     # GEMM would fault in its pages on every call
-    wide, narrow = np.empty(height * m), np.empty(height * m, np.float16)
+    size = min(height, m) * m
+    wide, narrow = np.empty(size), np.empty(size, np.float16)
     for s in range(0, m, height):
         e = min(m, s + height)
         block = np.matmul(A.dense[s:e], A.dense[:e].T,
