@@ -20,6 +20,9 @@ dispatch of @ for the same bits.  A CSR row or column is the (indices, data)
 pair of its stored entries.  The column views are built with the handle;
 the row kernels read the row list's slot and call its property only until
 it is built, since a property call would add about 0.3 us to every step.
+Dense greedy solves also read one column of the row cosines per x-step
+(cosine_column), stored as int16 fixed point: q = rint(32767 C), whose
+widening to float64 is a native cast, exact, at two bytes an entry.
 Handles come from from_dense, from_scipy and read_matrix_market.
 """
 
@@ -70,9 +73,9 @@ class MatrixHandle:
     call on one scalar) and one view per column (col_views).  Built on first
     use: the row views with the row-major copy (:attr:`rows`),
     :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read,
-    and :attr:`row_cosines`, the float16 cosines of every pair of rows in
-    tile-column panels, with the views that :func:`cosine_column` reads
-    them through, which only EMRK/MEMRK read.  None of the three may be
+    and :attr:`row_cosines`, the int16 fixed-point cosines of every pair of
+    rows in tile-column panels, with the views that :func:`cosine_column`
+    reads them through, which only EMRK/MEMRK read.  None of the three may be
     alive during a set-up SVD of A, where peak memory is set: at 6000 x 500
     the cosines take 36 MB and the row-major copy 24 MB, so building them
     with the handle would lift that peak.
@@ -141,10 +144,12 @@ class MatrixHandle:
 
     @property
     def row_cosines(self) -> np.ndarray | None:
-        """The cosines fl16(a_l a_i^T / (||a_l|| ||a_i||)) of the rows l >= i
-        of a dense handle that passes :func:`_fits_cosines`, as one
-        read-only float16 array of tile-column panels of width _TILE: panel
-        I holds rows l >= I b of columns I b .. (I + 1) b - 1, C-order, its
+        """The cosines C_li = a_l a_i^T / (||a_l|| ||a_i||) of the rows
+        l >= i of a dense handle that passes :func:`_fits_cosines`, in int16
+        fixed point, q_li = rint(clip(_COS_ONE C_li, +-_COS_ONE)), each
+        within 1 / (2 _COS_ONE) = 1/65534 of the float64 cosine, as one
+        read-only array of tile-column panels of width _TILE: panel I holds
+        rows l >= I b of columns I b .. (I + 1) b - 1, C-order, its
         diagonal tile in full (see :func:`_row_cosines`).  A cosine with an
         all-zero (or underflowing) row is 0.  Built on first use, with the
         panel views, by :func:`_row_cosines`; None where the gate fails.
@@ -213,6 +218,9 @@ _ROWS_MIN_ENTRIES = 1 << 19
 # EMRK iteration 181 and 182 us (213 us packed), a tie: the faster read
 # decides.
 _TILE = 16
+# The int16 value of a cosine of 1: the row cosines are stored as
+# rint(_COS_ONE C), the widest grid on which |C| <= 1 fits int16.
+_COS_ONE = 32767
 
 
 def _keeps_gram(A: MatrixHandle) -> bool:
@@ -232,7 +240,7 @@ def _fits_cosines(A: MatrixHandle) -> bool:
     """Whether a dense handle may build :attr:`MatrixHandle.row_cosines`:
     their panel store (:func:`_cosine_bytes`) takes no more than the 16 m n
     bytes of A and its row-major copy, and 2 ||A||_F^2 is finite, which
-    keeps every entry of A A^T finite.  A full square float16 matrix would
+    keeps every entry of A A^T finite.  A full square int16 matrix would
     take 72 MB at 6000 x 500 and lift the solve's peak memory above that of
     the set-up SVD."""
     return (A.dense is not None and _cosine_bytes(A.m) <= 16 * A.m * A.n
@@ -275,13 +283,26 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     m n^2 / _DENSE_GRAM_RATIO; then it densifies each row block (toarray)
     and forms H and q from BLAS products, 2 m n^2 flops in all.
 
-    margin_i = 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2 covers the rounding of q_i:
+    margin_i = 4 (m + n + 8) eps F2 R2_i + U_i covers the rounding of q_i:
     every product above is a dot product of at most max(m, n) terms, each
     off by at most gamma_max(m,n) |A| |a_i^T| entrywise, and
     || |A| |a_i^T| || <= ||A||_F ||a_i||; the H path errs by at most
     (m + 2n) eps and the A A^T path by (2m + 2n) eps, to first order, times
     ||A||_F^2 ||a_i||^2, whatever the order of the sums (so also for H
-    summed over row blocks).  The factor 4 eps covers the final sum and sqrt.
+    summed over row blocks).  A product that underflows errs by up to
+    2^-1075 absolutely, which no relative term covers.  So F2 = ||A||_F^2 +
+    m n 2^-1074 and R2_i = ||a_i||^2 + n 2^-1074, the stored squares plus
+    what their sums may lose to underflow, bound ||A||_F^2 and ||a_i||^2;
+    w_i = sqrt(n R2_i) bounds ||a_i||_1, and c = sqrt(m (max_j
+    ||A_(j)||^2 + m 2^-1074)) every ||A_(j)||_1.  The entries of H err by
+    at most m 2^-1075 more, so q_i by (m w_i^2 + n w_i + n) 2^-1075 on the
+    H path; the entries G_il of A A^T err by n 2^-1075 and sum_l |G_il| <=
+    c w_i, so q_i = sum_l G_il^2 errs by (2 n c w_i + m) 2^-1075 and a term
+    in 2^-2150 on the other.  U_i = (w_i (m w_i + 2 n c + n) + m + n)
+    2^-1073 covers both, with slack for the relative factors on top.  A
+    zero row (no stored entry, for CSR) takes R2_i = U_i = 0: every product
+    with it is exact, and its reach is 0.  The factor 4 eps covers the
+    final sum and sqrt.
     """
     m, n = A.m, A.n
     eps = float(np.finfo(np.float64).eps)
@@ -335,7 +356,18 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
                 H = (stored_t @ stored).toarray()
             for s, e, blk in blocks():
                 q[s:e] = _row_dots(blk, blk @ H)
-        margin = 4.0 * (m + n + 8) * eps * A.frob_sq * A.row_norms_sq
+        if A.dense is not None:
+            live = A.row_norms_sq > 0.0
+            dark = np.flatnonzero(~live)  # zero, or squares that underflow
+            live[dark] = A.dense[dark].any(axis=1)
+        else:
+            live = np.diff(A.csr.indptr) > 0
+        R2 = np.where(live, A.row_norms_sq + n * 2.0 ** -1074, 0.0)
+        w = np.sqrt(n * R2)
+        c = math.sqrt(m * (float(A.col_norms_sq.max()) + m * 2.0 ** -1074))
+        under = (w * (m * w + 2.0 * n * c + n) + m + n) * 2.0 ** -1073
+        margin = 4.0 * (m + n + 8) * eps * (A.frob_sq + m * n * 2.0 ** -1074) \
+            * R2 + np.where(live, under, 0.0)
         reach = (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
     return reach, (_readonly(H) if gram and _keeps_gram(A) else None)
 
@@ -348,8 +380,9 @@ def _panel_heights(m: int) -> np.ndarray:
 
 def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
     """(store, (panels, tile_rows, base)): the lower triangle of C = D A A^T
-    D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0), in
-    float16 tile-column panels of width b = _TILE.  Panel I is the C-order
+    D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0), as
+    q = rint(clip(_COS_ONE C, +-_COS_ONE)) in int16 tile-column panels of
+    width b = _TILE.  Panel I is the C-order
     block C[I b:, I b:(I + 1) b] (a view in `panels`, zero-padded beyond
     column m - 1), and its diagonal tile is stored in full: the upper half
     mirrors the lower, so C_li for l < i in that tile holds row i's value,
@@ -358,34 +391,38 @@ def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
     these views.
 
     A A^T is formed in float64 by BLAS-3 in row blocks of at most
-    _REACH_BLOCK * 8 entries, each block scaled, rounded to float16 once
-    and copied into the panels it crosses.  Each entry of A A^T errs by at
-    most gamma_n |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec.
-    3.1), in any order of summation; the two scalings round by eps/2
-    relative each and the cast to float16 by 2^-11 relative or 2^-25
-    absolute (solvers.GramResidual bounds their effect).  Logs its seconds
-    and megabytes."""
+    _REACH_BLOCK * 8 entries, each block scaled by _COS_ONE / nu_l and
+    1 / nu_i, clipped, rounded to integers into int16 once and copied into
+    the panels it crosses.  Each entry of A A^T errs by at most gamma_n
+    |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec. 3.1), in any
+    order of summation; the two scalings round by eps/2 relative each, the
+    clip only moves a value toward the exact cosine, |C| <= 1, and the
+    rounding to the grid errs by at most 1/65534 absolute in C's units
+    (solvers.GramResidual bounds their effect).  Logs its seconds and
+    megabytes."""
     m, b = A.m, _TILE
     start = time.perf_counter()
     norms = np.sqrt(A.row_norms_sq)
     inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
+    inv_one = inv * _COS_ONE
     sizes = _panel_heights(m) * b
     offsets = np.concatenate(([0], np.cumsum(sizes)))
-    store = np.zeros(offsets[-1], dtype=np.float16)
+    store = np.zeros(offsets[-1], dtype=np.int16)
     panels = [store[o:o + k].reshape(-1, b) for o, k in zip(offsets, sizes)]
     height = max(1, 8 * _REACH_BLOCK // m)
     # one buffer of each type for every block: a fresh 8 MB block per
     # GEMM would fault in its pages on every call
     size = min(height, m) * m
-    wide, narrow = np.empty(size), np.empty(size, np.float16)
+    wide, narrow = np.empty(size), np.empty(size, np.int16)
     for s in range(0, m, height):
         e = min(m, s + height)
         block = np.matmul(A.dense[s:e], A.dense[:e].T,
                           out=wide[:(e - s) * e].reshape(e - s, e))
-        block *= inv[s:e, None]
+        block *= inv_one[s:e, None]
         block *= inv[:e]
+        np.clip(block, -_COS_ONE, _COS_ONE, out=block)
         block16 = narrow[:block.size].reshape(block.shape)
-        block16[...] = block
+        np.rint(block, out=block16, casting="unsafe")
         for top in range(0, e, b):
             lo = max(s, top)
             tile = block16[lo - s:, top:top + b]
@@ -463,8 +500,9 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def cosine_column(A: MatrixHandle, i: int, out: np.ndarray) -> np.ndarray:
-    """Column i of the symmetric cosine matrix (:attr:`MatrixHandle.row_cosines`)
-    into the m-vector `out`, cast to its dtype.  With I = i // b, b = _TILE,
+    """Column i of the symmetric cosine matrix (:attr:`MatrixHandle.row_cosines`),
+    its int16 values q = rint(_COS_ONE C), into the m-vector `out`, cast to
+    its dtype (exactly, into float64).  With I = i // b, b = _TILE,
     the entries l >= I b are column i - I b of panel I, a slice with a
     stride of b entries; the entries l < I b are row i of panels 0 .. I - 1,
     I contiguous b-entry rows of the store, gathered."""

@@ -22,7 +22,7 @@ trace rows and the last iteration.  choose_certificate gives one of these:
                        _SHADOW_MIN_ENTRIES entries: r anchored at the last
                        float64 pass and bounded entrywise, advanced by one of
                        two increment sources:
-    GramResidual       one column of the handle's float16 row cosines per
+    GramResidual       one column of the handle's int16 row cosines per
                        x-step, where they fit (matrix._fits_cosines);
     ResidualShadow     else one float32 pass over A per x-step.
   ResidualFloor        REK/PREK with a RES stop: a lower bound on ||r||
@@ -71,6 +71,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # them stays on the safe side after its own rounding and that of two adds.
 _UP = 1.0 + 4.0 * _EPS
 _DOWN = 1.0 - 4.0 * _EPS
+_SUB = 2.0 ** -1074  # float64's smallest subnormal number
+_ROOT_SUB = 2.0 ** -537  # its square root
 
 log = logging.getLogger(__name__)
 
@@ -116,6 +118,8 @@ class SolveReport:
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
     full_passes: int = 0      # float64 passes over A (mat-vecs)
     gram_steps: int = 0       # x-steps a GramResidual advanced r~ by
+    # greedy picks an AnchoredResidual settled from its candidate rows
+    settled_picks: int = 0
 
 
 # -- selection ----------------------------------------------------------------
@@ -254,13 +258,13 @@ class ResidualCertificate:
     This base certifies nothing, so every pick and stop test takes a float64
     pass: the exact path, which the other certificates must reproduce.
     z_project_column and x_project_row move `stepped`, if not None, with
-    each step; floor_refreshes, shadow_passes and gram_steps count a
-    certificate's work.
+    each step; floor_refreshes, shadow_passes, gram_steps and settled_picks
+    count a certificate's work.
     """
 
     __slots__ = ()
     stepped = None
-    floor_refreshes = shadow_passes = gram_steps = 0
+    floor_refreshes = shadow_passes = gram_steps = settled_picks = 0
 
     def advance(self, x: np.ndarray) -> None:
         pass
@@ -336,6 +340,25 @@ class ResidualFloor(ResidualCertificate):
         partial sum of fl(A x) and r^ is at most U (1 + gamma) in size and
         s^ <= U^2 (1 + 3 gamma), so 2 U^2 / denom finite keeps its RES
         finite.
+      - Underflow.  A product below 2^-1022 may err by up to 2^-1075
+        absolutely, which no relative term covers (a sum of subnormal
+        numbers is exact).  A sum of k squares may so lose k 2^-1075, and
+        each norm above is also raised by sqrt(k) 2^-537 (1 + gamma),
+        k = n for ||a_i|| and ||x||, m for ||A_(j)||, ||z|| and ||b||, m n
+        for F.  ||b|| is raised by 2 rho / gamma more, rho = sqrt(m) 2^-537
+        (1 + gamma), so that the anchor's gamma ||b|| also takes rho for
+        the products of fl(A x) and s^ (n sqrt(m) 2^-1075 and m 2^-1075,
+        under the square root), and the stop test's takes 2 rho: M0 = M +
+        rho bounds ||r^|| as above, and M > 0 gives M0^2 >= M^2 + rho^2, so
+        s^ >= M0^2 (1 - gamma) - m 2^-1075 >= M^2 (1 - gamma).  The entries
+        of c A_(j) and d a_i^T may lose sqrt(m) and sqrt(n) 2^-1075 in
+        norm, which gamma zeta and gamma xi cover, as zeta and xi are
+        raised like ||z|| and ||x||.  The refresh takes e' = e^ + n 2^-1074
+        for e^ and subtracts U = (m n e' + n sqrt(n e') + n) 2^-1073 from
+        q^: the entries of H^ err by up to m 2^-1075 more, fl(H^ eta^)_k by
+        m ||eta^||_1 2^-1075 + n 2^-1075 and q^ by (m ||eta^||_1^2 + n
+        ||eta^||_1 + n) 2^-1075, ||eta^||_1^2 <= n e'; row_reach covers its
+        own.
     The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at an anchor are
     stored times 1 + gamma, which covers their own rounding.  Each update
     rounds L down and xi, zeta, D up (_DOWN, _UP).  gamma exceeds the
@@ -344,22 +367,31 @@ class ResidualFloor(ResidualCertificate):
     test, so it forces a recompute.
     """
 
-    __slots__ = ("gamma", "reach", "H", "col_norms", "row_norms", "frob",
-                 "b_norm", "L", "xi", "zeta", "coef", "drift", "x",
-                 "floor_refreshes")
+    __slots__ = ("m", "n", "gamma", "reach", "H", "col_norms", "row_norms",
+                 "frob", "b_norm", "rho_m", "rho_n", "L", "xi", "zeta", "coef",
+                 "drift", "x", "floor_refreshes")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
-        self.gamma = g = (A.m + A.n + 8) * _EPS
+        self.m, self.n = m, n = A.m, A.n
+        self.gamma = g = (m + n + 8) * _EPS
+        # what a sum of m or n squares may lose to underflow, under the
+        # square root
+        self.rho_m = math.sqrt(m) * _ROOT_SUB * (1.0 + g)
+        self.rho_n = math.sqrt(n) * _ROOT_SUB * (1.0 + g)
         self.reach = A.row_reach
         self.H = A._gram  # built with row_reach; None where a refresh won't pay
         # c^ and D, kept only where a refresh can use them
         self.coef = None if self.H is None else np.zeros(A.n)
         self.drift = 0.0
         # norms as Python floats: scalar arithmetic on them is cheaper
-        self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)).tolist()
-        self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)).tolist()
-        self.frob = math.sqrt(A.frob_sq) * (1.0 + g)
-        self.b_norm = float(np.linalg.norm(b)) * (1.0 + g)
+        self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)
+                          + self.rho_m).tolist()
+        self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)
+                          + self.rho_n).tolist()
+        self.frob = math.sqrt(A.frob_sq) * (1.0 + g) \
+            + math.sqrt(m * n) * _ROOT_SUB * (1.0 + g)
+        self.b_norm = float(np.linalg.norm(b)) * (1.0 + g) \
+            + self.rho_m * (1.0 + 2.0 / g)
         self.floor_refreshes = 0
 
     @property
@@ -373,19 +405,21 @@ class ResidualFloor(ResidualCertificate):
                s: float) -> None:
         """Restart from a full recompute of the current iterates, s = fl(r.r)."""
         g = self.gamma
-        self.xi = math.sqrt(x.dot(x)) * (1.0 + g)
-        self.zeta = math.sqrt(z.dot(z)) * (1.0 + g)
+        self.xi = math.sqrt(x.dot(x)) * (1.0 + g) + self.rho_n
+        self.zeta = math.sqrt(z.dot(z)) * (1.0 + g) + self.rho_m
         self.L = (math.sqrt(s) * (1.0 - g)
                   - g * (self.b_norm + self.frob * self.xi)) * _DOWN
 
     def refresh(self, x: np.ndarray) -> None:
         """Raise L to the bound rebuilt from H^ and c^; O(n^2), counted."""
         self.floor_refreshes += 1
-        g = self.gamma
+        g, m, n = self.gamma, self.m, self.n
         d = self.coef - x
-        e = float(d @ d)
+        e = float(d @ d) + n * _SUB
         q = float(d @ (self.H @ d))
-        near = math.sqrt(max(q - 2.0 * g * self.frob * self.frob * e, 0.0))
+        under = (m * n * e + n * math.sqrt(n * e) + n) * 2.0 ** -1073
+        near = math.sqrt(max(q - 2.0 * g * self.frob * self.frob * e - under,
+                             0.0))
         L = (near * (1.0 - g) - self.drift) * _DOWN
         if self.L < L < math.inf:
             self.L = L
@@ -429,10 +463,6 @@ class ResidualFloor(ResidualCertificate):
 
 _U32 = 2.0 ** -24   # float32 unit roundoff
 _TINY = 2.0 ** -126  # float32's smallest normal number
-_SUB = 2.0 ** -1074  # float64's smallest subnormal number
-# float16's unit roundoff 2^-11, with room for 1 / (1 - 2^-11) and a cast
-# that rounds through float32 first
-_U16 = 2.0 ** -11 * (1.0 + 2.0 ** -9)
 # Covers 1 / (1 - eps) and the few roundings of each margin formula.
 _FAC = 1.0 + 8.0 * _EPS
 # Fewest dense entries for which EMRK/MEMRK use an AnchoredResidual: below it
@@ -446,16 +476,18 @@ class AnchoredResidual(ResidualCertificate):
 
     Each float64 pass at an iterate x_a forms u_a = fl(b - fl(A x_a)), and
     `anchor` restarts from it.  After the x-steps to x, a subclass, the
-    increment source, forms v~ from u_a and sets, in `advance`, a vector
-    W >= 0, a scalar beta and w_norm >= ||W|| such that with the current z,
-    r~ = fl(v~ - z) stands in for the r^ = fl(fl(b - fl(A x)) - z) that a
-    float64 pass forms:
-      |r~_i - r^_i| <= e_i = W_i + beta + 3 eps |r~_i|.
-    There are two sources: ResidualShadow, one float32 pass over A per
-    x-step, and GramResidual, one column of the float16 row cosines per
-    x-step.  With eps = 2^-52 (twice float64's unit roundoff), a_i row i of
-    A and ||a_i|| (`norms`) stored times 1 + gamma, gamma = (m + n + 8) eps,
-    which covers their rounding, the terms both share are:
+    increment source, forms v~ from u_a and sets, in `advance`, scalars
+    lam and beta such that with the current z, r~ = fl(v~ - z) stands in
+    for the r^ = fl(fl(b - fl(A x)) - z) that a float64 pass forms:
+      |r~_i - r^_i| <= e_i = lam N_i + beta + 3 eps |r~_i|,
+    and w_norm = lam ||N|| (1 + gamma) >= ||(lam N_i)_i||.  There are two
+    sources: ResidualShadow, one float32 pass over A per x-step, and
+    GramResidual, one column of the int16 row cosines per x-step.  With
+    eps = 2^-52 (twice float64's unit roundoff), a_i row i of A, gamma =
+    (m + n + 8) eps and N_i = ||a_i|| (1 + gamma) + tau >= ||a_i||
+    (`norms`), tau = sqrt(n) 2^-537 (1 + gamma) (a row whose squared norm
+    underflows to 0 has norm below sqrt(n 2^-1074)), the terms both share
+    are:
       - The two float64 passes.  fl(a_i x) and fl(a_i x_a) err by at most
         gamma_n(eps/2) |a_i| |x| <= n eps ||a_i|| ||x||, and the same with
         x_a (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -463,18 +495,38 @@ class AnchoredResidual(ResidualCertificate):
         |b_i - p| is at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1 +
         eps) + ||a_i|| ||x - x_a|| + n eps ||a_i|| (||x|| + ||x_a||) for r^:
         together eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||x - x_a|| and
-        a second-order term.  W_i holds (n + 1) eps ||a_i|| (||x|| +
-        ||x_a||) and beta 2 eps ||u_a||_inf, with slack for the
-        second-order terms; each source covers eps/2 ||a_i|| ||x - x_a||.
+        a second-order term.  lam holds (n + 1) eps (||x|| + ||x_a||) and
+        beta 2 eps ||u_a||_inf, with slack for the second-order terms; each
+        source covers eps/2 ||a_i|| ||x - x_a||.
       - The last subtractions of r~ and r^ err by at most eps/2 |r~_i| and
         eps/2 |r^_i| (relative to their results), and |r^_i| <= |r~_i| +
         e_i; solved for e_i this puts 1 / (1 - eps) on the sum and adds
         2 eps |r~_i| / (1 - eps) <= 3 eps |r~_i|.
-      - Pick (`pick`).  i* = argmax |r~| is certified when |r~_i*| - e_i* >
-        |r~_j| + e_j for every j != i*, using |r~_j| <= |r~_i*| in e_j; then
-        |r^_i*| > |r^_j|, so argmax |r^| = i* with no tie.  e_i* and the
-        right side are each taken times 1 + 4 eps, which covers the
-        roundings of both sides.  Else, or if row i* is all zero, -1.
+      - Pick (`pick`).  i* = argmax |r~| is certified when lo = |r~_i*| -
+        e_i* > |r~_j| + e_j for every j != i*, using |r~_j| <= |r~_i*| in
+        e_j; then |r^_i*| > |r^_j|, so argmax |r^| = i* with no tie.  It
+        is tested first with max_j N_j for every N_j, which needs no
+        m-vector of the e_j.  e_i* and the right side are each taken times
+        1 + 4 eps, which covers the roundings of both sides.  If row i* is
+        all zero, -1.
+      - Settled pick (`settle`), where that fails with 0 < lo and the last
+        pick was certified or the last pass came after it.  The candidates
+        S are the rows j with |r~_j| + e_j >= lo, i* among them; every
+        other row has |r^_j| < lo <= |r^_i*|, so a row that beats the other
+        candidates beats the excluded rows too.  For l in S, settle forms
+        p_l = fl(a_l x) from the rows of S (MatrixHandle.rows), u_l =
+        fl(b_l - p_l) and rho_l = fl(u_l - z_l).  p_l and the pass's
+        fl(a_l x) sum in different orders, each within n eps ||a_l|| ||x||
+        and n 2^-1074 of underflow of a_l x: |p_l - p'_l| <= P_l = 2 n eps
+        N_l X + n 2^-1073, X >= ||x||.  Then fl(b_l - p) and fl(b_l - p')
+        differ by at most P_l (1 + eps) + eps |u_l| (1 + eps), since |b_l -
+        p_l| <= |u_l| (1 + eps), and the last subtractions add eps |rho_l|
+        (1 + eps) more, so |rho_l - r^_l| <= delta_l = (2 (n + 1) eps N_l X
+        + eps (|u_l| + |rho_l|) + n 2^-1072) _FAC.  k = argmax |rho_S| is
+        the pick when |rho_k| - delta_k > |rho_j| + delta_j for every other
+        j in S, each side taken times 1 + 4 eps; else -1.  A pick after a
+        settled one is not settled: a bound that needed settling gets the
+        pass, which re-anchors it.
       - Stop test (`excludes_stop`).  ||r^|| >= ||r~|| - ||e|| and ||e|| <=
         w_norm + beta sqrt(m) + 3 eps ||r~||; with M = ||r~|| - ||e|| > 0,
         a float64 pass would give s^ >= M^2 (1 - gamma), so M^2 (1 - gamma)
@@ -483,23 +535,29 @@ class AnchoredResidual(ResidualCertificate):
         which bounds the RES a float64 pass would form, and max |x| <=
         DIVERGENCE_CAP, so the pass it skips would neither stop the run nor
         raise.
-    A source sets beta = inf, so that neither test passes, where it cannot
-    bound its increment or max |x| > DIVERGENCE_CAP.  A NaN fails both
-    tests.
+    A source sets beta = inf, so that no test passes, where it cannot
+    bound its increment or max |x| > DIVERGENCE_CAP.  A NaN fails every
+    test.
     """
 
-    __slots__ = ("gamma", "norms", "root_m", "c_x", "row_sq", "buf", "W",
-                 "x_a_norm", "u_a", "u_a_term", "v", "beta", "w_norm")
+    __slots__ = ("A", "b", "gamma", "tau", "norms", "norm_max", "frob",
+                 "root_m", "c_x", "row_sq", "res", "buf", "x", "x_norm",
+                 "x_a_norm", "u_a", "u_a_term", "v", "lam", "beta", "w_norm",
+                 "settled", "settled_picks")
 
-    def __init__(self, A: mx.MatrixHandle):
+    def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         m, n = A.m, A.n
+        self.A, self.b = A, b
         self.gamma = g = (m + n + 8) * _EPS
-        self.norms = np.sqrt(A.row_norms_sq) * (1.0 + g)
+        self.tau = math.sqrt(n) * _ROOT_SUB * (1.0 + g)
+        self.norms = np.sqrt(A.row_norms_sq) * (1.0 + g) + self.tau
+        self.norm_max = float(self.norms.max())
+        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
         self.root_m = math.sqrt(m) * (1.0 + g)
         self.c_x = (n + 1) * _EPS
         self.row_sq = A.row_table[1]
-        self.buf = np.empty(m)
-        self.W = np.zeros(m)
+        self.res, self.buf = np.empty(m), np.empty(m)
+        self.settled_picks = 0
 
     def anchor(self, x: np.ndarray, z: np.ndarray, u: np.ndarray,
                s: float | None) -> None:
@@ -509,30 +567,62 @@ class AnchoredResidual(ResidualCertificate):
             self.x_a_norm = math.sqrt(x.dot(x)) * (1.0 + self.gamma)
         self.u_a = u
         self.u_a_term = 2.0 * _EPS * float(abs(u).max())
+        self.settled = False
 
     def bound(self, r: np.ndarray) -> np.ndarray:
         """e, entrywise, for r = r~ = fl(v~ - z)."""
-        return self.W + self.beta + 3.0 * _EPS * abs(r)
+        return self.lam * self.norms + self.beta + 3.0 * _EPS * abs(r)
 
     def pick(self, z: np.ndarray) -> int:
-        """The row a float64 pass would pick, argmax |r^|, or -1 when r~
-        cannot certify it."""
-        r = self.v - z
-        i = select_max_residual_row(r)
-        a = np.abs(r, out=r)
+        """The row a float64 pass would pick, argmax |r^|, certified by the
+        bound or settled from the candidate rows; -1 where neither can."""
+        a = np.abs(np.subtract(self.v, z, out=self.res), out=self.res)
+        i = int(a.argmax())
         top = a.item(i)
         if not (top < math.inf and self.row_sq[i] > 0.0):
             return -1
         beta = self.beta + 3.0 * _EPS * top
-        lo = top - (self.W.item(i) + beta) * _UP
-        others = np.add(self.W, a, out=self.buf)
-        others[i] = -math.inf
-        return i if lo > (float(others.max()) + beta) * _UP else -1
+        lo = top - (self.lam * self.norms.item(i) + beta) * _UP
+        a[i] = -math.inf
+        # first with max N for every N_j, a test of one pass over |r~|
+        rest = (float(a.max()) + self.lam * self.norm_max + beta) * _UP
+        if not lo > rest:
+            up = np.multiply(self.norms, self.lam, out=self.buf)
+            up += a
+            rest = (float(up.max()) + beta) * _UP
+        if lo > rest:
+            self.settled = False
+            return i
+        if self.settled or not (lo > 0.0 and rest < math.inf):
+            return -1
+        up += beta
+        up *= _UP
+        up[i] = math.inf
+        return self.settle(np.flatnonzero(up >= lo), z)
+
+    def settle(self, S: np.ndarray, z: np.ndarray) -> int:
+        """The row of S whose residual, formed from its row of A, beats
+        those of the other rows of S by more than their bounds; else -1."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = self.b[S] - self.A.rows[S] @ self.x
+            rho = abs(u - z[S])
+            delta = (2.0 * self.c_x * self.x_norm * self.norms[S]
+                     + _EPS * (abs(u) + rho) + self.A.n * 2.0 ** -1072) * _FAC
+        k = int(rho.argmax())
+        low = rho.item(k) - delta.item(k) * _UP
+        high = (rho + delta) * _UP
+        high[k] = -math.inf
+        row = int(S[k])
+        if not (low > float(high.max()) and self.row_sq[row] > 0.0):
+            return -1
+        self.settled = True
+        self.settled_picks += 1
+        return row
 
     def excludes_stop(self, z: np.ndarray, tol_denom: float,
                       denom: float) -> bool:
         g = self.gamma
-        r = self.v - z
+        r = np.subtract(self.v, z, out=self.res)
         norm = math.sqrt(float(r @ r))
         e = (self.w_norm + self.beta * self.root_m
              + 3.0 * _EPS * norm * (1.0 + g)) * _UP
@@ -546,11 +636,11 @@ class ResidualShadow(AnchoredResidual):
     """The float32 increment source: after an x-step to x, `advance` forms
     d^ = fl(x - x_a), w = fl32(A32 fl32(d^)) (matrix.matvec_single, A32 =
     fl32(A) column-major) and v~ = fl(u_a - w), with x_a the iterate of the
-    last anchor.  With u32 = 2^-24, tau = 2^-126 and g32 = (n + 3) u32 /
-    (1 - (n + 3) u32), W = alpha ||a_i|| and beta = beta0:
+    last anchor.  With u32 = 2^-24, tau32 = 2^-126 and g32 = (n + 3) u32 /
+    (1 - (n + 3) u32), lam = alpha and beta = beta0:
       alpha = (g32 + 2 eps) ||d^|| + (n + 1) eps (||x|| + ||x_a||)
-              + 3 tau sqrt(n),
-      beta0 = 2 eps ||u_a||_inf + 2 tau (||d^||_1 + 3 n).
+              + 3 tau32 sqrt(n),
+      beta0 = 2 eps ||u_a||_inf + 2 tau32 (||d^||_1 + 3 n).
     Exactly, b_i - a_i x = (b_i - a_i x_a) - a_i d; beyond the terms of
     AnchoredResidual:
       - The float32 pass.  fl32 rounds each entry of A and d^ by at most
@@ -559,32 +649,30 @@ class ResidualShadow(AnchoredResidual):
         any order of summation: |w_i - a_i d^| <= ((n + 2) u32 + u32^2) /
         (1 - n u32) ||a_i|| ||d^|| <= g32 ||a_i|| ||d^||.
       - Underflow.  An entry of A or d^, a product or a partial sum below
-        tau may turn subnormal or, under flush-to-zero, zero; each errs by
-        at most tau absolutely.  That adds at most 2 tau (||a_i||_1 +
-        ||d^||_1 + 2n) <= 2 tau (sqrt(n) ||a_i|| + ||d^||_1 + 2n), the
+        tau32 may turn subnormal or, under flush-to-zero, zero; each errs
+        by at most tau32 absolutely.  That adds at most 2 tau32 (||a_i||_1
+        + ||d^||_1 + 2n) <= 2 tau32 (sqrt(n) ||a_i|| + ||d^||_1 + 2n), the
         factor 2 covering the relative terms on top; float64 underflow in
-        the two float64 passes adds well under tau n more.
+        the two float64 passes adds well under tau32 n more.
       - The anchor distance.  d^ rounds d = x - x_a: |a_i (d - d^)| <=
         eps/2 ||a_i|| ||d^|| (1 + eps), and the float64 passes' eps/2
         ||a_i|| ||d|| adds as much.
       - v~'s subtraction errs by at most eps/2 (|u_a_i| + |w_i|), with
         |w_i| <= 2 ||a_i|| ||d^|| + (the underflow) as g32 <= 1.
     Summed: g32 + 2 eps on ||a_i|| ||d^||, each with slack for the
-    second-order terms; alpha and beta0 are taken times _FAC, and w_norm
-    is alpha F, F >= ||(||a_i||)_i||.  `advance` makes no pass, and sets
-    beta = inf, when ||d^||_1 max(1, max |A32|) > float32 max / 2, which
-    keeps fl32(d^), every product and every partial sum of the pass in
-    range, or when max |x| > DIVERGENCE_CAP.
+    second-order terms; alpha and beta0 are taken times _FAC.  `advance`
+    makes no pass, and sets beta = inf, when ||d^||_1 max(1, max |A32|) >
+    float32 max / 2, which keeps fl32(d^), every product and every partial
+    sum of the pass in range, or when max |x| > DIVERGENCE_CAP.
     """
 
-    __slots__ = ("A32", "frob", "c_delta", "tau_row", "tau_fixed", "limit",
+    __slots__ = ("A32", "c_delta", "tau_row", "tau_fixed", "limit",
                  "shadow_passes", "x_a")
 
-    def __init__(self, A: mx.MatrixHandle, A32: np.ndarray):
-        super().__init__(A)
+    def __init__(self, A: mx.MatrixHandle, b: np.ndarray, A32: np.ndarray):
+        super().__init__(A, b)
         n, g = A.n, self.gamma
         self.A32 = A32
-        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
         g32 = (n + 3) * _U32 / (1.0 - (n + 3) * _U32)
         self.c_delta = g32 + 2.0 * _EPS
         self.tau_row = 3.0 * _TINY * math.sqrt(n) * (1.0 + g)
@@ -599,91 +687,85 @@ class ResidualShadow(AnchoredResidual):
         self.x_a = x.copy()
 
     def advance(self, x: np.ndarray) -> None:
-        """One float32 pass at x: sets v~, W and beta."""
+        """One float32 pass at x: sets v~, lam and beta."""
         g = self.gamma
         d = x - self.x_a
         d1 = float(abs(d).sum()) * (1.0 + g)
         if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
-            self.v, self.beta, self.w_norm = self.u_a, math.inf, 0.0
-            self.W.fill(0.0)
+            self.v, self.beta, self.lam, self.w_norm = \
+                self.u_a, math.inf, 0.0, 0.0
             return
         self.shadow_passes += 1
         self.v = self.u_a - mx.matvec_single(self.A32, d)
         nd = math.sqrt(d.dot(d)) * (1.0 + g)
-        nx = math.sqrt(x.dot(x)) * (1.0 + g)
-        alpha = (self.c_delta * nd + self.c_x * (nx + self.x_a_norm)
-                 + self.tau_row) * _FAC
-        np.multiply(self.norms, alpha, out=self.W)
-        self.w_norm = alpha * self.frob
+        self.x, self.x_norm = x, math.sqrt(x.dot(x)) * (1.0 + g)
+        self.lam = (self.c_delta * nd + self.c_x * (self.x_norm + self.x_a_norm)
+                    + self.tau_row) * _FAC
+        self.w_norm = self.lam * self.frob
         self.beta = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
 
 
 class GramResidual(AnchoredResidual):
     """The Gram increment source: v~ starts at u_a, and each x-step x' =
     fl(x + fl(c a_i^T)) moves it, in `row_step`, by
-      v~ = fl(v~ - w), w = fl(s t), s = fl(c nu_i), t = fl(nu (.) C_i),
-    where nu_l = fl(sqrt(||a_l||^2)) and C_i is column i of the float16
-    cosines of the handle (matrix.MatrixHandle.row_cosines), read by
-    matrix.cosine_column straight into the float64 buffer t from two slices
-    of their tile-column panels: an m-vector per step instead of the m n
-    entries of A.  Exactly, an x-step moves
-    b - A x by -c A a_i^T - A delta, delta = x' - x - c a_i^T, the rounding
-    of the stored x.  With u16 = 2^-11, N_l = nu_l (1 + gamma) + tau >=
-    ||a_l|| (`norms`), tau = sqrt(n) 2^-537 (1 + gamma) (a row whose squared
-    norm underflows to 0 has norm below sqrt(n 2^-1074)), and K the x-steps
-    since the anchor, beyond the terms of AnchoredResidual:
+      v~ = fl(v~ - w), w = fl(s t), s = fl(c nu_i), t = fl(nu' (.) q_i),
+    where nu_l = fl(sqrt(||a_l||^2)), nu'_l = fl(nu_l / 32767) and q_i is
+    column i of the handle's int16 cosines q = rint(32767 C)
+    (matrix.MatrixHandle.row_cosines), read by matrix.cosine_column
+    straight into the float64 buffer t, an exact cast, from two slices of
+    their tile-column panels: an m-vector per step instead of the m n
+    entries of A.  Exactly, an x-step moves b - A x by -c A a_i^T - A
+    delta, delta = x' - x - c a_i^T, the rounding of the stored x.  With
+    K the x-steps since the anchor, beyond the terms of AnchoredResidual:
       - Gram and cosine.  fl(A A^T)_li errs by at most gamma_n(eps/2)
-        ||a_l|| ||a_i|| + n 2^-1075 of underflow; its two scalings by
-        1 / nu, the products s and t, and an underflow of the scaled cosine
-        below 2^-1022 add under 5 eps/2 ||a_l|| ||a_i|| more; the float16
-        cast errs by at most u16 |C_li| / (1 - u16) or, below 2^-14,
-        2^-25.  With eps/2 for the float64 passes' ||x - x_a|| term, each
-        step adds |c| (kappa N_i N_l + u16' nu_i nu_l |C_li|), kappa =
-        (n + 8) eps + 2^-23, u16' = u16 (1 + 2^-9), and |c| n 2^-1073 to
-        e_l.  A row l with nu_l = 0 has C_li = 0, and adds |c| tau N_i,
-        since |a_l a_i^T| <= tau N_i.
-      - The float16 term sums over the steps, as F_l = sum fl(|w_l|)
-        (`F`): |w_l| >= |c| nu_i nu_l |C_li| (1 - 3 eps/2) less underflow,
-        and w's own two roundings add 3 eps/2 |w_l| each step.
-      - v~'s subtractions err by at most eps/2 |v~_l| each, and |v~_l| <=
-        ||u_a||_inf + F_l (1 + eps): K eps/2 (||u_a||_inf + F_l) in all.
+        ||a_l|| ||a_i|| + n 2^-1075 of underflow; its two scalings, nu',
+        the products s, t and w and an underflow of the scaled cosine below
+        2^-1022 add under 7 eps/2 ||a_l|| ||a_i|| more; rounding to the
+        grid errs by at most 1/65534 absolute in C, so by |c| nu_i nu_l /
+        65534 in w_l.  The clip to |C| <= 1 acts only where |fl(A A^T)_li|
+        > nu_l nu_i, a squared norm that underflowed in part: ||a_l|| <=
+        nu_l (1 + (n + 3) eps/4) + tau, so it leaves w_l within |c| ((n +
+        3) eps/2 N_l N_i + tau (N_l + N_i)) of c a_l a_i^T.  With eps/2 for
+        the float64 passes' ||x - x_a|| term, each step adds |c| (kappa N_i
+        N_l + tau N_l + tau N_i + n 2^-1073) to e_l, kappa = (n + 8) eps +
+        1/65534.  A row l with nu_l = 0 has q_li = 0, and |a_l a_i^T| <=
+        tau N_i.
+      - v~'s subtractions err by at most eps/2 |v~_l| each, and after the
+        k-th step |v~_l| <= ||u_a||_inf + N_l M_k (1 + eps), M_k =
+        sum_(steps <= k) |c| N_i, since |w_l| <= |c| nu_i nu_l (1 + 3 eps):
+        K eps/2 ||u_a||_inf and N_l eps/2 sum_k M_k in all.
       - The stored x.  |delta_j| <= eps/2 (|c a_ij| + |x'_j|) (1 + eps) +
         2^-1075, so |a_l delta| <= N_l (eps/2 (|c| N_i + ||x'||) (1 + eps)
         + tau); xi >= ||x'|| is carried as (xi + |c| N_i) (1 + 2 eps) + tau
         from ||x_a|| (1 + gamma).
       - Underflow of the products s, t and w adds (|s| + 2 max nu + 1)
         2^-1074 per step, and that of the two float64 passes n 2^-1073.
-    Summed, W_l = alpha N_l + phi F_l with alpha = ((n + 1) eps (||x|| +
-    ||x_a||) + sum over the steps of kappa |c| N_i + eps (|c| N_i + xi) +
-    tau) _FAC and phi = (u16 (1 + 2^-9) + (K + 4) eps) (1 + (K + 4) eps)
-    _FAC, the last factor covering the rounding of F's sums; beta = (2 eps
-    ||u_a||_inf (1 + K) + the absolute terms) _FAC; w_norm = ||W|| (1 +
-    gamma).  These hold while K eps < 2^-10, for any run of fewer than 2^42
-    x-steps.  A step makes no update, and every later test fails until the
-    next anchor, when ||u_a||_inf + ||x_a|| + sum |s| (2 max nu + 1) passes
-    a sixteenth of float64's range, which keeps v~, F and W finite, or when
-    c is not finite.
+    Summed, lam = ((n + 1) eps (||x|| + ||x_a||) + sum over the steps of
+    kappa |c| N_i + eps (|c| N_i + xi + M_k) + (1 + |c|) tau) _FAC, one
+    scalar, so the bound keeps no m-vector of its own; beta = (2 eps
+    ||u_a||_inf (1 + K) + the absolute terms) _FAC.  These hold while K eps < 2^-10, for any
+    run of fewer than 2^42 x-steps.  A step makes no update, and every
+    later test fails until the next anchor, when ||u_a||_inf + ||x_a|| +
+    sum |s| (2 max nu + 1) passes a sixteenth of float64's range, which
+    keeps v~ and lam finite, or when c is not finite.
     """
 
-    __slots__ = ("A", "nu", "nu_list", "norm_list", "tau", "kappa",
-                 "under_c", "spread", "tau_fixed", "F",
-                 "room", "steps", "xi", "alpha_sum", "beta_sum", "gram_steps")
+    __slots__ = ("nu_list", "nu_one", "norm_list", "kappa", "under_c",
+                 "spread", "tau_fixed", "room", "steps", "xi", "moved",
+                 "alpha_sum", "beta_sum", "gram_steps")
 
-    def __init__(self, A: mx.MatrixHandle):
-        super().__init__(A)
-        m, n, g = A.m, A.n, self.gamma
-        self.A = A
-        self.nu = np.sqrt(A.row_norms_sq)
-        self.nu_list = self.nu.tolist()
-        self.tau = math.sqrt(n) * 2.0 ** -537 * (1.0 + g)
-        self.norms += self.tau
+    def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
+        super().__init__(A, b)
+        n = A.n
+        nu = np.sqrt(A.row_norms_sq)
+        self.nu_list = nu.tolist()
+        self.nu_one = nu / mx._COS_ONE
         self.norm_list = self.norms.tolist()
-        self.kappa = (n + 8) * _EPS + 2.0 ** -23
+        self.kappa = (n + 8) * _EPS + 1.0 / (2 * mx._COS_ONE)
         self.under_c = n * 2.0 ** -1073
-        self.spread = 2.0 * float(self.nu.max()) + 1.0
+        self.spread = 2.0 * float(nu.max()) + 1.0
         self.tau_fixed = n * 2.0 ** -1072
-        self.v = np.empty(m)
-        self.F = np.empty(m)
+        self.v = np.empty(A.m)
         self.gram_steps = 0
 
     @property
@@ -694,12 +776,11 @@ class GramResidual(AnchoredResidual):
                s: float | None) -> None:
         super().anchor(x, z, u, s)
         np.copyto(self.v, u)
-        self.F.fill(0.0)
         self.room = float(np.finfo(np.float64).max) / 16.0 \
             - self.u_a_term / (2.0 * _EPS) - self.x_a_norm
         self.steps = 0
         self.xi = self.x_a_norm
-        self.alpha_sum = self.beta_sum = 0.0
+        self.moved = self.alpha_sum = self.beta_sum = 0.0
 
     def column_step(self, j: int, c: float) -> None:
         pass
@@ -711,33 +792,29 @@ class GramResidual(AnchoredResidual):
             self.room = -math.inf
             return
         self.room = room
-        # cast, then multiply: faster than one float16-float64 multiply
         t = mx.cosine_column(self.A, i, self.buf)
-        w = np.multiply(np.multiply(t, self.nu, out=t), s, out=t)
+        w = np.multiply(np.multiply(t, self.nu_one, out=t), s, out=t)
         np.subtract(self.v, w, out=self.v)
-        np.add(self.F, np.abs(w, out=w), out=self.F)
         self.gram_steps += 1
         self.steps += 1
         a = abs(c) * self.norm_list[i]
         self.xi = (self.xi + a) * (1.0 + 2.0 * _EPS) + self.tau
-        self.alpha_sum += self.kappa * a + _EPS * (a + self.xi) + self.tau
+        self.moved += a
+        self.alpha_sum += self.kappa * a + (1.0 + abs(c)) * self.tau \
+            + _EPS * (a + self.xi + self.moved)
         self.beta_sum += abs(c) * (self.tau * self.norm_list[i] + self.under_c) \
             + (abs(s) + self.spread) * _SUB
 
     def advance(self, x: np.ndarray) -> None:
-        """Sets W and beta for v~ as the steps since the anchor left it."""
+        """Sets lam and beta for v~ as the steps since the anchor left it."""
         if not (self.room >= 0.0 and abs(x).max() <= DIVERGENCE_CAP):
-            self.beta, self.w_norm = math.inf, 0.0
-            self.W.fill(0.0)
+            self.beta, self.lam, self.w_norm = math.inf, 0.0, 0.0
             return
-        g, K = self.gamma, self.steps
-        nx = math.sqrt(x.dot(x)) * (1.0 + g)
-        alpha = (self.c_x * (nx + self.x_a_norm) + self.alpha_sum) * _FAC
-        phi = (_U16 + (K + 4) * _EPS) * (1.0 + (K + 4) * _EPS) * _FAC
-        W = np.multiply(self.norms, alpha, out=self.W)
-        W += np.multiply(self.F, phi, out=self.buf)
-        self.w_norm = math.sqrt(float(W @ W)) * (1.0 + g)
-        self.beta = (self.u_a_term * (1 + K) + self.beta_sum
+        self.x, self.x_norm = x, math.sqrt(x.dot(x)) * (1.0 + self.gamma)
+        self.lam = (self.c_x * (self.x_norm + self.x_a_norm)
+                    + self.alpha_sum) * _FAC
+        self.w_norm = self.lam * self.frob
+        self.beta = (self.u_a_term * (1 + self.steps) + self.beta_sum
                      + self.tau_fixed) * _FAC
 
 
@@ -761,10 +838,10 @@ def choose_certificate(method: str, A: mx.MatrixHandle, b: np.ndarray,
             if mx._fits_cosines(A) and (A._cosines is not None
                                         or max_outer >= A.m):
                 A.row_cosines  # built on first use
-                return GramResidual(A)
+                return GramResidual(A, b)
             A32 = mx.single_copy(A)  # None for CSR, or beyond float32
             if A32 is not None:
-                return ResidualShadow(A, A32)
+                return ResidualShadow(A, b, A32)
     elif not budget:
         return ResidualFloor(A, b)
     return ResidualCertificate()
@@ -899,12 +976,13 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(k, res)
     log.debug("%s: %d iterations, %d float64 passes, %d full residual "
               "recomputes, %d floor refreshes, %d float32 shadow passes, %d "
-              "Gram steps, %d zero-row skips", method, k, passes, resyncs,
-              cert.floor_refreshes, cert.shadow_passes, cert.gram_steps,
-              zero_row_skips)
+              "Gram steps, %d settled picks, %d zero-row skips", method, k,
+              passes, resyncs, cert.floor_refreshes, cert.shadow_passes,
+              cert.gram_steps, cert.settled_picks, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
                        resyncs, cert.floor_refreshes, zero_row_skips,
-                       cert.shadow_passes, passes, cert.gram_steps)
+                       cert.shadow_passes, passes, cert.gram_steps,
+                       cert.settled_picks)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -195,20 +195,21 @@ class TestSinglePrecision:
 def packed_cosines(A: mx.MatrixHandle) -> np.ndarray:
     """The reference the panel store must match bit for bit: the lower
     triangle of the cosines packed row by row, from the same float64 row
-    blocks and scalings, each row cast to float16 on its own."""
+    blocks and scalings, each row put on the int16 grid on its own."""
     m = A.m
     norms = np.sqrt(A.row_norms_sq)
     inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
-    packed = np.empty(m * (m + 1) // 2, dtype=np.float16)
+    packed = np.empty(m * (m + 1) // 2, dtype=np.int16)
     height = max(1, 8 * mx._REACH_BLOCK // m)
     pos = 0
     for s in range(0, m, height):
         e = min(m, s + height)
         block = A.dense[s:e] @ A.dense[:e].T
-        block *= inv[s:e, None]
+        block *= (inv * mx._COS_ONE)[s:e, None]
         block *= inv[:e]
         for k, row in enumerate(block, s + 1):
-            packed[pos:pos + k] = row[:k]
+            packed[pos:pos + k] = np.rint(
+                np.clip(row[:k], -mx._COS_ONE, mx._COS_ONE))
             pos += k
     return packed
 
@@ -232,9 +233,9 @@ def cosine_handle(entries, mp) -> mx.MatrixHandle:
 
 def assert_matches_packed(A: mx.MatrixHandle) -> None:
     """Every column of A's panel store equals the packed reference, bit
-    for bit, read into float16 and into float64."""
+    for bit, read into int16 and into float64."""
     packed = packed_cosines(A)
-    half, wide = np.empty(A.m, dtype=np.float16), np.empty(A.m)
+    half, wide = np.empty(A.m, dtype=np.int16), np.empty(A.m)
     for i in range(A.m):
         want = packed_column(packed, A.m, i)
         assert mx.cosine_column(A, i, half).tobytes() == want.tobytes(), i
@@ -264,10 +265,18 @@ def cosine_cases(draw):
     return entries
 
 
+# Rows whose squared norms underflow in part, so that their float64 cosine
+# is about 1.79 and the grid's clip sets it to 1 (-1 for the second pair).
+PARTLY_UNDERFLOWING = [[-2.2796357842907424e-162, 4.609611642481368e-162],
+                       [-1.3310525454002463e-162, 2.6914980683813054e-162],
+                       [2.2796357842907424e-162, -4.609611642481368e-162],
+                       [-1.3310525454002463e-162, 2.6914980683813054e-162]]
+
+
 class TestRowCosines:
-    """The float16 cosines of the rows (MatrixHandle.row_cosines), stored as
-    tile-column panels, that dense EMRK/MEMRK step their anchored residual
-    with."""
+    """The int16 fixed-point cosines of the rows (MatrixHandle.row_cosines),
+    stored as tile-column panels, that dense EMRK/MEMRK step their anchored
+    residual with."""
 
     def test_column_is_the_rounded_cosine(self):
         rng = np.random.default_rng(5)
@@ -279,16 +288,28 @@ class TestRowCosines:
         with np.errstate(divide="ignore", invalid="ignore"):
             cos = (entries @ entries.T) / np.outer(norms, norms)
         cos[4] = cos[:, 4] = 0.0
-        assert A.row_cosines.dtype == np.float16
+        assert A.row_cosines.dtype == np.int16
         assert A.row_cosines.nbytes == mx._cosine_bytes(70)
         out = np.empty(70)
         for i in range(70):
-            col = mx.cosine_column(A, i, out)
-            # float16 rounding on the float64 cosine: 2^-11 relative, or
-            # 2^-25 below float16's smallest normal number
-            assert np.all(abs(col - cos[:, i]) <= 2.0 ** -11 * abs(cos[:, i])
-                          + 2.0 ** -25), i
-        assert mx.cosine_column(A, 9, out)[2] == 1.0
+            col = mx.cosine_column(A, i, out) / mx._COS_ONE
+            # the grid's rounding on the float64 cosine: 1/65534 absolute,
+            # and a few float64 roundings between cos and the build's value
+            assert np.all(abs(col - cos[:, i]) <= 1.0 / 65534 + 1e-14), i
+        assert mx.cosine_column(A, 9, out)[2] == mx._COS_ONE
+
+    def test_cosines_beyond_one_are_clipped(self, monkeypatch):
+        # the float64 cosine of rows 0 and 1 is about 1.79, since their
+        # squared norms underflow in part; on the grid it is 1, and that of
+        # rows 1 and 2 is -1, not an int16 value wrapped around
+        A = cosine_handle(PARTLY_UNDERFLOWING, monkeypatch)
+        nu = np.sqrt(A.row_norms_sq)
+        gram = A.dense @ A.dense.T
+        assert gram[1, 0] / nu[1] / nu[0] > 1.7
+        assert gram[2, 1] / nu[2] / nu[1] < -1.7
+        column = mx.cosine_column(A, 1, np.empty(4, np.int16))
+        assert column.tolist() == [32767, 32767, -32767, 32767]
+        assert_matches_packed(A)
 
     @pytest.mark.parametrize("m", [1, 2, mx._TILE - 1, mx._TILE,
                                    mx._TILE + 1, 3 * mx._TILE + 5, 300])
@@ -316,11 +337,11 @@ class TestRowCosines:
 
     def test_diagonal_tile_holds_row_i_values_above_the_diagonal(
             self, monkeypatch):
-        # C_01 from the GEMM's entry (0, 1), scaled by 1 / nu_0 first, and
-        # from row 1's entry (1, 0), scaled by 1 / nu_1 first: near a
-        # float16 rounding midpoint the two orders round apart, and the
-        # upper half must hold row 1's value, as the packed triangle did
-        mid = 1.0 - 2.0 ** -12  # halfway between two float16 numbers
+        # C_01 from the GEMM's entry (0, 1), scaled by 32767 / nu_0 first,
+        # and from row 1's entry (1, 0), scaled by 32767 / nu_1 first: near
+        # a rounding midpoint of the grid the two orders round apart, and
+        # the upper half must hold row 1's value, as the packed triangle did
+        mid = 0.5 / mx._COS_ONE  # halfway between the grid's 0 and 1
         rng = np.random.default_rng(11)
         for _ in range(200):
             alpha, beta = rng.uniform(1.0, 2.0, 2)
@@ -328,13 +349,14 @@ class TestRowCosines:
                                 [beta * mid, beta * np.sqrt(1.0 - mid * mid)]])
             G = entries @ entries.T
             inv = 1.0 / np.sqrt(mx.from_dense(entries).row_norms_sq)
-            row_1 = np.float16(G[1, 0] * inv[1] * inv[0])
-            if np.float16(G[0, 1] * inv[0] * inv[1]) != row_1:
+            one = inv * mx._COS_ONE
+            row_1 = np.rint(G[1, 0] * one[1] * inv[0])
+            if np.rint(G[0, 1] * one[0] * inv[1]) != row_1:
                 break
         else:
             pytest.fail("no pair of rows whose two scalings round apart")
         A = cosine_handle(entries, monkeypatch)
-        assert mx.cosine_column(A, 1, np.empty(2, np.float16))[0] == row_1
+        assert mx.cosine_column(A, 1, np.empty(2, np.int16))[0] == row_1
         assert_matches_packed(A)
 
     @settings(max_examples=60, deadline=None)
@@ -378,7 +400,7 @@ class TestRowCosines:
         A = cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]], monkeypatch)
         assert A.row_norms_sq[1] == 0.0
         out = np.empty(2)
-        assert mx.cosine_column(A, 0, out).tolist() == [1.0, 0.0]
+        assert mx.cosine_column(A, 0, out).tolist() == [mx._COS_ONE, 0.0]
         assert mx.cosine_column(A, 1, out).tolist() == [0.0, 0.0]
 
     def test_build_is_logged(self, caplog):

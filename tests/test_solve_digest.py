@@ -12,13 +12,16 @@ OpenBLAS core and OpenBLAS threads; under any other key the test skips and
 names the key it lacks.
 
 Run as a script, the module writes the digest of its own key into the file
-and keeps the other keys.  A change that moves iterates on purpose
-regenerates both thread counts kept today, the default and one thread:
+and keeps the other keys.  A change that moves iterates or counters on
+purpose regenerates both thread counts kept today, the default and one
+thread:
 
     PYTHONPATH=src python tests/test_solve_digest.py
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_solve_digest.py
 
-and names the cells that changed.
+and names the cells that changed.  A failing test names, for each cell that
+differs, the fields that do (`differing_fields`), so a regeneration that
+moves only counters can be told from one that moves iterates.
 """
 
 import ctypes
@@ -118,8 +121,25 @@ def digest_cell(A, b, tol, method, omega, mode, x_star) -> dict:
                   for k, res, err in report.trace],
         "counters": {key: getattr(report, key) for key in (
             "resyncs", "floor_refreshes", "zero_row_skips", "shadow_passes",
-            "full_passes", "gram_steps")},
+            "full_passes", "gram_steps", "settled_picks")},
     }
+
+
+# a cell's field -> its name in a failure message
+FIELDS = {"x_sha1": "x_final", "outer_iters": "outer_iters",
+          "final_res": "final_res", "converged": "converged",
+          "trace": "trace", "error": "error", "message": "error message"}
+
+
+def differing_fields(got: dict, want: dict) -> list[str]:
+    """The fields in which two digests of a cell differ: x_final,
+    outer_iters, final_res, converged, trace, the error raised, or
+    counters.<name> for each counter, present in one only or unequal."""
+    names = [FIELDS[key] for key in sorted(set(got) | set(want))
+             if key != "counters" and got.get(key) != want.get(key)]
+    mine, theirs = got.get("counters", {}), want.get("counters", {})
+    return names + [f"counters.{key}" for key in sorted(set(mine) | set(theirs))
+                    if mine.get(key) != theirs.get(key)]
 
 
 def digest_shape(name: str) -> dict:
@@ -145,7 +165,24 @@ def test_solves_match_the_committed_digest(name, committed):
     want = {cell: value for cell, value in committed.items()
             if cell.startswith(name + "/")}
     assert len(want) == len(CELLS) * len(MODES)
-    assert [cell for cell in want if got[cell] != want[cell]] == []
+    assert {cell: differing_fields(got[cell], want[cell]) for cell in want
+            if got[cell] != want[cell]} == {}
+
+
+def test_differing_fields_names_each_field():
+    cell = {"x_sha1": "a", "outer_iters": 3, "final_res": "0x1p-20",
+            "converged": True, "trace": [[0, "0x1p+0", None]],
+            "counters": {"full_passes": 2, "gram_steps": 3}}
+    assert differing_fields(cell, dict(cell)) == []
+    moved = dict(cell, x_sha1="b", trace=[],
+                 counters={"full_passes": 1, "settled_picks": 4,
+                           "gram_steps": 3})
+    assert differing_fields(moved, cell) == [
+        "trace", "x_final", "counters.full_passes", "counters.settled_picks"]
+    raised = {"error": "DivergenceError", "message": "at 5"}
+    assert differing_fields(raised, cell) == [
+        "converged", "error", "final_res", "error message", "outer_iters",
+        "trace", "x_final", "counters.full_passes", "counters.gram_steps"]
 
 
 if __name__ == "__main__":
