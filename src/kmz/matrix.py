@@ -302,8 +302,9 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     2^-1073 covers both, with slack for the relative factors on top.  A
     zero row (no stored entry, for CSR) takes R2_i = U_i = 0: every product
     with it is exact, and its reach is 0.  The factor 4 eps covers the
-    final sum and sqrt.
+    final sum and sqrt.  Logs its seconds and the megabytes of H kept.
     """
+    start = time.perf_counter()
     m, n = A.m, A.n
     eps = float(np.finfo(np.float64).eps)
     if A.dense is not None:
@@ -369,7 +370,11 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
         margin = 4.0 * (m + n + 8) * eps * (A.frob_sq + m * n * 2.0 ** -1074) \
             * R2 + np.where(live, under, 0.0)
         reach = (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
-    return reach, (_readonly(H) if gram and _keeps_gram(A) else None)
+    kept = _readonly(H) if gram and _keeps_gram(A) else None
+    log.info("row reach of a %d x %d matrix: %.3f s, %.1f MB of A^T A kept",
+             m, n, time.perf_counter() - start,
+             0.0 if kept is None else kept.nbytes / 1e6)
+    return reach, kept
 
 
 def _panel_heights(m: int) -> np.ndarray:

@@ -26,8 +26,10 @@ trace rows and the last iteration.  choose_certificate gives one of these:
                        x-step, where they fit (matrix._fits_cosines);
     ResidualShadow     else one float32 pass over A per x-step.
   ResidualFloor        REK/PREK with a RES stop: a lower bound on ||r||
-                       moved at O(1) per step, rebuilt in O(n^2) where the
-                       handle keeps A^T A (matrix._keeps_gram).
+                       moved at O(1) per step and, where the handle keeps
+                       A^T A (matrix._keeps_gram), rebuilt in O(n) from the
+                       tangent plane of ||A eta||^2 at the last O(n^2)
+                       refresh, or else by a new refresh.
   ResidualCertificate  elsewhere: certifies nothing (the exact path).
 A solve stops only on a RES formed in full, and every pick is the float64
 argmax, so the iterates, iteration counts, trace rows and the iteration a
@@ -112,6 +114,7 @@ class SolveReport:
     trace: list = field(default_factory=list)  # rows (k, res, err_sq or None)
     resyncs: int = 0          # RES formed in full: stop tests, trace rows
     floor_refreshes: int = 0  # O(n^2) rebuilds of the REK/PREK floor
+    floor_tangents: int = 0   # its O(n) rebuilds from the tangent plane
     # greedy picks of a zero-norm row with a zero residual entry, which leave
     # x as it is
     zero_row_skips: int = 0
@@ -258,13 +261,14 @@ class ResidualCertificate:
     This base certifies nothing, so every pick and stop test takes a float64
     pass: the exact path, which the other certificates must reproduce.
     z_project_column and x_project_row move `stepped`, if not None, with
-    each step; floor_refreshes, shadow_passes, gram_steps and settled_picks
-    count a certificate's work.
+    each step; floor_refreshes, floor_tangents, shadow_passes, gram_steps
+    and settled_picks count a certificate's work.
     """
 
     __slots__ = ()
     stepped = None
-    floor_refreshes = shadow_passes = gram_steps = settled_picks = 0
+    floor_refreshes = floor_tangents = shadow_passes = gram_steps = 0
+    settled_picks = 0
 
     def advance(self, x: np.ndarray) -> None:
         pass
@@ -285,7 +289,9 @@ class ResidualFloor(ResidualCertificate):
     """The certificate of REK/PREK with a RES stop: a lower bound L on ||r||,
     r = b - A x - z of the stored iterates, with upper bounds xi >= ||x|| and
     zeta >= ||z||, moved along with x and z at O(1) scalar cost per step
-    instead of forming r.  z must start at b.  It picks no row.
+    instead of forming r.  z must start at b.  It picks no row.  Where the
+    step updates cannot exclude a stop, L is rebuilt by the tangent tier in
+    O(n), and then, if that fails too, by a refresh in O(n^2).
 
     With gamma = (m + n + 8) eps and F >= ||A||_F, the terms are:
       - Anchor, after a full recompute r^ = fl(fl(b - fl(A x)) - z) and
@@ -331,6 +337,46 @@ class ResidualFloor(ResidualCertificate):
         or inf leaves L as it is); xi and zeta stay.  Unlike the step
         terms, no term here grows with the lengths of the steps: only D
         grows, by about gamma (zeta + t) per column step.
+      - Tangent (`tangent`, tried before a refresh once one has run).  The
+        last refresh also keeps its eta^0 = eta^, p^ = fl(H^ eta^0) and Q0 =
+        q^ - 2 gamma F^2 e^ - U, a lower bound on ||A eta^0||^2 by the
+        refresh's argument, which needs (m + 2n) eps F^2 e^ here, as eta^0
+        is itself the float vector: Q0 spares (m + 16) eps F^2 e^, less the
+        second-order terms.  For G = A^T A and any eta, ||A eta||^2 =
+        ||A eta^0||^2 + 2 (G eta^0).delta + ||A delta||^2 >= ||A eta^0||^2
+        + 2 (G eta^0).delta, delta = eta - eta^0: a convex function lies
+        above its tangent plane.  The tier takes eta = c^ - x exactly and
+        forms d^ = fl(fl(c^ - x) - eta^0), t^ = fl(p^.d^) and f =
+        sqrt(fl(d^.d^) + n 2^-1074) (1 + gamma) >= ||d^|| (1 + eps), a few
+        n-vector operations and no read of H^.  |p^| <= (1 + gamma) |A|^T
+        |A| |eta^0| entrywise, so ||p^|| <= (1 + gamma) F^2 ||eta^0||, and
+        (G eta^0).delta differs from t^ by at most:
+        - p^ against G eta^0.  |H^ - G| <= gamma_m |A|^T |A| and
+          fl(H^ eta^0) errs by gamma_n |H^| |eta^0|, so by (m + n) eps
+          || |A| |eta^0| || || |A| |delta| || <= (m + n) eps F^2 ||eta^0||
+          ||delta||, to first order, with ||delta|| <= f + eps/2 ||eta^0||.
+        - The difference and the dot.  d^ is within eps/2 |d^| of eta^ -
+          eta^0, eta^ = fl(c^ - x), and t^ within gamma_n |p^|.|d^| of
+          p^.d^: (n + 1) eps ||p^|| ||d^||.
+        - The rounding of eta^, within eps/2 |eta^| of c^ - x: eps/2 ||p^||
+          (||eta^0|| + ||d^|| (1 + eps)).
+        Twice their sum is at most 2 (m + 2n + 2) eps F^2 ||eta^0|| f plus
+        eps (1 + (m + n) eps) F^2 e^, which Q0 spares, so the tier
+        subtracts one term, 4 gamma F^2 ||eta^0|| f, whose coefficient
+        exceeds that need by (2m + 28) eps: enough for the roundings of T,
+        3 eps (|Q0| + 2 |t^|), the rest of which Q0 spares.  Underflow: t^
+        may lose n 2^-1075, which Q0's U spares, as it covers q^'s losses
+        four times over; each entry of p^ may err by (m ||eta^0||_1 + n)
+        2^-1075 more (the refresh's), and ||eta^0||_1 <= sqrt(n e^),
+        ||delta||_1 <= sqrt(n) ||delta||: the term n (m ||eta^0|| +
+        sqrt(n)) f 2^-1073, twice what 2 t^ needs, and Q0's U spares the
+        eps/2 ||eta^0|| part of ||delta||.  A difference of floats
+        that underflows is exact.  So ||A (c^ - x)||^2 >= T = Q0 + 2 t^ less
+        these two terms, and L = max(L, sqrt(max(T, 0)) (1 - gamma) - D),
+        as for a refresh.  Where the tier cannot prove the stop, the
+        refresh runs and moves eta^0 to the current c^ - x.  Its bound is
+        as tight as the refresh's while ||A delta||^2 is small beside
+        ||A eta^0||^2.
       - Stop test.  A full recompute here would give, by the anchor's
         argument, ||r^|| (1 + eps) >= M = L - gamma (||b|| + F xi), so if
         M > 0 then s^ >= M^2 (1 - gamma), and M^2 (1 - gamma) >=
@@ -369,7 +415,8 @@ class ResidualFloor(ResidualCertificate):
 
     __slots__ = ("m", "n", "gamma", "reach", "H", "col_norms", "row_norms",
                  "frob", "b_norm", "rho_m", "rho_n", "L", "xi", "zeta", "coef",
-                 "drift", "x", "floor_refreshes")
+                 "drift", "x", "eta0", "p", "Q0", "slope",
+                 "floor_refreshes", "floor_tangents")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         self.m, self.n = m, n = A.m, A.n
@@ -392,7 +439,8 @@ class ResidualFloor(ResidualCertificate):
             + math.sqrt(m * n) * _ROOT_SUB * (1.0 + g)
         self.b_norm = float(np.linalg.norm(b)) * (1.0 + g) \
             + self.rho_m * (1.0 + 2.0 / g)
-        self.floor_refreshes = 0
+        self.p = None  # the tangent tier's, set by the first refresh
+        self.floor_refreshes = self.floor_tangents = 0
 
     @property
     def stepped(self) -> "ResidualFloor":
@@ -411,16 +459,36 @@ class ResidualFloor(ResidualCertificate):
                   - g * (self.b_norm + self.frob * self.xi)) * _DOWN
 
     def refresh(self, x: np.ndarray) -> None:
-        """Raise L to the bound rebuilt from H^ and c^; O(n^2), counted."""
+        """Raise L to the bound rebuilt from H^ and c^, and expand the
+        tangent tier at eta^ = fl(c^ - x); O(n^2), counted."""
         self.floor_refreshes += 1
         g, m, n = self.gamma, self.m, self.n
         d = self.coef - x
         e = float(d @ d) + n * _SUB
-        q = float(d @ (self.H @ d))
+        p = self.H @ d
+        q = float(d @ p)
         under = (m * n * e + n * math.sqrt(n * e) + n) * 2.0 ** -1073
-        near = math.sqrt(max(q - 2.0 * g * self.frob * self.frob * e - under,
-                             0.0))
-        L = (near * (1.0 - g) - self.drift) * _DOWN
+        self.eta0, self.p = d, p
+        self.Q0 = q - 2.0 * g * self.frob * self.frob * e - under
+        # the tangent tier's terms per unit of f: rounding, then underflow
+        r0 = math.sqrt(e) * (1.0 + g)  # >= ||eta^0||
+        self.slope = 4.0 * g * self.frob * self.frob * r0 \
+            + n * (m * r0 + math.sqrt(n)) * 2.0 ** -1073
+        self._raise(self.Q0)
+
+    def tangent(self, x: np.ndarray) -> None:
+        """Raise L to the bound from the tangent plane of ||A eta||^2 at the
+        last refresh's eta^0; O(n), counted."""
+        self.floor_tangents += 1
+        d = self.coef - x
+        d -= self.eta0
+        f = math.sqrt(float(d.dot(d)) + self.n * _SUB) * (1.0 + self.gamma)
+        self._raise(self.Q0 + 2.0 * float(self.p.dot(d)) - self.slope * f)
+
+    def _raise(self, T: float) -> None:
+        """L = max(L, sqrt(max(T, 0)) (1 - gamma) - D) for a lower bound T
+        on ||A (c^ - x)||^2; a NaN or inf leaves L as it is."""
+        L = (math.sqrt(max(T, 0.0)) * (1.0 - self.gamma) - self.drift) * _DOWN
         if self.L < L < math.inf:
             self.L = L
 
@@ -444,19 +512,25 @@ class ResidualFloor(ResidualCertificate):
     def excludes_stop(self, z: np.ndarray, tol_denom: float,
                       denom: float) -> bool:
         """From L as it stands or, where that fails and H^ is kept, from L
-        refreshed at the last advanced x (which leaves xi and zeta)."""
+        raised by the tangent tier and then, if that fails too, by a
+        refresh, both at the last advanced x (neither moves xi or zeta)."""
         g = self.gamma
         far = self.b_norm + self.frob * self.xi
         U = (far + self.zeta) * _UP
-        safe = self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf
+        if not (self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf):
+            return False
         M = self.L - g * far
-        if safe and M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
+        if M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
             return True
         if self.H is None:
             return False
-        self.refresh(self.x)
-        M = self.L - g * far
-        return safe and M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf
+        for rebuild in ((self.refresh,) if self.p is None
+                        else (self.tangent, self.refresh)):
+            rebuild(self.x)
+            M = self.L - g * far
+            if M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
+                return True
+        return False
 
 
 # -- anchored greedy residual --------------------------------------------------
@@ -975,14 +1049,15 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     if trace[-1][0] != k:
         record(k, res)
     log.debug("%s: %d iterations, %d float64 passes, %d full residual "
-              "recomputes, %d floor refreshes, %d float32 shadow passes, %d "
-              "Gram steps, %d settled picks, %d zero-row skips", method, k,
-              passes, resyncs, cert.floor_refreshes, cert.shadow_passes,
-              cert.gram_steps, cert.settled_picks, zero_row_skips)
+              "recomputes, %d floor refreshes, %d tangent floors, %d float32 "
+              "shadow passes, %d Gram steps, %d settled picks, %d zero-row "
+              "skips", method, k, passes, resyncs, cert.floor_refreshes,
+              cert.floor_tangents, cert.shadow_passes, cert.gram_steps,
+              cert.settled_picks, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
-                       resyncs, cert.floor_refreshes, zero_row_skips,
-                       cert.shadow_passes, passes, cert.gram_steps,
-                       cert.settled_picks)
+                       resyncs, cert.floor_refreshes, cert.floor_tangents,
+                       zero_row_skips, cert.shadow_passes, passes,
+                       cert.gram_steps, cert.settled_picks)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

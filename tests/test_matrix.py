@@ -536,6 +536,17 @@ class TestRowReach:
         dense_csr.row_reach
         assert dense_csr._gram is not None
 
+    def test_build_is_logged(self, caplog):
+        # 1200 x 300 keeps its A^T A (0.72 MB); 700 x 400 frees it
+        rng = np.random.default_rng(4)
+        for (m, n), mb in (((1200, 300), "0.7"), ((700, 400), "0.0")):
+            A = mx.from_dense(rng.standard_normal((m, n)))
+            caplog.clear()
+            with caplog.at_level("INFO", logger="kmz.matrix"):
+                A.row_reach
+            assert f"row reach of a {m} x {n} matrix: " in caplog.text
+            assert f" s, {mb} MB of A^T A kept" in caplog.text
+
     def test_large_sparse_stays_sparse(self):
         # A^T A would be 5000 x 5000, 200 MB dense; the reach must cost memory
         # in proportion to the stored entries instead

@@ -120,8 +120,8 @@ def digest_cell(A, b, tol, method, omega, mode, x_star) -> dict:
         "trace": [[k, res.hex(), None if err is None else err.hex()]
                   for k, res, err in report.trace],
         "counters": {key: getattr(report, key) for key in (
-            "resyncs", "floor_refreshes", "zero_row_skips", "shadow_passes",
-            "full_passes", "gram_steps", "settled_picks")},
+            "resyncs", "floor_refreshes", "floor_tangents", "zero_row_skips",
+            "shadow_passes", "full_passes", "gram_steps", "settled_picks")},
     }
 
 

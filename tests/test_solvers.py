@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import warnings
@@ -796,8 +797,11 @@ class TestCarriedResidual:
                 rep = solve(SolverConfig(method=sv.PREK, seed=0), A, b)
             assert f"{rep.full_passes} float64 passes, " \
                    f"{rep.resyncs} full residual recomputes, " \
-                   f"{rep.floor_refreshes} floor refreshes" in caplog.text
+                   f"{rep.floor_refreshes} floor refreshes, " \
+                   f"{rep.floor_tangents} tangent floors" in caplog.text
             assert (rep.floor_refreshes > 0) == (m == 1400)
+            # most rebuilds come from the tangent plane
+            assert rep.floor_tangents > rep.floor_refreshes or m == 200
 
 
 EPS = np.finfo(float).eps
@@ -855,9 +859,10 @@ def floor_cases(draw):
         else:
             entries[:, k] = entries[:, j] * (1.0 + 1e-3 * rng.standard_normal(m))
     x_t = rng.standard_normal(n) * 2.0 ** draw(st.integers(-60, 60))
-    image = entries @ x_t
-    b = image + rng.standard_normal(m) * float(np.linalg.norm(image)) \
-        * 2.0 ** draw(st.integers(-80, 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # b may not be finite
+        image = entries @ x_t
+        b = image + rng.standard_normal(m) * float(np.linalg.norm(image)) \
+            * 2.0 ** draw(st.integers(-80, 0))
     start = draw(st.sampled_from(["zero", "near", "cancel"]))
     x0 = np.zeros(n)
     if start != "zero":
@@ -1057,6 +1062,125 @@ class TestResidualFloorSoundness:
                 floor.L = -math.inf
                 floor.refresh(x)
             check()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(case=floor_cases(), tie=st.sampled_from([0.0, 1e-3, 1e-9, 1e-14]),
+           scale=st.sampled_from([0, 150, -150]), lean=st.integers(-60, 60),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 8),
+                                    st.floats(-2.0, 2.0), st.integers(-56, 2),
+                                    st.booleans()), min_size=1, max_size=20))
+    # A with singular values in the ratios 1 : 3.4e-6 : 2.5e-14, x0 = v_2,
+    # and three column steps (b = 0, so z_scale = 1) that move c^ by 2552
+    # v_3: (A eta^0).(A delta) is about 0, and only the 4 gamma F^2
+    # ||eta^0|| f term keeps the rounding of p^ from raising T above
+    # ||A (c^ - x)||^2
+    @example(case=(np.array([[0.37820476863610764, 0.19409111658883224,
+                              0.039133504358031854],
+                             [-0.9263810789030058, -0.4754130137993149,
+                              -0.09585221609515214],
+                             [-1.0, -0.5131998249408787,
+                              -0.1034654052454024]]),
+                   np.zeros(3),
+                   np.array([0.30306583843684654, -0.7170871755499694,
+                             0.6276440712970518]), 0),
+             tie=0.0, scale=0, lean=-60,
+             steps=[(True, 0, -1.2378711333538435, 10, False),
+                    (True, 1, 1.9117012711367691, 9, False),
+                    (True, 2, 1.128081991498629, 8, False)])
+    # the same construction (1 : 0.18 : 3.8e-13), with entries near 1e-160
+    # and c^ moved by about 10^3 ||x0|| along v_3: H^'s entries are
+    # subnormal, each p^_k may err by m ||eta^0||_1 2^-1075, and t^ = p^.d^
+    # by that times ||d^||_1, which only the tier's underflow term covers
+    @example(case=(np.array([[0.40677635729117284, -0.20747459475904467,
+                              0.2806138556762601],
+                             [-0.4343378782808737, 0.7501062635006739, -1.0],
+                             [-0.060463139554125245, 0.19608573454379183,
+                              -0.2606661778332532]]),
+                   np.zeros(3),
+                   np.array([-0.2239695518435559, -0.056739118814962554,
+                             0.07203939507582433]), 0),
+             tie=0.0, scale=-160, lean=-60,
+             steps=[(True, 0, -1.9037501998071797, -532, False),
+                    (True, 1, 1.885725574510856, -525, False),
+                    (True, 2, 1.8986886878344693, -525, False)])
+    def test_tangent_floor_from_any_steps(self, case, tie, scale, lean, steps):
+        # A refresh at eta^0 = fl(c^ - x0) = -x0 (c^ = 0, z = b), then column
+        # and row steps of any size, a step flagged `back` undoing the one
+        # before; after each, L is rebuilt from -inf by the tangent tier
+        # alone and must stay at or below the exact ||r||, and a stop test
+        # from a spent step floor, on a copy so that its refresh leaves
+        # eta^0 where it is, must not skip a recompute that would stop.
+        # Columns 0 and 1 are made nearly dependent (A_(1) = A_(0) (1 +
+        # tie N(0, 1))) and x0 is moved by 2^lean max |x0| along (1, -1),
+        # where A nearly cancels, so that ||A eta^0|| is small beside F
+        # ||eta^0|| and p^'s rounding counts; A and b are scaled to a
+        # largest entry of 10^scale, where products underflow.
+        entries, b, x0, seed = case
+        entries, x0 = entries.copy(), x0.copy()
+        rng = np.random.default_rng(seed)
+        m, n = entries.shape
+        if tie and n > 1:
+            entries[:, 1] = entries[:, 0] \
+                * (1.0 + tie * rng.standard_normal(m))
+        if not (np.isfinite(b).all() and np.isfinite(x0).all()) \
+                or not abs(entries).max() > 0.0:
+            return
+        if n > 1:
+            move = 2.0 ** lean * (float(abs(x0).max()) or 1.0)
+            x0[0] += move
+            x0[1] -= move
+        factor = 10.0 ** scale / float(abs(entries).max())
+        entries, b = entries * factor, b * factor
+        A = handle(entries)
+        if A.frob_sq == 0.0 or not (np.isfinite(b).all()
+                                    and np.isfinite(A.row_reach).all()):
+            return
+        floor = sv.ResidualFloor(A, b)
+        floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
+        floor.coef = np.zeros(n)
+        x, z = x0.copy(), b.copy()
+        z_scale = float(abs(z).max()) or 1.0
+        x_scale = float(abs(x).max()) or 1.0
+        exact = [[Fraction(e) for e in row] for row in entries.tolist()]
+        denom = float(b @ b)
+        r = residual(A, x, b, z)
+        floor.anchor(x, z, None, float(r @ r))
+        floor.advance(x)
+        floor.refresh(x)
+        last = None
+        for column, index, coef, size, back in steps:
+            if back and last is not None:
+                column, k, step = last[0], last[1], -last[2]
+            else:
+                # a step's size is set against max |z0| or max |x0|, over
+                # the stored norm of its column or row
+                k = index % (n if column else m)
+                nsq = (A.col_table if column else A.row_table)[1][k]
+                step = coef * 2.0 ** size * (z_scale if column else x_scale) \
+                    / nsq ** 0.5 if nsq > 0.0 else 0.0
+            if step == 0.0:
+                continue
+            if column:
+                floor.column_step(k, step)
+                mx.axpy_col(z, A, k, -step)
+            else:
+                floor.row_step(k, step)
+                mx.axpy_row(x, A, k, step)
+            last = column, k, step
+            if not (np.isfinite(x).all() and np.isfinite(z).all()):
+                return
+            floor.advance(x)
+            floor.L = -math.inf
+            floor.tangent(x)
+            sq = exact_residual_sq(exact, x, b, z)
+            assert below_norm(floor.L, sq), (floor.L, float(sq) ** 0.5)
+            if denom > 0.0:
+                r = residual(A, x, b, z)
+                stopping = np.nextafter(float(r @ r) / denom, np.inf) \
+                    * denom * sv._UP
+                spent = copy.copy(floor)
+                spent.L = -math.inf
+                assert not spent.excludes_stop(z, stopping, denom)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(case=floor_cases(), method=st.sampled_from([sv.REK, sv.PREK]),
@@ -1708,7 +1832,8 @@ class TestResidualShadow:
             rep = solve(SolverConfig(method=sv.EMRK, seed=0), A, b)
         assert 0 < rep.resyncs < rep.shadow_passes
         assert f"{rep.resyncs} full residual recomputes, 0 floor refreshes, " \
-               f"{rep.shadow_passes} float32 shadow passes" in caplog.text
+               f"0 tangent floors, {rep.shadow_passes} float32 shadow passes" \
+               in caplog.text
 
 
 def new_gram(A, x, b):
