@@ -72,7 +72,9 @@ class MatrixHandle:
     and index them once per step, cheaper in the interpreter than a numpy
     call on one scalar) and one view per column (col_views).  Built on first
     use: the row views with the row-major copy (:attr:`rows`),
-    :attr:`row_reach` with A^T A, which only REK/PREK with a RES stop read,
+    :attr:`row_reach` with A^T A (kept above :func:`_keeps_gram`, where it
+    also gives row_reach as ||A||_2 ||a_i|| bounds), which only REK/PREK
+    with a RES stop read,
     and :attr:`row_cosines`, the int16 fixed-point cosines of every pair of
     rows in tile-column panels, with the views that :func:`cosine_column`
     reads them through, which only EMRK/MEMRK read.  None of the three may be
@@ -136,7 +138,10 @@ class MatrixHandle:
 
         An x-step x += d a_i^T moves A x by exactly d A a_i^T, so this is how
         far one unit of step along row i can move r = b - A x - z.  Built on
-        first use; see :func:`_row_reach`.
+        first use, with A^T A: where the handle keeps A^T A (_keeps_gram),
+        as sqrt(Lam) ||a_i||, Lam >= ||A||_2^2 certified by a Cholesky
+        factorization, in O(n^3); elsewhere per row, in O(m n^2) or less.
+        See :func:`_row_reach`.
         """
         if self._row_reach is None:
             self._row_reach, self._gram = _row_reach(self)
@@ -228,10 +233,11 @@ def _keeps_gram(A: MatrixHandle) -> bool:
     refresh: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES, m n
     for a dense handle and nnz for CSR; such a Gram matrix takes at most
     half the bytes of A's stored entries.  Below the gate a refresh costs
-    about the mat-vec it saves: on small-200x50 (seed 800) a kept A^T A let
-    refreshes replace all but one float64 pass per solve (REK 5598 -> 20,
-    PREK 4403 -> 20), and the median best of 5 over 9 alternating runs went
-    from 0.36 to 0.40 s for REK and from 0.32 to 0.33 s for PREK."""
+    about the mat-vec it saves: on small-200x50's 20 instances (seed 800,
+    tol 1e-8), a kept A^T A, with the spectral row_reach and the tangent
+    tier, cut the float64 passes from 5687 to 20 (REK) and from 4389 to 20
+    (PREK), but the median of 9 alternating pairs went from 0.305 to 0.314
+    s for REK and from 0.240 to 0.258 s for PREK, ranges overlapping."""
     entries = A.m * A.n if A.dense is not None else A.csr.nnz
     return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
 
@@ -270,18 +276,33 @@ def _keeps_rows(A: MatrixHandle) -> bool:
 
 
 def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
-    """(reach, H): reach_i = sqrt(q_i + margin_i) (1 + 4 eps), q_i =
-    ||A a_i^T||^2, computed in row blocks of at most _REACH_BLOCK entries or
-    one row each: as a_i H a_i^T, H = A^T A (dense), when H takes no more
-    bytes than the stored entries of A (for a dense A, when n <= m); else as
-    the squared norm of row i of A A^T, sparse for a CSR handle, whose
-    entries and flops number sum_j nnz(A_(j)) over the columns j that row i
-    touches.  H is returned when _keeps_gram holds, else None (freed).
+    """(reach, H): upper bounds reach_i >= ||A a_i^T||, and H = fl(A^T A)
+    where _keeps_gram holds, else None (freed).  Products with A are formed
+    in row blocks of at most _REACH_BLOCK entries, or one row each.  Logs
+    its seconds, the megabytes of H kept and the path taken, with the
+    reason for a fallback.
 
-    A CSR handle on the H path forms H as a sparse product, which costs
-    sum_i nnz(a_i)^2 flops at sparse-product speed, unless that sum reaches
-    m n^2 / _DENSE_GRAM_RATIO; then it densifies each row block (toarray)
-    and forms H and q from BLAS products, 2 m n^2 flops in all.
+    Spectral, where H is kept: ||A a_i^T|| <= ||A||_2 ||a_i||, so reach_i =
+    sqrt(Lam) sqrt(R2_i) (1 + 4 eps) + 2^-1074 (R2_i below), with Lam from
+    :func:`_norm_sq_bound`, in O(n^3): 1.20-1.28 times ||A a_i^T|| (median
+    1.23) on a standard normal 6000 x 500.  Lam's factor 1 + n eps takes the gamma_n of the stored
+    ||a_i||^2, and 4 eps the five roundings after it, of sqrt(Lam), its
+    product with 1 + 4 eps, R2_i, sqrt(R2_i) and the product; the last is
+    absolute, up to 2^-1075, where the product falls below 2^-1022, which
+    the 2^-1074 added to a live row takes.  If Lam cannot be certified, the
+    per-row path runs on the same H.
+
+    Per row, elsewhere: reach_i = sqrt(q_i + margin_i) (1 + 4 eps), q_i =
+    ||A a_i^T||^2 computed as a_i H a_i^T, H = A^T A (dense), when H takes
+    no more bytes than the stored entries of A (for a dense A, when n <=
+    m); else as the squared norm of row i of A A^T, sparse for a CSR
+    handle, whose entries and flops number sum_j nnz(A_(j)) over the
+    columns j that row i touches.  2 m n^2 flops on the H path.
+
+    A CSR handle forms H as a sparse product, which costs sum_i nnz(a_i)^2
+    flops at sparse-product speed, unless that sum reaches m n^2 /
+    _DENSE_GRAM_RATIO; then it densifies each row block (toarray) and
+    forms H from BLAS products.
 
     margin_i = 4 (m + n + 8) eps F2 R2_i + U_i covers the rounding of q_i:
     every product above is a dot product of at most max(m, n) terms, each
@@ -302,7 +323,7 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     2^-1073 covers both, with slack for the relative factors on top.  A
     zero row (no stored entry, for CSR) takes R2_i = U_i = 0: every product
     with it is exact, and its reach is 0.  The factor 4 eps covers the
-    final sum and sqrt.  Logs its seconds and the megabytes of H kept.
+    final sum and sqrt.
     """
     start = time.perf_counter()
     m, n = A.m, A.n
@@ -338,15 +359,12 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
             yield s, e, (blk.toarray() if densify else blk)
             s = e
 
-    q = np.empty(m)
+    kept = lam = None
+    path = "per row"
     # An overflow leaves an inf or NaN bound, which only forces the solver
     # to form r in full.
     with np.errstate(over="ignore", invalid="ignore"):
-        if not gram:
-            for s, e, blk in blocks():
-                G = blk @ stored_t  # the block's rows of A A^T
-                q[s:e] = _row_dots(G, G)
-        else:
+        if gram:
             if A.dense is not None:
                 H = stored_t @ stored
             elif densify:
@@ -355,8 +373,9 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
                     H += blk.T @ blk
             else:
                 H = (stored_t @ stored).toarray()
-            for s, e, blk in blocks():
-                q[s:e] = _row_dots(blk, blk @ H)
+            if _keeps_gram(A):
+                kept = _readonly(H)
+                lam, path = _norm_sq_bound(A, H)
         if A.dense is not None:
             live = A.row_norms_sq > 0.0
             dark = np.flatnonzero(~live)  # zero, or squares that underflow
@@ -364,17 +383,95 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
         else:
             live = np.diff(A.csr.indptr) > 0
         R2 = np.where(live, A.row_norms_sq + n * 2.0 ** -1074, 0.0)
-        w = np.sqrt(n * R2)
-        c = math.sqrt(m * (float(A.col_norms_sq.max()) + m * 2.0 ** -1074))
-        under = (w * (m * w + 2.0 * n * c + n) + m + n) * 2.0 ** -1073
-        margin = 4.0 * (m + n + 8) * eps * (A.frob_sq + m * n * 2.0 ** -1074) \
-            * R2 + np.where(live, under, 0.0)
-        reach = (np.sqrt(q + margin) * (1.0 + 4.0 * eps)).tolist()
-    kept = _readonly(H) if gram and _keeps_gram(A) else None
-    log.info("row reach of a %d x %d matrix: %.3f s, %.1f MB of A^T A kept",
-             m, n, time.perf_counter() - start,
-             0.0 if kept is None else kept.nbytes / 1e6)
-    return reach, kept
+        if lam is not None:
+            reach = np.sqrt(R2) * (math.sqrt(lam) * (1.0 + 4.0 * eps)) \
+                + live * 2.0 ** -1074
+        else:
+            q = np.empty(m)
+            for s, e, blk in blocks():
+                if gram:
+                    q[s:e] = _row_dots(blk, blk @ H)
+                else:
+                    G = blk @ stored_t  # the block's rows of A A^T
+                    q[s:e] = _row_dots(G, G)
+            w = np.sqrt(n * R2)
+            c = math.sqrt(m * (float(A.col_norms_sq.max()) + m * 2.0 ** -1074))
+            under = (w * (m * w + 2.0 * n * c + n) + m + n) * 2.0 ** -1073
+            margin = 4.0 * (m + n + 8) * eps \
+                * (A.frob_sq + m * n * 2.0 ** -1074) * R2 \
+                + np.where(live, under, 0.0)
+            reach = np.sqrt(q + margin) * (1.0 + 4.0 * eps)
+    log.info("row reach of a %d x %d matrix: %.3f s, %.1f MB of A^T A kept, "
+             "%s", m, n, time.perf_counter() - start,
+             0.0 if kept is None else kept.nbytes / 1e6, path)
+    return reach.tolist(), kept
+
+
+def _norm_sq_bound(A: MatrixHandle, H: np.ndarray) -> tuple[float | None, str]:
+    """(Lam, path): Lam >= ||A||_2^2 (1 + n eps), certified from H =
+    fl(A^T A) by one Cholesky factorization, or (None, path) naming why
+    not; path is the text for _row_reach's INFO line.
+
+    With k the power of two that puts max_j H_jj in [1/2, 1), H_s =
+    fl(2^k H), lam^ = eigvalsh(H_s)[-1] and mu = fl(lam^ (1 + 2 n (n + 1)
+    eps)), the Cholesky factorization of M = fl(mu I - H_s) is tried.
+    lam^ is only a guess, and the margin, about twice the term (n + 2) eps
+    t <= (n + 2) eps n mu that a success adds below, keeps M positive
+    definite by more than the factorization may lose once lam^ is that
+    close to lambda_max(H_s): lam^ alone failed on 1-5 of 5 random
+    matrices of each shape from 50 x 5 to 20000 x 500.
+
+    If it succeeds, R^T R = M + E with |E| <= gamma_(n+2) |R^T| |R|, in
+    any order of the sums and with each division done as a product with
+    the reciprocal, as blocked kernels do (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2002, Thm 10.3; Rump, BIT 46, 2006), and
+    || |R^T| |R| ||_2 <= ||R||_F^2 = tr(M + E), so lambda_min(M) >=
+    -gamma_(n+2) tr(M) / (1 - gamma_(n+2)).  M's diagonal is fl(mu -
+    H_s,jj), within eps/2 of itself, and t = fl(sum_j |M_jj|) within
+    gamma_n of tr(M): so lambda_max(H_s) <= mu + (n + 2) eps t, whose
+    coefficient, (2n + 4) eps/2, exceeds the (2n + 3) eps/2 needed to
+    first order.  Underflow: fl(2^k H) and every product of the
+    factorization may lose 2^-1075, in all at most n (n + 1 + max_j R_jj)
+    2^-1075 from lambda_min(M), with R_jj^2 <= 2 mu <= 2 n.  A pivot M_jj
+    - (...) > 0 needs mu > max_j H_s,jj >= 1/2, so for any n < 2^60 that
+    is below 2^-950 mu, which the spare eps/2 of the factor 4 eps below
+    takes: no term for it.
+
+    Unscaled, lambda_max(H) <= 2^-k (mu + (n + 2) eps t).  |H - A^T A| <=
+    gamma_m |A|^T |A| + m 2^-1075 entrywise (Higham sec. 3.1, any order,
+    so for a CSR handle's sparse product and summed row blocks too), and
+    || |A|^T |A| ||_2 <= ||A||_F^2 <= F2 = ||A||_F^2 + m n 2^-1074 up to
+    gamma_(m+n), so ||A||_2^2 <= lambda_max(H) + m eps F2 + m n 2^-1074:
+    m eps is twice gamma_m, and m n 2^-1074 twice the m n 2^-1075 that
+    H's entries may lose to underflow.  The spare takes the one absolute
+    rounding that can matter: where 2^-k (...) falls below 2^-1022, every
+    fl(||A_(j)||^2) does, so every product and partial sum of H is
+    subnormal, exact but for underflow, and m eps F2 is not needed;
+    elsewhere 2^-k (...) is exact, and only m eps F2 may round below
+    2^-1022.
+    Lam is that sum times 1 + (n + 4) eps: n eps takes the gamma_n of a
+    stored ||a_i||^2 (see _row_reach; where R2_i errs relatively, Lam >=
+    ||a_i||^2 >= 2^-1022, so the factor is not lost to underflow), and
+    4 eps the seven roundings of the sum.
+    """
+    m, n = A.m, A.n
+    eps = float(np.finfo(np.float64).eps)
+    if not np.isfinite(H).all():
+        return None, "per row: A^T A is not finite"
+    k = -math.frexp(float(np.diagonal(H).max()))[1]
+    M = np.ldexp(H, k)
+    mu = float(np.linalg.eigvalsh(M)[-1]) * (1.0 + 2.0 * n * (n + 1) * eps)
+    np.negative(M, out=M)
+    M.flat[::n + 1] += mu
+    t = float(np.abs(np.diagonal(M)).sum())
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return None, "per row: no Cholesky factor of mu I - A^T A"
+    F2 = A.frob_sq + m * n * 2.0 ** -1074
+    lam = (float(np.ldexp(mu + (n + 2) * eps * t, -k)) + m * eps * F2
+           + m * n * 2.0 ** -1074) * (1.0 + (n + 4) * eps)
+    return lam, f"spectral, ||A||_2^2 <= {lam!r}"
 
 
 def _panel_heights(m: int) -> np.ndarray:

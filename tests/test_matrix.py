@@ -465,8 +465,15 @@ class TestMatrixMarket:
         assert np.allclose(A.to_dense(), [[1, 3], [3, 0]])
 
 
+def row_images(entries) -> np.ndarray:
+    """||A a_i^T|| for every row i, in longdouble."""
+    ld = np.asarray(entries, dtype=np.longdouble)
+    return np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))  # column i is A a_i^T
+
+
 class TestRowReach:
-    """row_reach bounds ||A a_i^T|| from above, tightly, for every shape."""
+    """row_reach bounds ||A a_i^T|| from above: tightly on the per-row path,
+    within ||A||_2 ||a_i|| / ||A a_i^T|| on the spectral one."""
 
     @pytest.mark.parametrize("shape", ["tall", "wide", "csr_tall", "csr_wide",
                                        "badly_scaled"])
@@ -487,8 +494,7 @@ class TestRowReach:
         # smaller than the stored entries, the 37 x 37 one is not), and a
         # CSR row of A A^T wider than a block gets a block of its own
         monkeypatch.setattr(mx, "_REACH_BLOCK", 3 * min(m, n) - 1)
-        ld = entries.astype(np.longdouble)
-        exact = np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))  # column i is A a_i^T
+        exact = row_images(entries)
         reach = A.row_reach
         assert reach is A.row_reach and all(type(v) is float for v in reach)
         assert reach[3] == 0.0
@@ -500,26 +506,121 @@ class TestRowReach:
                                                        "dense_blocks"])
     def test_csr_and_dense_handles_agree(self, ratio, monkeypatch):
         # both ways a CSR handle forms A^T A, against the dense handle of the
-        # same matrix: each reach is an upper bound, and the two differ by at
-        # most the stated margin 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
+        # same matrix.  301 x 40 keeps no A^T A, so each reach is the per-row
+        # bound, formed from A^T A, and the two differ by at most the stated
+        # margin 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
         monkeypatch.setattr(mx, "_DENSE_GRAM_RATIO", ratio)
-        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
         monkeypatch.setattr(mx, "_REACH_BLOCK", 3 * 40 - 1)  # two rows a block
         rng = np.random.default_rng(2)
         entries = rng.standard_normal((301, 40))
         entries[rng.random(entries.shape) < 0.7] = 0.0
+        exact = row_images(entries)
         dense, csr = mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))
         rd, rc = np.array(dense.row_reach), np.array(csr.row_reach)
-        ld = entries.astype(np.longdouble)
-        exact = np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))
+        assert dense._gram is None and csr._gram is None
         assert np.all(rd >= exact) and np.all(rc >= exact)
         eps = np.finfo(float).eps
         margin = 4 * (301 + 40 + 8) * eps * dense.frob_sq * dense.row_norms_sq
         assert np.all(abs(rc ** 2 - rd ** 2) <= margin * (1 + 1e-9))
-        # the kept Gram matrices agree within gamma_m |A|^T |A|
+        # kept, the Gram matrices agree within gamma_m |A|^T |A|, and both
+        # spectral reaches are upper bounds
+        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        dense, csr = mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))
+        rd, rc = np.array(dense.row_reach), np.array(csr.row_reach)
+        assert np.all(rd >= exact) and np.all(rc >= exact)
         absg = abs(entries).T @ abs(entries)
         assert np.all(abs(csr._gram - dense._gram) <= 2 * 301 * eps * absg)
         assert not csr._gram.flags.writeable
+
+    @pytest.mark.parametrize("case", ["top_singular_row", "scaled_columns",
+                                      "subnormal_products", "csr_sparse_product",
+                                      "csr_dense_blocks", "lost_ones"])
+    def test_spectral_reach_bounds_every_row(self, case, monkeypatch, caplog):
+        # where the handle keeps A^T A, reach_i = sqrt(Lam) ||a_i|| with Lam
+        # >= ||A||_2^2 certified by a Cholesky factorization; an upper bound
+        # on ||A a_i^T|| (longdouble) on every row, with A^T A kept by force
+        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        rng = np.random.default_rng(6)
+        if case == "top_singular_row":
+            # A = Q D V^T with Q's row 0 = e_1^T, so a_0 = d_1 v_1^T lies along
+            # the top right singular vector and ||A a_0^T|| = ||A||_2 ||a_0||:
+            # the bound is tight there
+            m, n = 300, 40
+            Q = np.zeros((m, n))
+            Q[0, 0] = 1.0
+            Q[1:, 1:] = np.linalg.qr(rng.standard_normal((m - 1, n - 1)))[0]
+            V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            entries = Q @ np.diag(np.linspace(3.0, 0.5, n)) @ V.T
+        elif case == "scaled_columns":
+            entries = rng.standard_normal((300, 40)) * np.logspace(-3, 3, 40)
+            entries[3] = 0.0  # a zero row
+        elif case == "subnormal_products":
+            # every product a^2 = 1.49 2^-1074 rounds down to 2^-1074, in any
+            # order of the sums, so fl(A^T A) is 1/1.49 of A^T A: the
+            # certificate's m n 2^-1074 underflow term is needed
+            entries = np.full((30, 4), np.sqrt(1.49) * 2.0 ** -537)
+        elif case == "lost_ones":
+            # a column 2^27, 1, ..., 1: the sparse product adds the ones one
+            # at a time to 2^54, whose spacing is 4, and loses all 199; the
+            # term m eps ||A||_F^2 takes that
+            monkeypatch.setattr(mx, "_DENSE_GRAM_RATIO", 0)
+            entries = np.ones((200, 1))
+            entries[0] = 2.0 ** 27
+        else:
+            monkeypatch.setattr(mx, "_DENSE_GRAM_RATIO",
+                                0 if case == "csr_sparse_product" else 10 ** 12)
+            entries = rng.standard_normal((301, 40))
+            entries[rng.random(entries.shape) < 0.7] = 0.0
+            entries[5] = 0.0
+        A = (mx.from_scipy(sp.csr_matrix(entries)) if case.startswith(("csr", "lost"))
+             else mx.from_dense(entries))
+        with caplog.at_level("INFO", logger="kmz.matrix"):
+            reach = np.array(A.row_reach, dtype=np.longdouble)
+        assert "A^T A kept, spectral, ||A||_2^2 <= " in caplog.text
+        exact = row_images(entries)
+        assert np.all(reach >= exact)
+        assert np.all((reach == 0) == ~entries.any(axis=1))
+        if case == "top_singular_row":
+            assert reach[0] <= exact[0] * (1 + 1e-9)
+
+    def test_failed_cholesky_takes_the_per_row_path(self, monkeypatch, caplog):
+        # a lam^ too low to factor mu I - A^T A leaves the per-row bound,
+        # from the same kept A^T A; so does an A^T A that overflows
+        rng = np.random.default_rng(7)
+        entries = rng.standard_normal((300, 40))
+        per_row = mx.from_dense(entries).row_reach  # keeps no A^T A
+        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: eigvalsh(M) / 2)
+        A = mx.from_dense(entries)
+        with caplog.at_level("INFO", logger="kmz.matrix"):
+            assert A.row_reach == per_row
+        assert "A^T A kept, per row: no Cholesky factor of mu I - A^T A" \
+            in caplog.text
+        assert A._gram is not None
+        caplog.clear()
+        huge = mx.from_dense(entries * 1e155)
+        with caplog.at_level("INFO", logger="kmz.matrix"):
+            reach = np.array(huge.row_reach)
+        assert "A^T A kept, per row: A^T A is not finite" in caplog.text
+        assert not np.isfinite(reach).any()  # forces the solver to form r
+
+    def test_kept_gram_forms_no_row_products(self, monkeypatch):
+        # the spectral path reads A only through A^T A: no a_i H a_i^T (2 m
+        # n^2 flops) and no block of them; its memory is A^T A's copies
+        # (scaled, factored) and a few m-vectors, far below one m x n array
+        calls = []
+        monkeypatch.setattr(mx, "_row_dots", lambda P, Q: calls.append(1))
+        A = mx.from_dense(np.random.default_rng(8).standard_normal((3000, 50)))
+        tracemalloc.start()
+        try:
+            A.row_reach
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A._gram is not None and not calls
+        assert peak <= 3 * A._gram.nbytes + 64 * A.m, peak
+        assert 8 * A.m * A.n > 3 * A._gram.nbytes + 64 * A.m
 
     def test_gram_kept_only_where_a_refresh_pays(self):
         # kept when the stored entries reach 2 (n^2 + 4m) and 2^17
@@ -537,15 +638,21 @@ class TestRowReach:
         assert dense_csr._gram is not None
 
     def test_build_is_logged(self, caplog):
-        # 1200 x 300 keeps its A^T A (0.72 MB); 700 x 400 frees it
+        # 1200 x 300 keeps its A^T A (0.72 MB) and takes the spectral path;
+        # 700 x 400 frees it and bounds each row
         rng = np.random.default_rng(4)
-        for (m, n), mb in (((1200, 300), "0.7"), ((700, 400), "0.0")):
-            A = mx.from_dense(rng.standard_normal((m, n)))
+        for (m, n), mb, path in (((1200, 300), "0.7", "spectral, ||A||_2^2 <= "),
+                                 ((700, 400), "0.0", "per row")):
+            entries = rng.standard_normal((m, n))
+            A = mx.from_dense(entries)
             caplog.clear()
             with caplog.at_level("INFO", logger="kmz.matrix"):
                 A.row_reach
             assert f"row reach of a {m} x {n} matrix: " in caplog.text
-            assert f" s, {mb} MB of A^T A kept" in caplog.text
+            assert f" s, {mb} MB of A^T A kept, {path}" in caplog.text
+            if mb == "0.7":  # the logged Lam bounds ||A||_2^2 from above
+                lam = float(caplog.text.split("<= ")[1].split()[0])
+                assert np.linalg.norm(entries, 2) ** 2 <= lam
 
     def test_large_sparse_stays_sparse(self):
         # A^T A would be 5000 x 5000, 200 MB dense; the reach must cost memory
