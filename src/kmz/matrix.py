@@ -8,8 +8,8 @@ store their entries column-major (Fortran order), and CSR handles carry a
 CSC mirror that touches only the stored entries of a column.  A row of a
 column-major array has a stride of m entries, one cache line per entry, so
 a dense handle with too many entries for a core's cache (_keeps_rows) also
-keeps a read-only row-major copy for the x-step, built on its first row
-read.  Its rows are dotted with a stride-2 copy of x, which
+keeps a read-only row-major copy for the x-step (build_rows).  Its rows are
+dotted with a stride-2 copy of x, which
 keeps BLAS on the loop a strided row takes, and so every row dot, and every
 iterate, bit-identical to a read of the column-major array.
 
@@ -17,28 +17,26 @@ The four step kernels (row_dot, col_dot, axpy_row, axpy_col) index lists of
 1-D views, one per row and one per column (row_views, col_views), and call
 ndarray.dot: a view slices nothing per step, and .dot skips the matmul
 dispatch of @ for the same bits.  A CSR row or column is the (indices, data)
-pair of its stored entries.  The column views are built with the handle;
-the row kernels read the row list's slot and call its property only until
-it is built, since a property call would add about 0.3 us to every step.
-Dense greedy solves also read one column of the row cosines per x-step
-(cosine_column), stored as int16 fixed point: q = rint(32767 C), whose
-widening to float64 is a native cast, exact, at two bytes an entry.
-Handles come from from_dense, from_scipy and read_matrix_market.
+pair of its stored entries.  The column views are built with the handle,
+the row views by build_rows.  Dense greedy solves also read one column of
+the row cosines per x-step (cosine_column), stored as int16 fixed point:
+q = rint(32767 C), whose widening to float64 is a native cast, exact, at
+two bytes an entry.  The builders (build_rows, build_row_reach,
+build_cosines) are called by solvers.plan, which evaluates their gates
+(_keeps_rows, _keeps_gram, _fits_cosines) and times them; no property or
+kernel builds anything.  Handles come from from_dense, from_scipy and
+read_matrix_market.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-import time
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmread, mmwrite
 
 from .errors import MatrixError, MatrixFormatError
-
-log = logging.getLogger(__name__)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -70,23 +68,22 @@ class MatrixHandle:
     step: the squared row and column norms, their (cumulative, squared)
     tables as Python float lists (row_table, col_table; the samplers bisect
     and index them once per step, cheaper in the interpreter than a numpy
-    call on one scalar) and one view per column (col_views).  Built on first
-    use: the row views with the row-major copy (:attr:`rows`),
-    :attr:`row_reach` with A^T A (kept above :func:`_keeps_gram`, where it
-    also gives row_reach as ||A||_2 ||a_i|| bounds), which only REK/PREK
-    with a RES stop read,
-    and :attr:`row_cosines`, the int16 fixed-point cosines of every pair of
-    rows in tile-column panels, with the views that :func:`cosine_column`
-    reads them through, which only EMRK/MEMRK read.  None of the three may be
-    alive during a set-up SVD of A, where peak memory is set: at 6000 x 500
-    the cosines take 36 MB and the row-major copy 24 MB, so building them
-    with the handle would lift that peak.
+    call on one scalar) and one view per column (col_views).  None until a
+    solve's plan (solvers.plan) builds them, and kept after: rows and
+    row_views (:func:`build_rows`), which every solve reads; row_reach and
+    gram, A^T A where :func:`_keeps_gram` holds (:func:`build_row_reach`),
+    which only REK/PREK with a RES stop read; and cosines, the int16 row
+    cosines in tile-column panels (:func:`build_cosines`), which only
+    EMRK/MEMRK read.  None of them may be alive during a set-up SVD of A,
+    where peak memory is set: at 6000 x 500 the cosines take 36 MB and the
+    row-major copy 24 MB, so building them with the handle would lift that
+    peak.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
                  "col_norms_sq", "frob_sq", "row_table", "col_table",
-                 "col_views", "_rows", "_row_views", "_row_reach", "_gram",
-                 "_cosines", "_panels")
+                 "col_views", "rows", "row_views", "row_reach", "gram",
+                 "cosines")
 
     def __init__(self, *, dense=None, csr=None):
         if (dense is None) == (csr is None):
@@ -96,9 +93,6 @@ class MatrixHandle:
             self.dense = _readonly(dense)
             self.csr = None
             self.csc = None
-            # the array x-steps read rows from: None until rows builds it,
-            # else the stored array itself
-            self._rows = None if _keeps_rows(self) else self.dense
             self.row_norms_sq = _readonly(np.einsum("ij,ij->i", dense, dense))
             self.col_norms_sq = _readonly(np.einsum("ij,ij->j", dense, dense))
             # 1-D views, contiguous where the array is column-major
@@ -108,7 +102,6 @@ class MatrixHandle:
             self.dense = None
             self.csr = csr
             self.csc = csr.tocsc()
-            self._rows = None
             sq = csr.data * csr.data
             self.row_norms_sq = _readonly(
                 np.add.reduceat(np.append(sq, 0.0), csr.indptr[:-1])
@@ -124,70 +117,8 @@ class MatrixHandle:
         self.frob_sq = float(self.row_norms_sq.sum())
         self.row_table = _norm_table(self.row_norms_sq)
         self.col_table = _norm_table(self.col_norms_sq)
-        self._row_views = None
-        self._row_reach = None
-        # A^T A as _row_reach built it, kept when _keeps_gram holds, else None
-        self._gram = None
-        self._cosines = None
-        # the views of the row cosines that cosine_column reads
-        self._panels = None
-
-    @property
-    def row_reach(self) -> list:
-        """Upper bounds on ||A a_i^T||, one per row i, as Python floats.
-
-        An x-step x += d a_i^T moves A x by exactly d A a_i^T, so this is how
-        far one unit of step along row i can move r = b - A x - z.  Built on
-        first use, with A^T A: where the handle keeps A^T A (_keeps_gram),
-        as sqrt(Lam) ||a_i||, Lam >= ||A||_2^2 certified by a Cholesky
-        factorization, in O(n^3); elsewhere per row, in O(m n^2) or less.
-        See :func:`_row_reach`.
-        """
-        if self._row_reach is None:
-            self._row_reach, self._gram = _row_reach(self)
-        return self._row_reach
-
-    @property
-    def row_cosines(self) -> np.ndarray | None:
-        """The cosines C_li = a_l a_i^T / (||a_l|| ||a_i||) of the rows
-        l >= i of a dense handle that passes :func:`_fits_cosines`, in int16
-        fixed point, q_li = rint(clip(_COS_ONE C_li, +-_COS_ONE)), each
-        within 1 / (2 _COS_ONE) = 1/65534 of the float64 cosine, as one
-        read-only array of tile-column panels of width _TILE: panel I holds
-        rows l >= I b of columns I b .. (I + 1) b - 1, C-order, its
-        diagonal tile in full (see :func:`_row_cosines`).  A cosine with an
-        all-zero (or underflowing) row is 0.  Built on first use, with the
-        panel views, by :func:`_row_cosines`; None where the gate fails.
-        Column i is read by :func:`cosine_column`, in two slices.
-        """
-        if self._cosines is None and _fits_cosines(self):
-            self._cosines, self._panels = _row_cosines(self)
-        return self._cosines
-
-    @property
-    def rows(self) -> np.ndarray | None:
-        """The array whose rows the dense x-step kernels read; None for CSR.
-
-        A dense array that passes :func:`_keeps_rows` gets a read-only
-        row-major (C-order) copy, built on first use, so that a row is
-        contiguous; a C-contiguous array is its own copy, and an array
-        below the gate is read as it is.  See :func:`row_dot` for why the
-        copy leaves every row dot bit-identical.
-        """
-        if self._rows is None and self.dense is not None:
-            self._rows = _readonly(np.ascontiguousarray(self.dense))
-        return self._rows
-
-    @property
-    def row_views(self) -> list:
-        """One read-only view per row, built on first use: a 1-D view of
-        :attr:`rows` for a dense handle (the row-major copy is built with
-        it where the handle keeps one), an (indices, data) pair of the row's
-        stored entries for CSR, as col_views holds for the columns."""
-        if self._row_views is None:
-            self._row_views = (list(self.rows) if self.dense is not None
-                               else _pairs(self.csr))
-        return self._row_views
+        self.rows = self.row_views = self.row_reach = self.gram = None
+        self.cosines = None
 
     @property
     def is_dense(self) -> bool:
@@ -205,7 +136,7 @@ class MatrixHandle:
 
 
 _F32_MAX = float(np.finfo(np.float32).max)
-# Entries of the largest temporary block that _row_reach forms at once.
+# Entries of the largest temporary block that build_row_reach forms at once.
 _REACH_BLOCK = 1 << 17
 # A CSR handle's A^T A is built from dense row blocks when sum_i nnz(a_i)^2,
 # the flops of the sparse product, reaches m n^2 / _DENSE_GRAM_RATIO.  For
@@ -216,7 +147,7 @@ _DENSE_GRAM_RATIO = 100
 _GRAM_MIN_ENTRIES = 1 << 17
 # Fewest entries for which a dense handle keeps a row-major copy; see _keeps_rows.
 _ROWS_MIN_ENTRIES = 1 << 19
-# Width b of the tile-column panels of the row cosines (_row_cosines).  On
+# Width b of the tile-column panels of the row cosines (build_cosines).  On
 # 6000 x 500 (BENCH_cosine_panels.json, medians) a random column read into
 # float64 took 25.6 us at b = 16 and 38.5 us at b = 32 (65.5 us from a
 # packed triangle), the build 0.61 s and 0.52 s (0.74 s packed), and an
@@ -243,7 +174,7 @@ def _keeps_gram(A: MatrixHandle) -> bool:
 
 
 def _fits_cosines(A: MatrixHandle) -> bool:
-    """Whether a dense handle may build :attr:`MatrixHandle.row_cosines`:
+    """Whether a dense handle may keep its row cosines (:func:`build_cosines`):
     their panel store (:func:`_cosine_bytes`) takes no more than the 16 m n
     bytes of A and its row-major copy, and 2 ||A||_F^2 is finite, which
     keeps every entry of A A^T finite.  A full square int16 matrix would
@@ -262,7 +193,7 @@ def _cosine_bytes(m: int) -> int:
 
 def _keeps_rows(A: MatrixHandle) -> bool:
     """Whether a dense handle keeps a row-major copy of its entries for the
-    x-step (MatrixHandle.rows): m n >= _ROWS_MIN_ENTRIES.  A row read from
+    x-step (:func:`build_rows`): m n >= _ROWS_MIN_ENTRIES.  A row read from
     the copy takes n / 8 cache lines instead of n, one per entry, but x's
     stride-2 copy adds a fixed cost per read, so the copy pays only for a
     matrix that a core's cache does not hold.  Measured per budget-mode REK
@@ -275,12 +206,30 @@ def _keeps_rows(A: MatrixHandle) -> bool:
     return A.m * A.n >= _ROWS_MIN_ENTRIES
 
 
-def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
-    """(reach, H): upper bounds reach_i >= ||A a_i^T||, and H = fl(A^T A)
-    where _keeps_gram holds, else None (freed).  Products with A are formed
-    in row blocks of at most _REACH_BLOCK entries, or one row each.  Logs
-    its seconds, the megabytes of H kept and the path taken, with the
-    reason for a fallback.
+def build_rows(A: MatrixHandle, copy: bool) -> int:
+    """Sets A.rows, the array whose rows the dense x-step kernels read
+    (None for CSR), and A.row_views, one read-only view per row, as
+    col_views holds for the columns; returns the bytes of the copy made.
+    With `copy` (solvers.plan passes :func:`_keeps_rows`), a dense array
+    gets a read-only row-major copy, so that a row is contiguous (see
+    :func:`row_dot` for why its row dots are bit-identical); a C-contiguous
+    array is its own copy."""
+    if A.dense is None:
+        A.row_views = _pairs(A.csr)
+        return 0
+    A.rows = _readonly(np.ascontiguousarray(A.dense)) if copy else A.dense
+    A.row_views = list(A.rows)
+    return 0 if A.rows is A.dense else A.rows.nbytes
+
+
+def build_row_reach(A: MatrixHandle, keep: bool) -> str:
+    """Sets A.row_reach, upper bounds reach_i >= ||A a_i^T|| as Python
+    floats, and A.gram = fl(A^T A) where `keep` (solvers.plan passes
+    :func:`_keeps_gram`), else None (freed); returns the path taken, with
+    the reason for a fallback.  An x-step x += d a_i^T moves A x by exactly
+    d A a_i^T, so reach_i is how far one unit of step along row i can move
+    r = b - A x - z.  Products with A are formed in row blocks of at most
+    _REACH_BLOCK entries, or one row each.
 
     Spectral, where H is kept: ||A a_i^T|| <= ||A||_2 ||a_i||, so reach_i =
     sqrt(Lam) sqrt(R2_i) (1 + 4 eps) + 2^-1074 (R2_i below), with Lam from
@@ -325,7 +274,6 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
     with it is exact, and its reach is 0.  The factor 4 eps covers the
     final sum and sqrt.
     """
-    start = time.perf_counter()
     m, n = A.m, A.n
     eps = float(np.finfo(np.float64).eps)
     if A.dense is not None:
@@ -373,7 +321,7 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
                     H += blk.T @ blk
             else:
                 H = (stored_t @ stored).toarray()
-            if _keeps_gram(A):
+            if keep:
                 kept = _readonly(H)
                 lam, path = _norm_sq_bound(A, H)
         if A.dense is not None:
@@ -401,16 +349,14 @@ def _row_reach(A: MatrixHandle) -> tuple[list, np.ndarray | None]:
                 * (A.frob_sq + m * n * 2.0 ** -1074) * R2 \
                 + np.where(live, under, 0.0)
             reach = np.sqrt(q + margin) * (1.0 + 4.0 * eps)
-    log.info("row reach of a %d x %d matrix: %.3f s, %.1f MB of A^T A kept, "
-             "%s", m, n, time.perf_counter() - start,
-             0.0 if kept is None else kept.nbytes / 1e6, path)
-    return reach.tolist(), kept
+    A.row_reach, A.gram = reach.tolist(), kept
+    return path
 
 
 def _norm_sq_bound(A: MatrixHandle, H: np.ndarray) -> tuple[float | None, str]:
     """(Lam, path): Lam >= ||A||_2^2 (1 + n eps), certified from H =
     fl(A^T A) by one Cholesky factorization, or (None, path) naming why
-    not; path is the text for _row_reach's INFO line.
+    not; path is the text build_row_reach returns.
 
     With k the power of two that puts max_j H_jj in [1/2, 1), H_s =
     fl(2^k H), lam^ = eigvalsh(H_s)[-1] and mu = fl(lam^ (1 + 2 n (n + 1)
@@ -450,7 +396,7 @@ def _norm_sq_bound(A: MatrixHandle, H: np.ndarray) -> tuple[float | None, str]:
     elsewhere 2^-k (...) is exact, and only m eps F2 may round below
     2^-1022.
     Lam is that sum times 1 + (n + 4) eps: n eps takes the gamma_n of a
-    stored ||a_i||^2 (see _row_reach; where R2_i errs relatively, Lam >=
+    stored ||a_i||^2 (see build_row_reach; where R2_i errs relatively, Lam >=
     ||a_i||^2 >= 2^-1022, so the factor is not lost to underflow), and
     4 eps the seven roundings of the sum.
     """
@@ -480,11 +426,14 @@ def _panel_heights(m: int) -> np.ndarray:
     return m - np.arange(0, m, _TILE)
 
 
-def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
-    """(store, (panels, tile_rows, base)): the lower triangle of C = D A A^T
-    D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0), as
-    q = rint(clip(_COS_ONE C, +-_COS_ONE)) in int16 tile-column panels of
-    width b = _TILE.  Panel I is the C-order
+def build_cosines(A: MatrixHandle) -> int:
+    """Sets A.cosines = (panels, tile_rows, base), the row cosines of a
+    dense handle, and returns their bytes: the lower triangle of C = D A
+    A^T D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0,
+    so a cosine with an all-zero or underflowing row is 0), as q =
+    rint(clip(_COS_ONE C, +-_COS_ONE)), each within 1 / (2 _COS_ONE) =
+    1/65534 of the float64 cosine, in one read-only int16 store of
+    tile-column panels of width b = _TILE.  Panel I is the C-order
     block C[I b:, I b:(I + 1) b] (a view in `panels`, zero-padded beyond
     column m - 1), and its diagonal tile is stored in full: the upper half
     mirrors the lower, so C_li for l < i in that tile holds row i's value,
@@ -500,10 +449,8 @@ def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
     order of summation; the two scalings round by eps/2 relative each, the
     clip only moves a value toward the exact cosine, |C| <= 1, and the
     rounding to the grid errs by at most 1/65534 absolute in C's units
-    (solvers.GramResidual bounds their effect).  Logs its seconds and
-    megabytes."""
+    (solvers.GramResidual bounds their effect)."""
     m, b = A.m, _TILE
-    start = time.perf_counter()
     norms = np.sqrt(A.row_norms_sq)
     inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
     inv_one = inv * _COS_ONE
@@ -534,10 +481,9 @@ def _row_cosines(A: MatrixHandle) -> tuple[np.ndarray, tuple]:
         tile, upper = panel[:h, :h], np.triu_indices(h, 1)
         tile[upper] = tile.T[upper]
     base = offsets[:-1] // b - np.arange(0, m, b)
-    log.info("row cosines of a %d x %d matrix: %.3f s, %.1f MB", m, A.n,
-             time.perf_counter() - start, store.nbytes / 1e6)
-    return _readonly(store), ([_readonly(p) for p in panels],
-                              _readonly(store.reshape(-1, b)), base)
+    A.cosines = ([_readonly(p) for p in panels],
+                 _readonly(store.reshape(-1, b)), base)
+    return store.nbytes
 
 
 def _row_dots(P, Q) -> np.ndarray:
@@ -586,9 +532,7 @@ def matvec(A: MatrixHandle, x: np.ndarray) -> np.ndarray:
 def single_copy(A: MatrixHandle) -> np.ndarray | None:
     """A column-major float32 copy of a dense handle's entries, for
     :func:`matvec_single`; None when an entry lies beyond the float32 range
-    (checked before the cast, which would overflow) or the handle is CSR."""
-    if A.dense is None:
-        return None
+    (checked before the cast, which would overflow)."""
     if not max(A.dense.max(), -A.dense.min()) <= _F32_MAX:
         return None
     return A.dense.astype(np.float32, order="F")
@@ -602,7 +546,7 @@ def matvec_single(A32: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def cosine_column(A: MatrixHandle, i: int, out: np.ndarray) -> np.ndarray:
-    """Column i of the symmetric cosine matrix (:attr:`MatrixHandle.row_cosines`),
+    """Column i of the symmetric cosine matrix (:func:`build_cosines`),
     its int16 values q = rint(_COS_ONE C), into the m-vector `out`, cast to
     its dtype (exactly, into float64).  With I = i // b, b = _TILE,
     the entries l >= I b are column i - I b of panel I, a slice with a
@@ -610,7 +554,7 @@ def cosine_column(A: MatrixHandle, i: int, out: np.ndarray) -> np.ndarray:
     I contiguous b-entry rows of the store, gathered."""
     if not 0 <= i < A.m:
         raise MatrixError(f"row index {i} out of range [0, {A.m})")
-    panels, tile_rows, base = A._panels
+    panels, tile_rows, base = A.cosines
     I, k = divmod(i, _TILE)
     top = I * _TILE
     out[top:] = panels[I][:, k]
@@ -626,13 +570,14 @@ def row_buffer(A: MatrixHandle) -> np.ndarray:
 
 def row_dot(A: MatrixHandle, i: int, x: np.ndarray,
             xs: np.ndarray | None = None) -> float:
-    """A⁽ⁱ⁾ · x, from the row's view (:attr:`MatrixHandle.row_views`); the
-    CSR path touches only the stored entries of row i.
+    """A⁽ⁱ⁾ · x, from the row's view (MatrixHandle.row_views, set by
+    :func:`build_rows`); the CSR path touches only the stored entries of
+    row i.
 
     A row of a column-major array has a stride of m entries, so BLAS takes
     its non-unit-stride ddot loop, whose sum is symmetric in its two
     operands (OpenBLAS's; TestLayout in tests/test_matrix.py pins it).
-    Where the handle keeps a row-major copy (:attr:`MatrixHandle.rows`), the
+    Where the handle keeps a row-major copy (MatrixHandle.rows), the
     contiguous row is dotted with a stride-2 copy of x: the same loop, the
     same products in the same order, so the same bits.  The copy goes into
     `xs`, a :func:`row_buffer` of A, or into one allocated per call when
@@ -641,11 +586,11 @@ def row_dot(A: MatrixHandle, i: int, x: np.ndarray,
     """
     if not 0 <= i < A.m:
         raise MatrixError(f"row index {i} out of range [0, {A.m})")
-    row = (A._row_views or A.row_views)[i]
+    row = A.row_views[i]
     if A.dense is None:
         idx, data = row
         return float(data.dot(x[idx]))
-    if A._rows is not A.dense:
+    if A.rows is not A.dense:
         if xs is None:
             xs = row_buffer(A)
         xs[...] = x
@@ -668,7 +613,7 @@ def axpy_row(x: np.ndarray, A: MatrixHandle, i: int, c: float) -> np.ndarray:
     """x += c · (A⁽ⁱ⁾)ᵀ in place; returns x."""
     if not 0 <= i < A.m:
         raise MatrixError(f"row index {i} out of range [0, {A.m})")
-    row = (A._row_views or A.row_views)[i]
+    row = A.row_views[i]
     if A.dense is None:
         idx, data = row
         x[idx] += c * data

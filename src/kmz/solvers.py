@@ -17,7 +17,8 @@ r = b - A x - z, and the greedy methods pick the row of largest |r_i|.
 solve forms r by a float64 pass over A only where a residual certificate,
 asked through the four calls of ResidualCertificate, cannot certify the
 pick or prove that the pass would give RES >= tol and not raise; and at
-trace rows and the last iteration.  choose_certificate gives one of these:
+trace rows and the last iteration.  plan, called once before the loop,
+builds what the solve needs and gives one of these:
   AnchoredResidual     EMRK/MEMRK on a dense matrix of at least
                        _SHADOW_MIN_ENTRIES entries: r anchored at the last
                        float64 pass and bounded entrywise, advanced by one of
@@ -47,6 +48,7 @@ iterate, is the one scalar draws would give.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import logging
@@ -123,6 +125,8 @@ class SolveReport:
     gram_steps: int = 0       # x-steps a GramResidual advanced r~ by
     # greedy picks an AnchoredResidual settled from its candidate rows
     settled_picks: int = 0
+    # seconds of each one-off build of the solve, by name (see plan)
+    build_seconds: dict = field(default_factory=dict)
 
 
 # -- selection ----------------------------------------------------------------
@@ -309,7 +313,7 @@ class ResidualFloor(ResidualCertificate):
         L -= t + e; zeta += t + e.  Where the floor refreshes, also
         c^_j = fl(c^_j + c) and D += e + eps ||A_(j)|| |c^_j| (see Refresh).
       - Row step, x' = fl(x + d a_i^T).  r moves by d A a_i^T, of length at
-        most |d| reach_i (MatrixHandle.row_reach), and by A times the
+        most |d| reach_i (matrix.build_row_reach), and by A times the
         rounding of the stored x', at most F e, e = gamma (xi + |d| ||a_i||).
         L -= |d| reach_i + F e; xi += |d| ||a_i|| + e.
       - Refresh (`refresh`, only where the handle keeps H^ = fl(A^T A)).
@@ -418,15 +422,16 @@ class ResidualFloor(ResidualCertificate):
                  "drift", "x", "eta0", "p", "Q0", "slope",
                  "floor_refreshes", "floor_tangents")
 
-    def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
+    def __init__(self, A: mx.MatrixHandle, b: np.ndarray, reach: list,
+                 H: np.ndarray | None):
+        # the handle's row_reach and A^T A, None where a refresh won't pay
         self.m, self.n = m, n = A.m, A.n
         self.gamma = g = (m + n + 8) * _EPS
         # what a sum of m or n squares may lose to underflow, under the
         # square root
         self.rho_m = math.sqrt(m) * _ROOT_SUB * (1.0 + g)
         self.rho_n = math.sqrt(n) * _ROOT_SUB * (1.0 + g)
-        self.reach = A.row_reach
-        self.H = A._gram  # built with row_reach; None where a refresh won't pay
+        self.reach, self.H = reach, H
         # c^ and D, kept only where a refresh can use them
         self.coef = None if self.H is None else np.zeros(A.n)
         self.drift = 0.0
@@ -785,7 +790,7 @@ class GramResidual(AnchoredResidual):
       v~ = fl(v~ - w), w = fl(s t), s = fl(c nu_i), t = fl(nu' (.) q_i),
     where nu_l = fl(sqrt(||a_l||^2)), nu'_l = fl(nu_l / 32767) and q_i is
     column i of the handle's int16 cosines q = rint(32767 C)
-    (matrix.MatrixHandle.row_cosines), read by matrix.cosine_column
+    (matrix.build_cosines), read by matrix.cosine_column
     straight into the float64 buffer t, an exact cast, from two slices of
     their tile-column panels: an m-vector per step instead of the m n
     entries of A.  Exactly, an x-step moves b - A x by -c A a_i^T - A
@@ -892,33 +897,67 @@ class GramResidual(AnchoredResidual):
                      + self.tau_fixed) * _FAC
 
 
-def choose_certificate(method: str, A: mx.MatrixHandle, b: np.ndarray,
-                       budget: bool, max_outer: int) -> ResidualCertificate:
-    """The certificate solve runs `method` with: for EMRK/MEMRK on a dense
-    handle of at least _SHADOW_MIN_ENTRIES entries (n < 2^22 keeps g32
-    below 1), a GramResidual where the handle's row cosines fit
-    (matrix._fits_cosines) and are built or repaid, else a ResidualShadow
-    where A's float32 copy is finite; a ResidualFloor for REK/PREK with a
-    RES stop; else the exact path.
+@contextlib.contextmanager
+def _timed(builds: dict, what: str, A: mx.MatrixHandle):
+    """Times the build in the with-block into builds[what] and logs it at
+    INFO, with the bytes and the note it sets in the dict it is given."""
+    made = {"bytes": 0, "note": ""}
+    start = time.perf_counter()
+    yield made
+    builds[what] = seconds = time.perf_counter() - start
+    log.info("built %s of a %d x %d matrix: %.3f s, %.1f MB%s", what, A.m,
+             A.n, seconds, made["bytes"] / 1e6, made["note"])
+
+
+def plan(method: str, A: mx.MatrixHandle, b: np.ndarray, budget: bool,
+         max_outer: int) -> tuple[ResidualCertificate, dict]:
+    """(certificate, build_seconds) of a solve: the one place that
+    evaluates the gates and calls the matrix builders, each build timed
+    and logged by _timed.  The handle keeps what they build, so a later
+    solve builds it no more, and none of it is alive before the first
+    solve, during a set-up SVD of A.  The builds, by name:
+      rows       the row views, with a row-major copy where _keeps_rows
+                 holds: the first solve on a handle.
+      cosines    the row cosines, for a GramResidual: EMRK/MEMRK on a dense
+                 handle of at least _SHADOW_MIN_ENTRIES entries (n < 2^22
+                 keeps g32 below 1) where they fit (_fits_cosines) and are
+                 built or repaid.
+      float32    else A's float32 copy, for a ResidualShadow where it is
+                 finite; made per solve, as it would hold 4 m n bytes.
+      row_reach  row_reach, and A^T A where _keeps_gram holds, for the
+                 ResidualFloor of REK/PREK with a RES stop.
+    Elsewhere the certificate is the exact path.
 
     A solve builds the cosines only if max_outer >= m: the build took as
     long as the per-iteration time it saves over 0.13 m to 1.26 m
     iterations, on four shapes from 700 x 400 to 20000 x 500
     (BENCH_gram_greedy.json), so a shorter solve, such as a one-iteration
-    set-up pass, would not repay it.  Once built, the handle keeps them for
-    every later greedy solve."""
+    set-up pass, would not repay it."""
+    builds: dict = {}
+    if A.row_views is None:
+        with _timed(builds, "rows", A) as made:
+            made["bytes"] = mx.build_rows(A, mx._keeps_rows(A))
     if method in (EMRK, MEMRK):
-        if A.m * A.n >= _SHADOW_MIN_ENTRIES and A.n < 1 << 22:
-            if mx._fits_cosines(A) and (A._cosines is not None
+        if A.is_dense and A.m * A.n >= _SHADOW_MIN_ENTRIES and A.n < 1 << 22:
+            if mx._fits_cosines(A) and (A.cosines is not None
                                         or max_outer >= A.m):
-                A.row_cosines  # built on first use
-                return GramResidual(A, b)
-            A32 = mx.single_copy(A)  # None for CSR, or beyond float32
+                if A.cosines is None:
+                    with _timed(builds, "cosines", A) as made:
+                        made["bytes"] = mx.build_cosines(A)
+                return GramResidual(A, b), builds
+            with _timed(builds, "float32", A) as made:
+                A32 = mx.single_copy(A)  # None beyond the float32 range
+                made["bytes"] = 0 if A32 is None else A32.nbytes
             if A32 is not None:
-                return ResidualShadow(A, b, A32)
+                return ResidualShadow(A, b, A32), builds
     elif not budget:
-        return ResidualFloor(A, b)
-    return ResidualCertificate()
+        if A.row_reach is None:
+            with _timed(builds, "row_reach", A) as made:
+                path = mx.build_row_reach(A, mx._keeps_gram(A))
+                made["note"] = f" of A^T A kept, {path}"
+                made["bytes"] = 0 if A.gram is None else A.gram.nbytes
+        return ResidualFloor(A, b, A.row_reach, A.gram), builds
+    return ResidualCertificate(), builds
 
 
 # -- driver ---------------------------------------------------------------------
@@ -933,8 +972,8 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     pre-update iterate (for step-identity checks); it forces one extra vector
     copy per iteration and is meant for tests and diagnostics.
 
-    A float64 pass is made only where the certificate of choose_certificate
-    cannot certify a pick or, with a RES stop (`config.tol` not None),
+    A float64 pass is made only where the certificate of plan cannot
+    certify a pick or, with a RES stop (`config.tol` not None),
     exclude the stop; RES is formed in full there, at trace rows and at the
     last iteration.  A pass is skipped only where it is proven not to raise,
     so a diverging run raises where the exact path does; without a RES stop
@@ -982,7 +1021,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
         record(0, 0.0)
         return SolveReport(x, 0, 0.0, True, time.perf_counter() - t0, trace)
 
-    cert = choose_certificate(method, A, b, budget, config.max_outer)
+    cert, builds = plan(method, A, b, budget, config.max_outer)
     stepped = cert.stepped
     cert.anchor(x, z, u, 0.0)  # r = b - b = 0 exactly
     if not budget:
@@ -1057,7 +1096,7 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
                        resyncs, cert.floor_refreshes, cert.floor_tangents,
                        zero_row_skips, cert.shadow_passes, passes,
-                       cert.gram_steps, cert.settled_picks)
+                       cert.gram_steps, cert.settled_picks, builds)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

@@ -8,7 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmz import matrix as mx
+from kmz import solvers as sv
 from kmz.errors import MatrixError, MatrixFormatError
+
+
+def with_rows(A: mx.MatrixHandle) -> mx.MatrixHandle:
+    """A with the row views that a solve's plan builds first
+    (matrix.build_rows, no row-major copy), for the row kernels called
+    outside solve."""
+    mx.build_rows(A, False)
+    return A
 
 
 class TestBuild:
@@ -71,11 +80,11 @@ class TestKernels:
             mx.matvec(mx.from_dense(np.eye(2)), np.ones(3))
 
     def test_row_dot(self):
-        A = mx.from_dense([[3.0, 4.0]])
+        A = with_rows(mx.from_dense([[3.0, 4.0]]))
         assert mx.row_dot(A, 0, np.ones(2)) == pytest.approx(7.0)
 
     def test_row_dot_zero_row(self):
-        A = mx.from_dense([[0.0, 0.0], [1.0, 1.0]])
+        A = with_rows(mx.from_dense([[0.0, 0.0], [1.0, 1.0]]))
         assert mx.row_dot(A, 0, np.array([5.0, 7.0])) == 0.0
 
     def test_col_dot(self):
@@ -101,17 +110,18 @@ class TestKernels:
             assert np.array_equal(x, np.ones(3)) and np.array_equal(z, np.ones(2))
 
     def test_axpy_row_zero_coefficient(self):
-        A = mx.from_dense([[3.0, 4.0]])
+        A = with_rows(mx.from_dense([[3.0, 4.0]]))
         x = np.array([1.0, 2.0])
         assert np.array_equal(mx.axpy_row(x, A, 0, 0.0), [1.0, 2.0])
 
     def test_axpy_row_values(self):
-        A = mx.from_dense([[3.0, 4.0]])
+        A = with_rows(mx.from_dense([[3.0, 4.0]]))
         x = mx.axpy_row(np.zeros(2), A, 0, 0.2)
         assert np.allclose(x, [0.6, 0.8])
 
     def test_axpy_support_confinement(self):
-        A = mx.from_scipy(sp.csr_matrix(([1.0], [2], [0, 1]), shape=(1, 4)))
+        A = with_rows(mx.from_scipy(sp.csr_matrix(([1.0], [2], [0, 1]),
+                                                  shape=(1, 4))))
         x = mx.axpy_row(np.zeros(4), A, 0, 1.0)
         assert np.array_equal(x, [0, 0, 1, 0])
         z = mx.axpy_col(np.array([5.0]), A, 0, 0.0)
@@ -151,7 +161,7 @@ class TestKernels:
         rng = np.random.default_rng(2)
         for _ in range(50):
             n = int(rng.integers(2, 20))
-            A = mx.from_dense(rng.standard_normal((3, n)))
+            A = with_rows(mx.from_dense(rng.standard_normal((3, n))))
             x = rng.standard_normal(n)
             beta = float(rng.standard_normal())
             i = int(rng.integers(0, 3))
@@ -168,13 +178,17 @@ class TestSinglePrecision:
         assert A32.dtype == np.float32 and A32.flags.f_contiguous
         assert np.array_equal(A32, A.dense.astype(np.float32))
 
-    def test_no_copy_beyond_float32_range_or_for_csr(self):
+    def test_no_copy_beyond_float32_range_or_for_csr(self, monkeypatch):
         big = np.eye(3)
         big[1, 2] = -1e39
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert mx.single_copy(mx.from_dense(big)) is None
-        assert mx.single_copy(mx.from_scipy(sp.eye(3, format="csr"))) is None
+        # a greedy solve's plan makes none for a CSR handle, however large
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        csr = mx.from_scipy(sp.eye(3, format="csr"))
+        cert, builds = sv.plan(sv.EMRK, csr, np.ones(3), False, 1)
+        assert type(cert) is sv.ResidualCertificate and "float32" not in builds
         edge = np.eye(3)
         edge[0, 0] = float(np.finfo(np.float32).max)
         assert np.isfinite(mx.single_copy(mx.from_dense(edge))).all()
@@ -222,12 +236,12 @@ def packed_column(packed: np.ndarray, m: int, i: int) -> np.ndarray:
                            packed[starts[i + 1:-1] + i]))
 
 
-def cosine_handle(entries, mp) -> mx.MatrixHandle:
-    """A dense handle with its row cosines built, the gate's byte count
-    lifted: a matrix narrower than a tile's padding would not fit it."""
-    mp.setattr(mx, "_cosine_bytes", lambda m: 0)
+def cosine_handle(entries) -> mx.MatrixHandle:
+    """A dense handle with its row cosines built by matrix.build_cosines,
+    whatever the gate says: a matrix narrower than a tile's padding would
+    not fit it."""
     A = mx.from_dense(entries)
-    assert A.row_cosines is not None
+    mx.build_cosines(A)
     return A
 
 
@@ -274,7 +288,7 @@ PARTLY_UNDERFLOWING = [[-2.2796357842907424e-162, 4.609611642481368e-162],
 
 
 class TestRowCosines:
-    """The int16 fixed-point cosines of the rows (MatrixHandle.row_cosines),
+    """The int16 fixed-point cosines of the rows (matrix.build_cosines),
     stored as tile-column panels, that dense EMRK/MEMRK step their anchored
     residual with."""
 
@@ -288,8 +302,9 @@ class TestRowCosines:
         with np.errstate(divide="ignore", invalid="ignore"):
             cos = (entries @ entries.T) / np.outer(norms, norms)
         cos[4] = cos[:, 4] = 0.0
-        assert A.row_cosines.dtype == np.int16
-        assert A.row_cosines.nbytes == mx._cosine_bytes(70)
+        assert mx.build_cosines(A) == mx._cosine_bytes(70)
+        assert A.cosines[1].dtype == np.int16
+        assert A.cosines[1].nbytes == mx._cosine_bytes(70)
         out = np.empty(70)
         for i in range(70):
             col = mx.cosine_column(A, i, out) / mx._COS_ONE
@@ -298,11 +313,11 @@ class TestRowCosines:
             assert np.all(abs(col - cos[:, i]) <= 1.0 / 65534 + 1e-14), i
         assert mx.cosine_column(A, 9, out)[2] == mx._COS_ONE
 
-    def test_cosines_beyond_one_are_clipped(self, monkeypatch):
+    def test_cosines_beyond_one_are_clipped(self):
         # the float64 cosine of rows 0 and 1 is about 1.79, since their
         # squared norms underflow in part; on the grid it is 1, and that of
         # rows 1 and 2 is -1, not an int16 value wrapped around
-        A = cosine_handle(PARTLY_UNDERFLOWING, monkeypatch)
+        A = cosine_handle(PARTLY_UNDERFLOWING)
         nu = np.sqrt(A.row_norms_sq)
         gram = A.dense @ A.dense.T
         assert gram[1, 0] / nu[1] / nu[0] > 1.7
@@ -313,7 +328,7 @@ class TestRowCosines:
 
     @pytest.mark.parametrize("m", [1, 2, mx._TILE - 1, mx._TILE,
                                    mx._TILE + 1, 3 * mx._TILE + 5, 300])
-    def test_columns_equal_the_packed_reference(self, m, monkeypatch):
+    def test_columns_equal_the_packed_reference(self, m):
         # one tile or less, and tile widths that do and do not divide m
         rng = np.random.default_rng(m)
         entries = rng.standard_normal((m, 7)) * np.logspace(-2, 2, m)[:, None]
@@ -321,7 +336,7 @@ class TestRowCosines:
             entries[1] = 0.0
             entries[3] = entries[m - 1]
             entries[4] = 1e-163  # its squared norm underflows to 0
-        A = cosine_handle(entries, monkeypatch)
+        A = cosine_handle(entries)
         assert m <= 5 or A.row_norms_sq[4] == 0.0
         assert_matches_packed(A)
 
@@ -333,10 +348,9 @@ class TestRowCosines:
         monkeypatch.setattr(mx, "_REACH_BLOCK", 57)
         rng = np.random.default_rng(9)
         entries = rng.standard_normal((90, 4)) * np.logspace(-3, 3, 90)[:, None]
-        assert_matches_packed(cosine_handle(entries, monkeypatch))
+        assert_matches_packed(cosine_handle(entries))
 
-    def test_diagonal_tile_holds_row_i_values_above_the_diagonal(
-            self, monkeypatch):
+    def test_diagonal_tile_holds_row_i_values_above_the_diagonal(self):
         # C_01 from the GEMM's entry (0, 1), scaled by 32767 / nu_0 first,
         # and from row 1's entry (1, 0), scaled by 32767 / nu_1 first: near
         # a rounding midpoint of the grid the two orders round apart, and
@@ -355,30 +369,25 @@ class TestRowCosines:
                 break
         else:
             pytest.fail("no pair of rows whose two scalings round apart")
-        A = cosine_handle(entries, monkeypatch)
+        A = cosine_handle(entries)
         assert mx.cosine_column(A, 1, np.empty(2, np.int16))[0] == row_1
         assert_matches_packed(A)
 
     @settings(max_examples=60, deadline=None)
     @given(entries=cosine_cases())
     def test_drawn_columns_equal_the_packed_reference(self, entries):
-        with pytest.MonkeyPatch.context() as mp:
-            assert_matches_packed(cosine_handle(entries, mp))
+        assert_matches_packed(cosine_handle(entries))
 
     def test_column_index_out_of_range(self):
-        A = mx.from_dense(np.random.default_rng(10).standard_normal((20, 4)))
-        assert A.row_cosines is not None
+        A = cosine_handle(np.random.default_rng(10).standard_normal((20, 4)))
         out = np.empty(20)
         for i in (20, -1, -21):
             with pytest.raises(MatrixError, match="row index"):
                 mx.cosine_column(A, i, out)
 
-    def test_built_on_first_use_and_kept(self):
-        A = mx.from_dense(np.random.default_rng(6).standard_normal((40, 5)))
-        assert A._cosines is None
-        first = A.row_cosines
-        assert A.row_cosines is first and not first.flags.writeable
-        panels, tile_rows, _ = A._panels
+    def test_views_are_read_only(self):
+        A = cosine_handle(np.random.default_rng(6).standard_normal((40, 5)))
+        panels, tile_rows, _ = A.cosines
         assert not any(view.flags.writeable for view in (*panels, tile_rows))
 
     def test_gate(self):
@@ -386,29 +395,35 @@ class TestRowCosines:
         # the store takes m (m + b) bytes where b divides m, so 16 n - b
         # rows of n = 10 fit in 16 m n, the bytes of A and its row-major copy
         edge = 16 * 10 - mx._TILE
-        fits = mx.from_dense(rng.standard_normal((edge, 10))).row_cosines
-        assert fits is not None and fits.nbytes == edge * (edge + mx._TILE)
-        assert fits.nbytes <= 16 * edge * 10
-        assert mx.from_dense(rng.standard_normal((edge + 1, 10))).row_cosines is None
+        fits = mx.from_dense(rng.standard_normal((edge, 10)))
+        assert mx._fits_cosines(fits)
+        assert mx.build_cosines(fits) == edge * (edge + mx._TILE)
+        assert mx._cosine_bytes(edge) <= 16 * edge * 10
+        assert not mx._fits_cosines(
+            mx.from_dense(rng.standard_normal((edge + 1, 10))))
         assert mx._cosine_bytes(edge + 1) > 16 * (edge + 1) * 10
-        assert mx.from_scipy(sp.eye(3, format="csr")).row_cosines is None
+        assert not mx._fits_cosines(mx.from_scipy(sp.eye(3, format="csr")))
         huge = np.eye(3)
         huge[0, 0] = 1e155  # ||A||_F^2 overflows
-        assert mx.from_dense(huge).row_cosines is None
+        assert not mx._fits_cosines(mx.from_dense(huge))
 
-    def test_underflowing_row_has_zero_cosines(self, monkeypatch):
-        A = cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]], monkeypatch)
+    def test_underflowing_row_has_zero_cosines(self):
+        A = cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
         assert A.row_norms_sq[1] == 0.0
         out = np.empty(2)
         assert mx.cosine_column(A, 0, out).tolist() == [mx._COS_ONE, 0.0]
         assert mx.cosine_column(A, 1, out).tolist() == [0.0, 0.0]
 
-    def test_build_is_logged(self, caplog):
+    def test_build_is_logged(self, caplog, monkeypatch):
+        # by the plan of a greedy solve of at least m iterations
+        monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
         A = mx.from_dense(np.random.default_rng(8).standard_normal((30, 4)))
-        with caplog.at_level("INFO", logger="kmz.matrix"):
-            A.row_cosines
-        assert "row cosines of a 30 x 4 matrix" in caplog.text
-        assert "MB" in caplog.text
+        with caplog.at_level("INFO", logger="kmz.solvers"):
+            _, builds = sv.plan(sv.EMRK, A, np.ones(30), False, 30)
+        assert A.cosines is not None and "cosines" in builds
+        lines = [r.getMessage() for r in caplog.records
+                 if "built cosines of a 30 x 4 matrix: " in r.getMessage()]
+        assert len(lines) == 1 and lines[0].endswith(" s, 0.0 MB")
 
 
 class TestMatrixMarket:
@@ -471,6 +486,13 @@ def row_images(entries) -> np.ndarray:
     return np.sqrt(np.sum((ld @ ld.T) ** 2, axis=0))  # column i is A a_i^T
 
 
+def reach(A: mx.MatrixHandle, keep: bool = False) -> np.ndarray:
+    """A's row_reach as matrix.build_row_reach sets it, A^T A kept where
+    `keep`."""
+    mx.build_row_reach(A, keep)
+    return np.array(A.row_reach)
+
+
 class TestRowReach:
     """row_reach bounds ||A a_i^T|| from above: tightly on the per-row path,
     within ||A||_2 ||a_i|| / ||A a_i^T|| on the spectral one."""
@@ -495,12 +517,13 @@ class TestRowReach:
         # CSR row of A A^T wider than a block gets a block of its own
         monkeypatch.setattr(mx, "_REACH_BLOCK", 3 * min(m, n) - 1)
         exact = row_images(entries)
-        reach = A.row_reach
-        assert reach is A.row_reach and all(type(v) is float for v in reach)
-        assert reach[3] == 0.0
-        assert np.all(np.array(reach, dtype=np.longdouble) >= exact)
-        assert np.all(np.array(reach) <= exact * (1 + 1e-9) + 1e-300)
-        assert not hasattr(A, "gram")
+        assert mx.build_row_reach(A, False) == "per row"
+        bound = A.row_reach
+        assert all(type(v) is float for v in bound)
+        assert bound[3] == 0.0
+        assert np.all(np.array(bound, dtype=np.longdouble) >= exact)
+        assert np.all(np.array(bound) <= exact * (1 + 1e-9) + 1e-300)
+        assert A.gram is None
 
     @pytest.mark.parametrize("ratio", [0, 10 ** 12], ids=["sparse_product",
                                                        "dense_blocks"])
@@ -516,30 +539,28 @@ class TestRowReach:
         entries[rng.random(entries.shape) < 0.7] = 0.0
         exact = row_images(entries)
         dense, csr = mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))
-        rd, rc = np.array(dense.row_reach), np.array(csr.row_reach)
-        assert dense._gram is None and csr._gram is None
+        rd, rc = reach(dense), reach(csr)
+        assert dense.gram is None and csr.gram is None
         assert np.all(rd >= exact) and np.all(rc >= exact)
         eps = np.finfo(float).eps
         margin = 4 * (301 + 40 + 8) * eps * dense.frob_sq * dense.row_norms_sq
         assert np.all(abs(rc ** 2 - rd ** 2) <= margin * (1 + 1e-9))
         # kept, the Gram matrices agree within gamma_m |A|^T |A|, and both
         # spectral reaches are upper bounds
-        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
         dense, csr = mx.from_dense(entries), mx.from_scipy(sp.csr_matrix(entries))
-        rd, rc = np.array(dense.row_reach), np.array(csr.row_reach)
+        rd, rc = reach(dense, True), reach(csr, True)
         assert np.all(rd >= exact) and np.all(rc >= exact)
         absg = abs(entries).T @ abs(entries)
-        assert np.all(abs(csr._gram - dense._gram) <= 2 * 301 * eps * absg)
-        assert not csr._gram.flags.writeable
+        assert np.all(abs(csr.gram - dense.gram) <= 2 * 301 * eps * absg)
+        assert not csr.gram.flags.writeable
 
     @pytest.mark.parametrize("case", ["top_singular_row", "scaled_columns",
                                       "subnormal_products", "csr_sparse_product",
                                       "csr_dense_blocks", "lost_ones"])
-    def test_spectral_reach_bounds_every_row(self, case, monkeypatch, caplog):
+    def test_spectral_reach_bounds_every_row(self, case, monkeypatch):
         # where the handle keeps A^T A, reach_i = sqrt(Lam) ||a_i|| with Lam
         # >= ||A||_2^2 certified by a Cholesky factorization; an upper bound
         # on ||A a_i^T|| (longdouble) on every row, with A^T A kept by force
-        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
         rng = np.random.default_rng(6)
         if case == "top_singular_row":
             # A = Q D V^T with Q's row 0 = e_1^T, so a_0 = d_1 v_1^T lies along
@@ -574,36 +595,30 @@ class TestRowReach:
             entries[5] = 0.0
         A = (mx.from_scipy(sp.csr_matrix(entries)) if case.startswith(("csr", "lost"))
              else mx.from_dense(entries))
-        with caplog.at_level("INFO", logger="kmz.matrix"):
-            reach = np.array(A.row_reach, dtype=np.longdouble)
-        assert "A^T A kept, spectral, ||A||_2^2 <= " in caplog.text
+        assert mx.build_row_reach(A, True).startswith("spectral, ||A||_2^2 <= ")
+        bound = np.array(A.row_reach, dtype=np.longdouble)
         exact = row_images(entries)
-        assert np.all(reach >= exact)
-        assert np.all((reach == 0) == ~entries.any(axis=1))
+        assert np.all(bound >= exact)
+        assert np.all((bound == 0) == ~entries.any(axis=1))
         if case == "top_singular_row":
-            assert reach[0] <= exact[0] * (1 + 1e-9)
+            assert bound[0] <= exact[0] * (1 + 1e-9)
 
-    def test_failed_cholesky_takes_the_per_row_path(self, monkeypatch, caplog):
+    def test_failed_cholesky_takes_the_per_row_path(self, monkeypatch):
         # a lam^ too low to factor mu I - A^T A leaves the per-row bound,
         # from the same kept A^T A; so does an A^T A that overflows
         rng = np.random.default_rng(7)
         entries = rng.standard_normal((300, 40))
-        per_row = mx.from_dense(entries).row_reach  # keeps no A^T A
-        monkeypatch.setattr(mx, "_keeps_gram", lambda A: True)
+        per_row = reach(mx.from_dense(entries))  # keeps no A^T A
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: eigvalsh(M) / 2)
         A = mx.from_dense(entries)
-        with caplog.at_level("INFO", logger="kmz.matrix"):
-            assert A.row_reach == per_row
-        assert "A^T A kept, per row: no Cholesky factor of mu I - A^T A" \
-            in caplog.text
-        assert A._gram is not None
-        caplog.clear()
+        assert mx.build_row_reach(A, True) == \
+            "per row: no Cholesky factor of mu I - A^T A"
+        assert A.row_reach == per_row.tolist()
+        assert A.gram is not None
         huge = mx.from_dense(entries * 1e155)
-        with caplog.at_level("INFO", logger="kmz.matrix"):
-            reach = np.array(huge.row_reach)
-        assert "A^T A kept, per row: A^T A is not finite" in caplog.text
-        assert not np.isfinite(reach).any()  # forces the solver to form r
+        assert mx.build_row_reach(huge, True) == "per row: A^T A is not finite"
+        assert not np.isfinite(huge.row_reach).any()  # forces the solver to form r
 
     def test_kept_gram_forms_no_row_products(self, monkeypatch):
         # the spectral path reads A only through A^T A: no a_i H a_i^T (2 m
@@ -612,32 +627,35 @@ class TestRowReach:
         calls = []
         monkeypatch.setattr(mx, "_row_dots", lambda P, Q: calls.append(1))
         A = mx.from_dense(np.random.default_rng(8).standard_normal((3000, 50)))
+        assert mx._keeps_gram(A)
         tracemalloc.start()
         try:
-            A.row_reach
+            mx.build_row_reach(A, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert A._gram is not None and not calls
-        assert peak <= 3 * A._gram.nbytes + 64 * A.m, peak
-        assert 8 * A.m * A.n > 3 * A._gram.nbytes + 64 * A.m
+        assert A.gram is not None and not calls
+        assert peak <= 3 * A.gram.nbytes + 64 * A.m, peak
+        assert 8 * A.m * A.n > 3 * A.gram.nbytes + 64 * A.m
 
     def test_gram_kept_only_where_a_refresh_pays(self):
-        # kept when the stored entries reach 2 (n^2 + 4m) and 2^17
+        # kept, by the plan of a REK solve with a RES stop, when the stored
+        # entries reach 2 (n^2 + 4m) and 2^17
         rng = np.random.default_rng(3)
         cases = [((3000, 50), True), ((2000, 50), False),  # 2^17 = 131072
                  ((700, 400), False), ((1200, 300), True)]  # 2 (n^2 + 4m)
         for (m, n), kept in cases:
             A = mx.from_dense(rng.standard_normal((m, n)))
-            A.row_reach
-            assert (A._gram is not None) == kept, (m, n)
+            floor, _ = sv.plan(sv.REK, A, np.ones(m), False, 1)
+            assert (A.gram is not None) == kept and floor.H is A.gram, (m, n)
             if kept:
-                assert np.allclose(A._gram, A.dense.T @ A.dense, rtol=0, atol=1e-9)
+                assert np.allclose(A.gram, A.dense.T @ A.dense, rtol=0, atol=1e-9)
         dense_csr = mx.from_scipy(sp.random(3000, 50, density=0.9, random_state=rng))
-        dense_csr.row_reach
-        assert dense_csr._gram is not None
+        sv.plan(sv.REK, dense_csr, np.ones(3000), False, 1)
+        assert dense_csr.gram is not None
 
     def test_build_is_logged(self, caplog):
+        # by the plan of a REK solve with a RES stop, in one INFO line:
         # 1200 x 300 keeps its A^T A (0.72 MB) and takes the spectral path;
         # 700 x 400 frees it and bounds each row
         rng = np.random.default_rng(4)
@@ -646,12 +664,15 @@ class TestRowReach:
             entries = rng.standard_normal((m, n))
             A = mx.from_dense(entries)
             caplog.clear()
-            with caplog.at_level("INFO", logger="kmz.matrix"):
-                A.row_reach
-            assert f"row reach of a {m} x {n} matrix: " in caplog.text
-            assert f" s, {mb} MB of A^T A kept, {path}" in caplog.text
+            with caplog.at_level("INFO", logger="kmz.solvers"):
+                sv.plan(sv.REK, A, np.ones(m), False, 1)
+            lines = [r.getMessage() for r in caplog.records
+                     if "row_reach" in r.getMessage()]
+            assert len(lines) == 1
+            assert lines[0].startswith(f"built row_reach of a {m} x {n} matrix: ")
+            assert f" s, {mb} MB of A^T A kept, {path}" in lines[0]
             if mb == "0.7":  # the logged Lam bounds ||A||_2^2 from above
-                lam = float(caplog.text.split("<= ")[1].split()[0])
+                lam = float(lines[0].split("<= ")[1])
                 assert np.linalg.norm(entries, 2) ** 2 <= lam
 
     def test_large_sparse_stays_sparse(self):
@@ -662,11 +683,12 @@ class TestRowReach:
         A = mx.from_scipy(csr)
         tracemalloc.start()
         try:
-            reach = np.array(A.row_reach)
+            mx.build_row_reach(A, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 16e6, peak
+        bound = A.row_reach
         rows = rng.choice(A.m, 40, replace=False)
         cols = A.csc.astype(np.longdouble)
         for i in rows:
@@ -674,7 +696,7 @@ class TestRowReach:
             image = cols[:, a.indices] @ a.data.astype(np.longdouble)  # A a_i^T
             exact = np.sqrt(np.sum(image ** 2))
             # the rounding margin is 4 (m + n + 8) eps ||A||_F^2 ||a_i||^2
-            assert exact <= reach[i] <= exact * (1 + 1e-6)
+            assert exact <= bound[i] <= exact * (1 + 1e-6)
 
     def test_one_wide_row_gets_no_more_blocks(self, monkeypatch):
         # a dense row 0 makes row 0 of A A^T as wide as nnz(A); the other
@@ -684,21 +706,21 @@ class TestRowReach:
         entries = rng.standard_normal((400, 300)) * (rng.random((400, 300)) < 0.01)
         entries[0] = 1.0
         csr = sp.csr_matrix(entries)
-        whole = mx.from_scipy(csr).row_reach
+        whole = reach(mx.from_scipy(csr))
         dots, rows = mx._row_dots, []
         monkeypatch.setattr(mx, "_row_dots",
                             lambda P, Q: rows.append(P.shape[0]) or dots(P, Q))
         monkeypatch.setattr(mx, "_REACH_BLOCK", 2 * csr.nnz)
         A = mx.from_scipy(csr)
         assert 8 * A.n * A.n > 24 * A.csr.nnz  # the A A^T path
-        assert A.row_reach == whole
+        assert np.array_equal(reach(A), whole)
         assert sum(rows) == 400 and 2 <= len(rows) <= 8, rows
 
 
 class TestLayout:
     """Dense handles store their entries column-major, so a column is
     contiguous.  Above the _keeps_rows gate (at least _ROWS_MIN_ENTRIES
-    entries), the first x-step adds a read-only row-major copy, so a row
+    entries), a solve's plan adds a read-only row-major copy, so a row
     is contiguous too; its rows are dotted with a stride-2 copy of x, which
     takes the BLAS loop a strided row takes and so gives the same bits.
     C-order arrays and CSR handles get no copy.  The kernels read prebuilt
@@ -720,10 +742,6 @@ class TestLayout:
                                     (A.col_table, A.col_norms_sq)):
                 assert table == (np.cumsum(norms_sq).tolist(), norms_sq.tolist())
             assert len(A.col_views) == A.n
-            # built on first use: the row views (with any row-major copy),
-            # and row_reach (with A^T A)
-            assert A._row_views is None and A._row_reach is None
-            assert A._gram is None
 
     def test_to_dense_equals_input(self):
         entries = self.entries()
@@ -741,13 +759,13 @@ class TestLayout:
         assert (tmp_path / "f.mtx").read_bytes() == (tmp_path / "c.mtx").read_bytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 50, 500])
-    def test_row_kernels_bit_identical_to_the_strided_row(self, n, monkeypatch):
+    def test_row_kernels_bit_identical_to_the_strided_row(self, n):
         # the remainder loop of n mod 4 terms is covered, and x's magnitudes
         # span 24 decades, so a change of summation order shows in the bits
-        monkeypatch.setattr(mx, "_keeps_rows", lambda A: True)
         rng = np.random.default_rng(n)
         m = 37 if n < 500 else 300
         A = mx.from_dense(rng.standard_normal((m, n)))
+        mx.build_rows(A, True)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
         # an m x 1 array is C-contiguous too, so it keeps its strided read
         assert (A.rows is A.dense) == (n == 1) and A.rows.flags.c_contiguous
@@ -760,7 +778,7 @@ class TestLayout:
 
     @pytest.mark.parametrize("layout", ["f_below", "f_above", "c_below",
                                         "c_above", "csr"])
-    def test_view_kernels_bit_identical_to_slicing(self, layout, monkeypatch):
+    def test_view_kernels_bit_identical_to_slicing(self, layout):
         # each kernel on its prebuilt views against the expressions on
         # freshly sliced rows and columns: columns of A.dense, the strided
         # (or C-order) row, and indptr slices of the CSR and CSC arrays
@@ -772,11 +790,11 @@ class TestLayout:
             entries[[4, 30]] = 0.0     # empty rows
             entries[:, [0, 7]] = 0.0   # empty columns
             A = mx.from_scipy(sp.csr_matrix(entries))
+            mx.build_rows(A, False)
         else:
-            monkeypatch.setattr(mx, "_keeps_rows",
-                                lambda A: layout.endswith("above"))
             order = "F" if layout.startswith("f") else "C"
             A = mx.MatrixHandle(dense=np.array(entries, order=order))
+            mx.build_rows(A, layout.endswith("above"))
             copied = layout == "f_above"
             assert (A.rows is not A.dense) == copied
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
@@ -808,7 +826,6 @@ class TestLayout:
                     assert np.float64(dot(*args)).tobytes() == \
                         np.float64(want_dot).tobytes(), (kind, k)
                 assert axpy(v.copy(), A, k, c).tobytes() == want_axpy.tobytes()
-        assert A.row_views is A.row_views and A.col_views is A.col_views
         for views in (A.row_views, A.col_views):
             for view in views:
                 for arr in (view,) if A.is_dense else view:
@@ -823,9 +840,11 @@ class TestLayout:
         c_order = mx.MatrixHandle(dense=np.ascontiguousarray(above.dense))
         csr = mx.from_scipy(sp.random(m, n, density=1.0, format="csr",
                                       random_state=rng))
-        assert above._rows is None  # nothing is built before the first x-step
+        # by the plan, which every solve calls before its first x-step
         for A in (above, few_entries, c_order, csr):
-            mx.row_dot(A, 0, np.ones(A.n))
+            assert A.rows is None and A.row_views is None
+            sv.plan(sv.REK, A, np.ones(A.m), True, 1)
+            assert len(A.row_views) == A.m
         assert above.rows.flags.c_contiguous and not above.rows.flags.writeable
         assert np.array_equal(above.rows, above.dense)
         assert above.rows is not above.dense and above.rows is above.rows

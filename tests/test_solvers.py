@@ -25,7 +25,12 @@ from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
 
 
 def handle(rows):
-    return mx.from_dense(np.asarray(rows, dtype=float))
+    """A dense handle of `rows`, with the row views that a solve's plan
+    builds first (matrix.build_rows), so that the row kernels and the
+    certificates can be called outside solve."""
+    A = mx.from_dense(np.asarray(rows, dtype=float))
+    mx.build_rows(A, mx._keeps_rows(A))
+    return A
 
 
 def z_multi_step(rng, z, A, omega):
@@ -390,8 +395,25 @@ def floor_case(case, seed):
 def exact_path(mp):
     """Makes solve run every method on the certificate that certifies
     nothing, so r is formed wherever a pick or a stop test needs it: the
-    reference that every certified shortcut must match."""
-    mp.setattr(sv, "choose_certificate", lambda *args: sv.ResidualCertificate())
+    reference that every certified shortcut must match.  That is the plan
+    of a budget-mode REK solve, which builds the row views alone."""
+    plan = sv.plan
+    mp.setattr(sv, "plan", lambda method, A, b, budget, max_outer:
+               plan(sv.REK, A, b, True, max_outer))
+
+
+def new_floor(A, b):
+    """The ResidualFloor of A from the plan of a REK solve with a RES stop,
+    with the row views and the row_reach (and A^T A) it builds."""
+    floor, _ = sv.plan(sv.REK, A, b, False, 1)
+    return floor
+
+
+def finite_reach(A):
+    """Whether A's row_reach, built as that plan builds it, is finite; a
+    floor on any other is never positive."""
+    mx.build_row_reach(A, mx._keeps_gram(A))
+    return bool(np.isfinite(A.row_reach).all())
 
 
 # The two increment sources of a dense greedy AnchoredResidual: a column of
@@ -457,16 +479,16 @@ class TestCarriedResidual:
                 # iteration over these cases, trace rows included
                 assert full.resyncs == full.outer_iters
                 assert floor.resyncs <= floor.outer_iters / 3
-                if A._gram is None:  # below the cost gate: the O(1) tier only
+                if A.gram is None:  # below the cost gate: the O(1) tier only
                     assert floor.floor_refreshes == 0
                     continue
                 with monkeypatch.context() as mp:
-                    mp.setattr(A, "_gram", None)
+                    mp.setattr(A, "gram", None)
                     o1 = solve(cfg, A, b)
                 assert np.array_equal(o1.x_final, floor.x_final)
                 assert floor.floor_refreshes > 0
                 assert floor.resyncs < o1.resyncs, (seed, method)
-        assert (A._gram is not None) == (case == "gated")
+        assert (A.gram is not None) == (case == "gated")
         # greedy runs on either increment source of the anchored residual
         # (gate patched to take any dense shape) take the exact path's
         # iterates
@@ -518,7 +540,7 @@ class TestCarriedResidual:
         # would, and then most steps test a positive floor.
         for reset_when_spent in (False, True):
             x, z = x0.copy(), b.copy()
-            floor = sv.ResidualFloor(A, b)
+            floor = new_floor(A, b)
             r = residual(A, x, b, z)
             floor.anchor(x, z, None, float(r @ r))
             norm = exact_residual_norm(entries, x, b, z)
@@ -550,7 +572,7 @@ class TestCarriedResidual:
             A, b = handle(entries), 100.0 * rng.standard_normal(300)
         else:
             A, b, _ = floor_case(kind, 4)
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         assert floor.H is not None
         x, z = rng.standard_normal(A.n), b.copy()
         entries = A.to_dense().astype(np.longdouble)
@@ -580,7 +602,7 @@ class TestCarriedResidual:
     def gram_floor(entries, b):
         A = handle(entries)
         b = np.array(b, dtype=float)
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
         floor.coef = np.zeros(A.n)
         return A, b, floor
@@ -640,7 +662,7 @@ class TestCarriedResidual:
 
     def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
         A, b, _ = floor_case("rank_deficient", 0)
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         x, z = np.zeros(A.n), np.zeros(A.m)
         r = residual(A, x, b, z)
         s = float(r @ r)
@@ -655,7 +677,7 @@ class TestCarriedResidual:
         # the floor proves RES >= tol, but the recompute it would skip raises:
         # for x beyond DIVERGENCE_CAP, or for a RES that may overflow
         A, b, _ = floor_case("rank_deficient", 0)
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         x, z = np.full(A.n, 0.5), b.copy()
         r = residual(A, x, b, z)
         s = float(r @ r)
@@ -674,7 +696,7 @@ class TestCarriedResidual:
     @staticmethod
     def tight_floor(entry, x, b, z):
         A, x, b, z = handle([[entry]]), np.array([x]), np.array([b]), np.array([z])
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         floor.L = exact_residual_norm(A.to_dense().astype(np.longdouble), x, b, z)
         floor.xi, floor.zeta = abs(x[0]), abs(z[0])
         return A, x, b, z, floor
@@ -728,7 +750,7 @@ class TestCarriedResidual:
                 rep = solve(SolverConfig(method=method, tol=1e-300, max_outer=50),
                             A, rng.standard_normal(A.m))
                 assert rep.resyncs < 25
-            assert len(A.row_reach) == A.m and not hasattr(A, "gram")
+            assert len(A.row_reach) == A.m and A.gram is None
 
     def test_divergence_still_raised(self, monkeypatch):
         A, b = tall_problem(7)
@@ -905,9 +927,9 @@ class TestResidualFloorSoundness:
         if not (np.isfinite(b).all() and np.isfinite(x0).all()):
             return
         A = handle(entries)
-        if A.frob_sq == 0.0 or not np.isfinite(A.row_reach).all():
+        if A.frob_sq == 0.0 or not finite_reach(A):
             return
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         # fl(A^T A), as the handle forms it where it keeps it
         floor.H = A.dense.T @ A.dense if refresh else None
         floor.coef = np.zeros(A.n) if refresh else None
@@ -1004,9 +1026,9 @@ class TestResidualFloorSoundness:
         A = handle(entries)
         if A.frob_sq == 0.0 or not (np.isfinite(b).all()
                                     and np.isfinite(x0).all()
-                                    and np.isfinite(A.row_reach).all()):
+                                    and finite_reach(A)):
             return
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         floor.H = A.dense.T @ A.dense if refresh else None
         floor.coef = np.zeros(A.n) if refresh else None
         x = x0.copy()
@@ -1132,10 +1154,9 @@ class TestResidualFloorSoundness:
         factor = 10.0 ** scale / float(abs(entries).max())
         entries, b = entries * factor, b * factor
         A = handle(entries)
-        if A.frob_sq == 0.0 or not (np.isfinite(b).all()
-                                    and np.isfinite(A.row_reach).all()):
+        if A.frob_sq == 0.0 or not (np.isfinite(b).all() and finite_reach(A)):
             return
-        floor = sv.ResidualFloor(A, b)
+        floor = new_floor(A, b)
         floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
         floor.coef = np.zeros(n)
         x, z = x0.copy(), b.copy()
@@ -1296,7 +1317,7 @@ class TestFullPasses:
                     assert (rep.gram_steps > 0) == (greedy and source == "gram")
                     assert (rep.shadow_passes > 0) == \
                         (greedy and source == "pass")
-        assert (A._gram is not None) == (shape == "above_gates")
+        assert (A.gram is not None) == (shape == "above_gates")
 
     @pytest.mark.parametrize("case", ["tall", "rank_deficient", "csr", "gated"])
     def test_rek_and_prek_pass_only_to_form_res(self, case):
@@ -1384,7 +1405,7 @@ class TestRowMajorCopy:
                 assert copied.x_final.tobytes() == strided.x_final.tobytes(), key
                 # every other SolveReport field: counts, final_res, trace rows
                 for f in fields(copied):
-                    if f.name not in ("x_final", "wall_seconds"):
+                    if f.name not in ("x_final", "wall_seconds", "build_seconds"):
                         assert getattr(copied, f.name) == getattr(strided, f.name), \
                             (key, f.name)
 
@@ -1614,7 +1635,15 @@ def shadow_case(kind):
 
 
 def new_shadow(A, x, b):
-    shadow = sv.ResidualShadow(A, b, mx.single_copy(A))
+    """A ResidualShadow of A anchored at x, from the plan of an EMRK solve
+    with the gates set so that it takes the float32 pass; None where A's
+    float32 copy is not finite."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        use_source(mp, "pass")
+        shadow, _ = sv.plan(sv.EMRK, A, b, False, 1)
+    if not isinstance(shadow, sv.ResidualShadow):
+        return None
     shadow.anchor(x, b, b - mx.matvec(A, x), None)
     return shadow
 
@@ -1837,13 +1866,15 @@ class TestResidualShadow:
 
 
 def new_gram(A, x, b):
-    """A GramResidual of A anchored at x, its row cosines built with the
-    byte gate lifted; None where they cannot be built."""
+    """A GramResidual of A anchored at x, from the plan of an EMRK solve of
+    m iterations with the gates set so that it builds the row cosines;
+    None where they cannot be built."""
     with pytest.MonkeyPatch.context() as mp:
-        lift_cosine_gate(mp)
-        if A.row_cosines is None:
-            return None
-    gram = sv.GramResidual(A, b)
+        mp.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
+        use_source(mp, "gram")
+        gram, _ = sv.plan(sv.EMRK, A, b, False, A.m)
+    if not isinstance(gram, sv.GramResidual):
+        return None
     gram.anchor(x, b, b - mx.matvec(A, x), None)
     return gram
 
@@ -1851,9 +1882,7 @@ def new_gram(A, x, b):
 def new_anchored(source, A, x, b):
     """An AnchoredResidual of A from `source`, anchored at x; None where the
     source cannot serve A."""
-    if source == "gram":
-        return new_gram(A, x, b)
-    return new_shadow(A, x, b) if mx.single_copy(A) is not None else None
+    return (new_gram if source == "gram" else new_shadow)(A, x, b)
 
 
 def greedy_walk(cert, A, b, steps, rng, omega=1):
@@ -1862,8 +1891,10 @@ def greedy_walk(cert, A, b, steps, rng, omega=1):
     where solve would anchor it.  Asserts at every step that its bound
     covers the float64 residual, that a pick it certifies is the float64
     argmax, and that it does not exclude a stop a float64 pass would make.
-    Ends early at a zero-norm row, whose x-step solve skips or raises.
-    Returns the number of certified picks."""
+    Ends early at a zero-norm row, whose x-step solve skips or raises, and
+    at an x beyond DIVERGENCE_CAP.  Each x-step takes its right-hand side
+    as a Python float, as solve's does.  Returns the number of certified
+    picks."""
     x, z = np.zeros(A.n), b.copy()
     cert.anchor(x, z, b, 0.0)
     fresh, certified = True, 0
@@ -1881,7 +1912,7 @@ def greedy_walk(cert, A, b, steps, rng, omega=1):
                 cert.anchor(x, z, b - mx.matvec(A, x), None)
         if A.row_table[1][i] == 0.0:
             break
-        x_project_row(x, A, i, b[i] - z[i], cert.stepped)
+        x_project_row(x, A, i, b.item(i) - z.item(i), cert.stepped)
         if not abs(x).max() <= sv.DIVERGENCE_CAP:
             break  # solve raises at its next float64 pass
         fresh = False
@@ -1903,7 +1934,7 @@ class TestGramResidual:
     @pytest.mark.parametrize("kind", ["tall", "rank_deficient", "row_scaled"])
     def test_bound_covers_the_float64_residual(self, kind):
         A, b = shadow_case(kind)
-        gram = sv.GramResidual(A, b) if A.row_cosines is not None else None
+        gram = new_gram(A, np.zeros(A.n), b)
         certified = greedy_walk(gram, A, b, 1500, np.random.default_rng(24),
                                 omega=2)
         assert gram.gram_steps == 1500
@@ -1949,8 +1980,8 @@ class TestGramResidual:
         entries = np.array([row * (1.0 + 1e-4 * k) + 1e-3 * rng.standard_normal(6)
                             for k in range(12)])
         A, b = handle(entries), rng.standard_normal(12)
-        greedy_walk(sv.GramResidual(A, b) if A.row_cosines is not None else None,
-                    A, b, 300, np.random.default_rng(32), omega=1)
+        greedy_walk(new_gram(A, np.zeros(A.n), b), A, b, 300,
+                    np.random.default_rng(32), omega=1)
 
     def test_overflowing_step_turns_the_source_off(self):
         A, b = handle([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), np.ones(3)
@@ -1977,9 +2008,9 @@ class TestGramResidual:
         monkeypatch.setattr(sv, "_SHADOW_MIN_ENTRIES", 0)
         A, b = tall_problem(33, m=400, n=40)
         short = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=399), A, b)
-        assert A._cosines is None and short.gram_steps == 0 < short.shadow_passes
+        assert A.cosines is None and short.gram_steps == 0 < short.shadow_passes
         full = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=400), A, b)
-        assert A._cosines is not None and full.shadow_passes == 0 < full.gram_steps
+        assert A.cosines is not None and full.shadow_passes == 0 < full.gram_steps
         again = solve(SolverConfig(method=sv.EMRK, seed=0, max_outer=399), A, b)
         assert again.gram_steps > 0
         assert again.x_final.tobytes() == short.x_final.tobytes()
@@ -1994,7 +2025,7 @@ class TestGramResidual:
         assert f"{rep.full_passes} float64 passes" in caplog.text
         assert f"0 float32 shadow passes, {rep.gram_steps} Gram steps, " \
             f"{rep.settled_picks} settled picks" in caplog.text
-        assert "row cosines of a 600 x 60 matrix" in caplog.text
+        assert "built cosines of a 600 x 60 matrix" in caplog.text
 
 
 def order_case():
@@ -2149,6 +2180,11 @@ class TestAnchoredResidualSoundness:
     @example(case=(UNDERFLOW, np.ones(2), 0, 1))
     @example(case=(UNDERFLOW, np.array([1.0, 1e-150]), 1, 2))
     @example(case=(PARTLY_UNDERFLOWING, np.array([1e-150, 1e-150, 1e-150]), 3, 1))
+    # c = b_1 / ||a_1||^2 overflows: the walk's x-step must take Python
+    # floats, as solve's does, whose division gives inf without a numpy
+    # overflow warning
+    @example(case=(np.array([[0.0], [-1.32104863e-129]]),
+                   np.array([-5.35669373e50, 3.61595055e50]), 0, 1))
     def test_bound_covers_the_float64_residual(self, case):
         entries, b, seed, omega = case
         A = handle(entries)
@@ -2227,7 +2263,7 @@ class TestAnchoredResidualSoundness:
                 i = select_max_residual_row(b - mx.matvec(A, x) - z)
                 if A.row_table[1][i] == 0.0:
                     break
-                x_project_row(x, A, i, b[i] - z[i], cert.stepped)
+                x_project_row(x, A, i, b.item(i) - z.item(i), cert.stepped)
             if not abs(x).max() <= sv.DIVERGENCE_CAP:
                 continue
             cert.advance(x)
@@ -2293,15 +2329,15 @@ def matrix_shape(shape, mp):
     return A, b, 1e-6
 
 
-def rows_handle(A, keeps, monkeypatch):
+def rows_handle(A, keeps):
     """A fresh handle of a dense A's entries, in their layout, that reads
     x-step rows from a row-major copy (keeps) or from the stored array; a
     CSR A as it is."""
     if not A.is_dense:
         return A
-    with monkeypatch.context() as mp:
-        mp.setattr(mx, "_keeps_rows", lambda A: keeps)
-        return mx.MatrixHandle(dense=A.dense.copy(order="K"))
+    H = mx.MatrixHandle(dense=A.dense.copy(order="K"))
+    mx.build_rows(H, keeps)
+    return H
 
 
 class TestCertificateMatrix:
@@ -2310,7 +2346,7 @@ class TestCertificateMatrix:
     trace}, and a run that diverges, on each shape of matrix_shape, with
     both increment sources (SOURCES) of the greedy shapes above the gates.  On a
     column-major dense shape the fast path also reads its x-step rows from
-    the row-major copy (matrix.MatrixHandle.rows, through a stride-2 copy
+    the row-major copy (matrix.build_rows, through a stride-2 copy
     of x), and the exact path the strided rows of the stored array;
     TestRowMajorCopy checks that copy alone."""
 
@@ -2324,8 +2360,8 @@ class TestCertificateMatrix:
                              (sparse, 50), (tall, 5000)):
             for method in sv.METHODS:
                 for budget in (False, True):
-                    built = dense._cosines is not None
-                    cert = sv.choose_certificate(method, A, b, budget, max_outer)
+                    built = dense.cosines is not None
+                    cert, _ = sv.plan(method, A, b, budget, max_outer)
                     key = (method, budget, A.shape, max_outer)
                     if method in (sv.EMRK, sv.MEMRK) and A.is_dense:
                         expected = sv.ResidualShadow
@@ -2340,15 +2376,15 @@ class TestCertificateMatrix:
                     assert (cert.stepped is cert) == \
                         (expected in (sv.ResidualFloor, sv.GramResidual)), key
             # built by the first greedy solve that repays them, then kept
-            assert (dense._cosines is not None) == (max_outer >= 60 or built)
-        assert tall._cosines is None and sparse.row_cosines is None
+            assert (dense.cosines is not None) == (max_outer >= 60 or built)
+        assert tall.cosines is None and sparse.cosines is None
 
     @pytest.mark.parametrize("shape", ["below_gates", "above_gates", "c_order",
                                        "csr", "dense_as_csr"])
     def test_bit_identical_to_the_exact_path(self, shape, monkeypatch):
         A, b, tol = matrix_shape(shape, monkeypatch)
         x_ls = oracle.svd_least_squares(A, b)
-        A, A_exact = (rows_handle(A, keeps, monkeypatch) for keeps in (True, False))
+        A, A_exact = (rows_handle(A, keeps) for keeps in (True, False))
         if A.is_dense:
             assert (A.rows is A.dense) == (shape == "c_order")
             assert A_exact.rows is A_exact.dense
@@ -2405,3 +2441,93 @@ class TestCertificateMatrix:
                     raised = raised_at(cfg, A, b)
                     exact_path(mp)
                     assert raised == raised_at(cfg, A_exact, b) == top + 1, key
+
+
+# the structures a solve's plan builds and a handle keeps
+BUILT = ("rows", "row_views", "row_reach", "gram", "cosines")
+
+
+def built(A):
+    """The names of BUILT that A holds."""
+    return {name for name in BUILT if getattr(A, name) is not None}
+
+
+def build_lines(caplog):
+    """The INFO lines of the builds logged by the plan."""
+    return [r.getMessage() for r in caplog.records
+            if r.name == "kmz.solvers" and r.getMessage().startswith("built ")]
+
+
+class TestBuildPlan:
+    """solve builds its one-off structures in plan and nowhere else, each
+    once per handle (the float32 copy once per solve), timed into
+    SolveReport.build_seconds and logged in one INFO line."""
+
+    def test_floor_builds_are_listed_once(self, caplog):
+        # 1400 x 100 keeps A^T A (0.08 MB) and is below _keeps_rows, so its
+        # "rows" are the row views of the stored array
+        A, b = tall_problem(60, m=1400, n=100)
+        assert mx._keeps_gram(A) and not mx._keeps_rows(A)
+        cfg = SolverConfig(method=sv.REK, seed=0)
+        with caplog.at_level("INFO", logger="kmz.solvers"):
+            first = solve(cfg, A, b)
+        assert list(first.build_seconds) == ["rows", "row_reach"]
+        assert all(t >= 0.0 for t in first.build_seconds.values())
+        rows, reach = build_lines(caplog)
+        assert rows.startswith("built rows of a 1400 x 100 matrix: ")
+        assert rows.endswith(" s, 0.0 MB")
+        assert reach.startswith("built row_reach of a 1400 x 100 matrix: ")
+        assert " s, 0.1 MB of A^T A kept, spectral, ||A||_2^2 <= " in reach
+        caplog.clear()
+        with caplog.at_level("INFO", logger="kmz.solvers"):
+            again = solve(cfg, A, b)
+            prek = solve(replace(cfg, method=sv.PREK), A, b)
+        assert again.build_seconds == prek.build_seconds == {}
+        assert build_lines(caplog) == []
+        assert again.x_final.tobytes() == first.x_final.tobytes()
+
+    def test_greedy_builds_are_listed(self, caplog):
+        # 1400 x 400 is above _keeps_rows (a 4.5 MB row-major copy), the
+        # shadow gate and the cosines' gate (2.0 MB of panels)
+        A, b = tall_problem(61, m=1400, n=400)
+        assert mx._keeps_rows(A) and mx._fits_cosines(A)
+        short = SolverConfig(method=sv.EMRK, seed=0, tol=None, max_outer=300)
+        runs = []
+        with caplog.at_level("INFO", logger="kmz.solvers"):
+            for cfg in (short, short, replace(short, tol=1e-6, max_outer=1400),
+                        short):
+                caplog.clear()
+                rep = solve(cfg, A, b)
+                runs.append((list(rep.build_seconds), build_lines(caplog)))
+        # a solve shorter than m iterations takes the float32 pass, whose
+        # copy is made on every call; the first full one builds the cosines,
+        # which the handle keeps for every later greedy solve
+        assert [names for names, _ in runs] == [
+            ["rows", "float32"], ["float32"], ["cosines"], []]
+        first, second, full, last = (lines for _, lines in runs)
+        assert first[0].endswith(" s, 4.5 MB")
+        assert first[1].startswith("built float32 of a 1400 x 400 matrix: ")
+        assert first[1].endswith(" s, 2.2 MB")
+        assert len(second) == 1 and second[0].endswith(" s, 2.2 MB")
+        assert len(full) == 1 and full[0].endswith(" s, 2.0 MB")
+        assert last == []
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_nothing_is_built_outside_the_plan(self, kind):
+        # not with the handle, not by a read of any of its attributes, and
+        # not by the set-up SVD, which sets the peak memory on dense
+        # 6000 x 500 and must not find these structures alive
+        if kind == "dense":
+            A, b = tall_problem(62, m=1400, n=400)
+        else:
+            A, b, _ = floor_case("csr", 62)
+        assert built(A) == set()
+        for name in dir(A):
+            getattr(A, name)
+        oracle.svd_least_squares(A, b)
+        assert built(A) == set()
+        for method in sv.METHODS:  # m iterations: the greedy ones may build
+            solve(SolverConfig(method=method, seed=0, tol=1e-300,
+                               max_outer=A.m), A, b)
+        assert built(A) == ({"rows", "row_views", "row_reach", "gram", "cosines"}
+                            if kind == "dense" else {"row_views", "row_reach"})
