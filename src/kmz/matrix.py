@@ -38,6 +38,17 @@ from scipy.io import mmread, mmwrite
 
 from .errors import MatrixError, MatrixFormatError
 
+# The rounding vocabulary of every bound in kmz (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2002): eps, twice float64's unit
+# roundoff; _SUB, float64's smallest subnormal number, twice the most a
+# product that underflows may lose; and the factors that round a stored
+# upper (lower) bound up (down), so that a product with them stays on the
+# safe side after its own rounding and that of up to three more operations.
+_EPS = float(np.finfo(np.float64).eps)
+_SUB = 2.0 ** -1074
+_UP = 1.0 + 4.0 * _EPS
+_DOWN = 1.0 - 4.0 * _EPS
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
@@ -63,6 +74,11 @@ class MatrixHandle:
     Build through :func:`from_dense`, :func:`from_scipy` or
     :func:`read_matrix_market`; those store dense entries column-major.
     A handle built directly keeps the array it is given in its own layout.
+
+    A row or column whose entries are not all zero but whose squared norm
+    underflows to 0 (entries below about 1.5e-162) is rejected with a
+    MatrixError naming it: no sampler or projection could use it, though
+    it is not zero.  An explicit zero of a CSR matrix is a zero entry.
 
     Built with the handle, because every solve reads them from its first
     step: the squared row and column norms, their (cumulative, squared)
@@ -114,6 +130,17 @@ class MatrixHandle:
                         self.csc.data, self.csc.indices, self.csc.indptr):
                 arr.setflags(write=False)
             self.col_views = _pairs(self.csc)
+        # a row or column that is not zero but whose squared norm underflows
+        # to 0 would never be sampled or projected onto
+        entries = self.dense if dense is not None else csr
+        for what, sq, axis in (("row", self.row_norms_sq, 1),
+                               ("column", self.col_norms_sq, 0)):
+            zero = np.flatnonzero(sq == 0.0)
+            part = entries[zero] if axis else entries[:, zero]
+            live = np.flatnonzero(np.asarray((part != 0).sum(axis)).ravel())
+            if live.size:
+                raise MatrixError(f"{what} {zero[live[0]]} has nonzero entries "
+                                  f"but a squared norm that underflows to 0")
         self.frob_sq = float(self.row_norms_sq.sum())
         self.row_table = _norm_table(self.row_norms_sq)
         self.col_table = _norm_table(self.col_norms_sq)
@@ -163,7 +190,10 @@ def _keeps_gram(A: MatrixHandle) -> bool:
     """Whether the handle keeps its n x n A^T A for the REK/PREK floor
     refresh: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES, m n
     for a dense handle and nnz for CSR; such a Gram matrix takes at most
-    half the bytes of A's stored entries.  Below the gate a refresh costs
+    half the bytes of A's stored entries.  The 4m dates from the first
+    refresh, O(m + n^2), which also read an m-vector; neither today's
+    refresh nor the tangent tier reads one.  The rule is kept as it is
+    until a measured crossover moves it.  Below the gate a refresh costs
     about the mat-vec it saves: on small-200x50's 20 instances (seed 800,
     tol 1e-8), a kept A^T A, with the spectral row_reach and the tangent
     tier, cut the float64 passes from 5687 to 20 (REK) and from 4389 to 20
@@ -241,7 +271,7 @@ def build_row_reach(A: MatrixHandle, keep: bool) -> str:
     the 2^-1074 added to a live row takes.  If Lam cannot be certified, the
     per-row path runs on the same H.
 
-    Per row, elsewhere: reach_i = sqrt(q_i + margin_i) (1 + 4 eps), q_i =
+    Per row, elsewhere: reach_i = sqrt(q_i + margin_i), q_i =
     ||A a_i^T||^2 computed as a_i H a_i^T, H = A^T A (dense), when H takes
     no more bytes than the stored entries of A (for a dense A, when n <=
     m); else as the squared norm of row i of A A^T, sparse for a CSR
@@ -270,12 +300,16 @@ def build_row_reach(A: MatrixHandle, keep: bool) -> str:
     c w_i, so q_i = sum_l G_il^2 errs by (2 n c w_i + m) 2^-1075 and a term
     in 2^-2150 on the other.  U_i = (w_i (m w_i + 2 n c + n) + m + n)
     2^-1073 covers both, with slack for the relative factors on top.  A
-    zero row (no stored entry, for CSR) takes R2_i = U_i = 0: every product
-    with it is exact, and its reach is 0.  The factor 4 eps covers the
-    final sum and sqrt.
+    row of squared norm 0 is all zero (MatrixHandle rejects any other) and
+    takes R2_i = U_i = 0: every product with it is exact, and its reach is
+    0.  The sum q_i + margin_i, the root and margin_i's own products
+    round by a few eps of q_i + margin_i, under 4 eps F2 R2_i to first
+    order, as q_i is within that margin of ||A a_i^T||^2 <= F2 R2_i; and
+    margin_i's coefficient exceeds the (2m + 2n) eps needed by (2m + 2n +
+    32) eps F2 R2_i: that spare takes them, so the root needs no factor 1
+    + 4 eps.
     """
     m, n = A.m, A.n
-    eps = float(np.finfo(np.float64).eps)
     if A.dense is not None:
         stored, stored_t, nbytes = A.dense, A.dense.T, A.dense.nbytes
     else:
@@ -324,16 +358,10 @@ def build_row_reach(A: MatrixHandle, keep: bool) -> str:
             if keep:
                 kept = _readonly(H)
                 lam, path = _norm_sq_bound(A, H)
-        if A.dense is not None:
-            live = A.row_norms_sq > 0.0
-            dark = np.flatnonzero(~live)  # zero, or squares that underflow
-            live[dark] = A.dense[dark].any(axis=1)
-        else:
-            live = np.diff(A.csr.indptr) > 0
-        R2 = np.where(live, A.row_norms_sq + n * 2.0 ** -1074, 0.0)
+        live = A.row_norms_sq > 0.0  # the handle has no other nonzero row
+        R2 = np.where(live, A.row_norms_sq + n * _SUB, 0.0)
         if lam is not None:
-            reach = np.sqrt(R2) * (math.sqrt(lam) * (1.0 + 4.0 * eps)) \
-                + live * 2.0 ** -1074
+            reach = np.sqrt(R2) * (math.sqrt(lam) * _UP) + live * _SUB
         else:
             q = np.empty(m)
             for s, e, blk in blocks():
@@ -343,12 +371,11 @@ def build_row_reach(A: MatrixHandle, keep: bool) -> str:
                     G = blk @ stored_t  # the block's rows of A A^T
                     q[s:e] = _row_dots(G, G)
             w = np.sqrt(n * R2)
-            c = math.sqrt(m * (float(A.col_norms_sq.max()) + m * 2.0 ** -1074))
-            under = (w * (m * w + 2.0 * n * c + n) + m + n) * 2.0 ** -1073
-            margin = 4.0 * (m + n + 8) * eps \
-                * (A.frob_sq + m * n * 2.0 ** -1074) * R2 \
+            c = math.sqrt(m * (float(A.col_norms_sq.max()) + m * _SUB))
+            under = (w * (m * w + 2.0 * n * c + n) + m + n) * 2.0 * _SUB
+            margin = 4.0 * (m + n + 8) * _EPS * (A.frob_sq + m * n * _SUB) * R2 \
                 + np.where(live, under, 0.0)
-            reach = np.sqrt(q + margin) * (1.0 + 4.0 * eps)
+            reach = np.sqrt(q + margin)
     A.row_reach, A.gram = reach.tolist(), kept
     return path
 
@@ -401,12 +428,11 @@ def _norm_sq_bound(A: MatrixHandle, H: np.ndarray) -> tuple[float | None, str]:
     4 eps the seven roundings of the sum.
     """
     m, n = A.m, A.n
-    eps = float(np.finfo(np.float64).eps)
     if not np.isfinite(H).all():
         return None, "per row: A^T A is not finite"
     k = -math.frexp(float(np.diagonal(H).max()))[1]
     M = np.ldexp(H, k)
-    mu = float(np.linalg.eigvalsh(M)[-1]) * (1.0 + 2.0 * n * (n + 1) * eps)
+    mu = float(np.linalg.eigvalsh(M)[-1]) * (1.0 + 2.0 * n * (n + 1) * _EPS)
     np.negative(M, out=M)
     M.flat[::n + 1] += mu
     t = float(np.abs(np.diagonal(M)).sum())
@@ -414,9 +440,9 @@ def _norm_sq_bound(A: MatrixHandle, H: np.ndarray) -> tuple[float | None, str]:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
         return None, "per row: no Cholesky factor of mu I - A^T A"
-    F2 = A.frob_sq + m * n * 2.0 ** -1074
-    lam = (float(np.ldexp(mu + (n + 2) * eps * t, -k)) + m * eps * F2
-           + m * n * 2.0 ** -1074) * (1.0 + (n + 4) * eps)
+    F2 = A.frob_sq + m * n * _SUB
+    lam = (float(np.ldexp(mu + (n + 2) * _EPS * t, -k)) + m * _EPS * F2
+           + m * n * _SUB) * (1.0 + (n + 4) * _EPS)
     return lam, f"spectral, ||A||_2^2 <= {lam!r}"
 
 

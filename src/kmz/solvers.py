@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrix as mx
+from .matrix import _DOWN, _EPS, _SUB, _UP
 from .errors import (ConfigError, DivergenceError, NonFiniteInputError,
                      SolverError, ZeroRowError)
 
@@ -69,14 +70,6 @@ MEMRK = "memrk"
 METHODS = (REK, PREK, EMRK, MEMRK)
 
 DIVERGENCE_CAP = 1e150
-
-_EPS = float(np.finfo(np.float64).eps)
-# Factors that round a stored upper (lower) bound up (down): a product with
-# them stays on the safe side after its own rounding and that of two adds.
-_UP = 1.0 + 4.0 * _EPS
-_DOWN = 1.0 - 4.0 * _EPS
-_SUB = 2.0 ** -1074  # float64's smallest subnormal number
-_ROOT_SUB = 2.0 ** -537  # its square root
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +110,7 @@ class SolveReport:
     resyncs: int = 0          # RES formed in full: stop tests, trace rows
     floor_refreshes: int = 0  # O(n^2) rebuilds of the REK/PREK floor
     floor_tangents: int = 0   # its O(n) rebuilds from the tangent plane
-    # greedy picks of a zero-norm row with a zero residual entry, which leave
-    # x as it is
+    # greedy picks of an all-zero row, which leave x as it is
     zero_row_skips: int = 0
     shadow_passes: int = 0    # float32 passes of a greedy ResidualShadow
     full_passes: int = 0      # float64 passes over A (mat-vecs)
@@ -252,6 +244,20 @@ def residual(A: mx.MatrixHandle, x: np.ndarray, b: np.ndarray,
 # -- residual certificates ----------------------------------------------------
 
 
+def _row_bounds(A: mx.MatrixHandle) -> tuple[float, float, np.ndarray]:
+    """(gamma, tau, N), the row terms of the certificates of A: gamma = (m +
+    n + 8) eps, tau = sqrt(n 2^-1074) (1 + gamma) and N_i = ||a_i||^ + tau,
+    ||a_i||^ = fl(sqrt(s_i)) the root of the handle's squared norm s_i.
+    That sum of n squares errs by gamma_n(eps/2) relatively, so ||a_i||^
+    by (n/4 + 1/2) eps with the root, and, where products underflow, by n
+    2^-1075 absolutely, which tau takes as sqrt(p + q) <= sqrt(p) +
+    sqrt(q): ||a_i|| <= N_i (1 + (n/4 + 1) eps).  N_i is not raised to an
+    upper bound; each use has room for that relative excess of ||a_i||."""
+    g = (A.m + A.n + 8) * _EPS
+    tau = math.sqrt(A.n * _SUB) * (1.0 + g)
+    return g, tau, np.sqrt(A.row_norms_sq) + tau
+
+
 class ResidualCertificate:
     """The four calls solve makes about r = b - A x - z instead of forming it:
       - advance(x), after an x-step that no float64 pass follows at once;
@@ -351,24 +357,28 @@ class ResidualFloor(ResidualCertificate):
         + 2 (G eta^0).delta, delta = eta - eta^0: a convex function lies
         above its tangent plane.  The tier takes eta = c^ - x exactly and
         forms d^ = fl(fl(c^ - x) - eta^0), t^ = fl(p^.d^) and f =
-        sqrt(fl(d^.d^) + n 2^-1074) (1 + gamma) >= ||d^|| (1 + eps), a few
-        n-vector operations and no read of H^.  |p^| <= (1 + gamma) |A|^T
+        fl(sqrt(fl(d^.d^) + n 2^-1074)) >= ||d^|| (1 - (n/4 + 1) eps), a
+        few n-vector operations and no read of H^.  |p^| <= (1 + gamma) |A|^T
         |A| |eta^0| entrywise, so ||p^|| <= (1 + gamma) F^2 ||eta^0||, and
         (G eta^0).delta differs from t^ by at most:
         - p^ against G eta^0.  |H^ - G| <= gamma_m |A|^T |A| and
           fl(H^ eta^0) errs by gamma_n |H^| |eta^0|, so by (m + n) eps
           || |A| |eta^0| || || |A| |delta| || <= (m + n) eps F^2 ||eta^0||
-          ||delta||, to first order, with ||delta|| <= f + eps/2 ||eta^0||.
+          ||delta||, to first order, with ||delta|| <= ||d^|| (1 + eps) + eps/2
+          ||eta^0||.
         - The difference and the dot.  d^ is within eps/2 |d^| of eta^ -
           eta^0, eta^ = fl(c^ - x), and t^ within gamma_n |p^|.|d^| of
           p^.d^: (n + 1) eps ||p^|| ||d^||.
         - The rounding of eta^, within eps/2 |eta^| of c^ - x: eps/2 ||p^||
           (||eta^0|| + ||d^|| (1 + eps)).
-        Twice their sum is at most 2 (m + 2n + 2) eps F^2 ||eta^0|| f plus
+        Twice their sum is at most 2 (m + 2n + 2) eps F^2 ||eta^0|| ||d^||
+        (1 + eps) plus
         eps (1 + (m + n) eps) F^2 e^, which Q0 spares, so the tier
-        subtracts one term, 4 gamma F^2 ||eta^0|| f, whose coefficient
-        exceeds that need by (2m + 28) eps: enough for the roundings of T,
-        3 eps (|Q0| + 2 |t^|), the rest of which Q0 spares.  Underflow: t^
+        subtracts one term, 4 gamma F^2 r0 f, r0 = fl(sqrt(e')), whose
+        coefficient exceeds that need by (2m + 28) eps: enough for the
+        roundings of T, 3 eps (|Q0| + 2 |t^|), the rest of which Q0 spares,
+        and, for n < 2^20, for the (n/4 + 1) eps by which r0 and f may each
+        fall short of ||eta^0|| and ||d^|| (1 + eps).  Underflow: t^
         may lose n 2^-1075, which Q0's U spares, as it covers q^'s losses
         four times over; each entry of p^ may err by (m ||eta^0||_1 + n)
         2^-1075 more (the refresh's), and ||eta^0||_1 <= sqrt(n e^),
@@ -409,8 +419,18 @@ class ResidualFloor(ResidualCertificate):
         m ||eta^||_1 2^-1075 + n 2^-1075 and q^ by (m ||eta^||_1^2 + n
         ||eta^||_1 + n) 2^-1075, ||eta^||_1^2 <= n e'; row_reach covers its
         own.
-    The norms ||A_(j)||, ||a_i||, F, ||b||, and ||x||, ||z|| at an anchor are
-    stored times 1 + gamma, which covers their own rounding.  Each update
+    ||x|| and ||z|| at an anchor are stored times 1 + gamma, which covers
+    their own rounding.  ||A_(j)||, ||a_i|| (N_i, _row_bounds), F and ||b||
+    are stored as computed, fl(sqrt(fl(sum of k squares))) within (k/4 +
+    1) eps of the norm relatively (k = m, n, m n, m), plus their underflow
+    terms: every use has room for that.  F and ||b|| are
+    multiplied by gamma wherever they bound a rounding, in the anchor, the
+    stop test and the refresh and tangent terms, whose coefficients exceed
+    their need by at least 8 eps, and the stop test's 2 U^2 has a factor 2
+    to spare; ||A_(j)|| and ||a_i|| give t, whose deficit of up to (k/4 +
+    1) eps t the step's e = gamma (zeta + t) or gamma (xi + t) takes beside
+    the 3 eps (||z|| + t) of z', or the rounding of x' (D's eps |c^_j|
+    ||A_(j)|| is twice its need).  Each update
     rounds L down and xi, zeta, D up (_DOWN, _UP).  gamma exceeds the
     gamma_m and (n + 3) eps needed above by at least 8 eps, which covers
     the few roundings inside each formula.  A NaN or inf fails the stop
@@ -426,24 +446,19 @@ class ResidualFloor(ResidualCertificate):
                  H: np.ndarray | None):
         # the handle's row_reach and A^T A, None where a refresh won't pay
         self.m, self.n = m, n = A.m, A.n
-        self.gamma = g = (m + n + 8) * _EPS
-        # what a sum of m or n squares may lose to underflow, under the
-        # square root
-        self.rho_m = math.sqrt(m) * _ROOT_SUB * (1.0 + g)
-        self.rho_n = math.sqrt(n) * _ROOT_SUB * (1.0 + g)
+        g, self.rho_n, row_norms = _row_bounds(A)
+        self.gamma = g
+        # what a sum of m squares may lose to underflow, under the square root
+        self.rho_m = math.sqrt(m * _SUB) * (1.0 + g)
         self.reach, self.H = reach, H
         # c^ and D, kept only where a refresh can use them
         self.coef = None if self.H is None else np.zeros(A.n)
         self.drift = 0.0
         # norms as Python floats: scalar arithmetic on them is cheaper
-        self.col_norms = (np.sqrt(A.col_norms_sq) * (1.0 + g)
-                          + self.rho_m).tolist()
-        self.row_norms = (np.sqrt(A.row_norms_sq) * (1.0 + g)
-                          + self.rho_n).tolist()
-        self.frob = math.sqrt(A.frob_sq) * (1.0 + g) \
-            + math.sqrt(m * n) * _ROOT_SUB * (1.0 + g)
-        self.b_norm = float(np.linalg.norm(b)) * (1.0 + g) \
-            + self.rho_m * (1.0 + 2.0 / g)
+        self.col_norms = (np.sqrt(A.col_norms_sq) + self.rho_m).tolist()
+        self.row_norms = row_norms.tolist()
+        self.frob = math.sqrt(A.frob_sq) + math.sqrt(m * n * _SUB)
+        self.b_norm = float(np.linalg.norm(b)) + self.rho_m * (1.0 + 2.0 / g)
         self.p = None  # the tangent tier's, set by the first refresh
         self.floor_refreshes = self.floor_tangents = 0
 
@@ -472,13 +487,13 @@ class ResidualFloor(ResidualCertificate):
         e = float(d @ d) + n * _SUB
         p = self.H @ d
         q = float(d @ p)
-        under = (m * n * e + n * math.sqrt(n * e) + n) * 2.0 ** -1073
+        under = (m * n * e + n * math.sqrt(n * e) + n) * 2.0 * _SUB
         self.eta0, self.p = d, p
         self.Q0 = q - 2.0 * g * self.frob * self.frob * e - under
         # the tangent tier's terms per unit of f: rounding, then underflow
-        r0 = math.sqrt(e) * (1.0 + g)  # >= ||eta^0||
+        r0 = math.sqrt(e)  # ||eta^0||, see the tangent tier
         self.slope = 4.0 * g * self.frob * self.frob * r0 \
-            + n * (m * r0 + math.sqrt(n)) * 2.0 ** -1073
+            + n * (m * r0 + math.sqrt(n)) * 2.0 * _SUB
         self._raise(self.Q0)
 
     def tangent(self, x: np.ndarray) -> None:
@@ -487,7 +502,7 @@ class ResidualFloor(ResidualCertificate):
         self.floor_tangents += 1
         d = self.coef - x
         d -= self.eta0
-        f = math.sqrt(float(d.dot(d)) + self.n * _SUB) * (1.0 + self.gamma)
+        f = math.sqrt(float(d.dot(d)) + self.n * _SUB)
         self._raise(self.Q0 + 2.0 * float(self.p.dot(d)) - self.slope * f)
 
     def _raise(self, T: float) -> None:
@@ -524,14 +539,11 @@ class ResidualFloor(ResidualCertificate):
         U = (far + self.zeta) * _UP
         if not (self.xi <= DIVERGENCE_CAP and 2.0 * U * U / denom < math.inf):
             return False
-        M = self.L - g * far
-        if M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
-            return True
-        if self.H is None:
-            return False
-        for rebuild in ((self.refresh,) if self.p is None
-                        else (self.tangent, self.refresh)):
-            rebuild(self.x)
+        rebuilds = () if self.H is None else (
+            (self.refresh,) if self.p is None else (self.tangent, self.refresh))
+        for rebuild in (None, *rebuilds):
+            if rebuild is not None:
+                rebuild(self.x)
             M = self.L - g * far
             if M > 0.0 and tol_denom <= M * M * (1.0 - g) < math.inf:
                 return True
@@ -542,8 +554,6 @@ class ResidualFloor(ResidualCertificate):
 
 _U32 = 2.0 ** -24   # float32 unit roundoff
 _TINY = 2.0 ** -126  # float32's smallest normal number
-# Covers 1 / (1 - eps) and the few roundings of each margin formula.
-_FAC = 1.0 + 8.0 * _EPS
 # Fewest dense entries for which EMRK/MEMRK use an AnchoredResidual: below it
 # its increments and bound save less than they cost (BENCH_greedy_shadow.json).
 _SHADOW_MIN_ENTRIES = 1 << 18
@@ -559,24 +569,27 @@ class AnchoredResidual(ResidualCertificate):
     lam and beta such that with the current z, r~ = fl(v~ - z) stands in
     for the r^ = fl(fl(b - fl(A x)) - z) that a float64 pass forms:
       |r~_i - r^_i| <= e_i = lam N_i + beta + 3 eps |r~_i|,
-    and w_norm = lam ||N|| (1 + gamma) >= ||(lam N_i)_i||.  There are two
+    and w_norm = lam fl(||N||), within (m/4 + 1/2) eps of ||(lam N_i)_i||
+    relatively (see the stop test).  There are two
     sources: ResidualShadow, one float32 pass over A per x-step, and
     GramResidual, one column of the int16 row cosines per x-step.  With
-    eps = 2^-52 (twice float64's unit roundoff), a_i row i of A, gamma =
-    (m + n + 8) eps and N_i = ||a_i|| (1 + gamma) + tau >= ||a_i||
-    (`norms`), tau = sqrt(n) 2^-537 (1 + gamma) (a row whose squared norm
-    underflows to 0 has norm below sqrt(n 2^-1074)), the terms both share
-    are:
+    eps, gamma, tau and N_i (`norms`) from _row_bounds, a_i row i of A, and
+    ||a_i|| <= N_i (1 + (n/4 + 1) eps), the terms both share are:
       - The two float64 passes.  fl(a_i x) and fl(a_i x_a) err by at most
-        gamma_n(eps/2) |a_i| |x| <= n eps ||a_i|| ||x||, and the same with
-        x_a (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-        sec. 3.1).  fl(b_i - p) errs by at most eps/2 |b_i - p|, and
-        |b_i - p| is at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1 +
-        eps) + ||a_i|| ||x - x_a|| + n eps ||a_i|| (||x|| + ||x_a||) for r^:
-        together eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||x - x_a|| and
-        a second-order term.  lam holds (n + 1) eps (||x|| + ||x_a||) and
-        beta 2 eps ||u_a||_inf, with slack for the second-order terms; each
-        source covers eps/2 ||a_i|| ||x - x_a||.
+        gamma_n(eps/2) |a_i| |x| <= n eps/2 (1 + n eps) ||a_i|| ||x||, and
+        the same with x_a (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2002, sec. 3.1), and by n 2^-1075 of underflow, which
+        each source covers.  fl(b_i - p) errs by at most eps/2 |b_i - p|,
+        and |b_i - p| is at most |u_a_i| (1 + eps) for u_a and |u_a_i| (1
+        + eps) + ||a_i|| ||x - x_a|| + n eps ||a_i|| (||x|| + ||x_a||) for
+        r^: together eps (1 + eps) ||u_a||_inf + eps/2 ||a_i|| ||x - x_a||
+        and the second-order n eps^2/2 ||a_i|| (||x|| + ||x_a||).  lam
+        holds c_x (||x|| + ||x_a||), c_x = n eps, and beta 2 eps
+        ||u_a||_inf; c_x exceeds the passes' n eps/2 (1 + n eps) by nearly
+        n eps/2, which takes the second-order term, so (n + 1) eps is not
+        needed, and the (n/4 + 1/2) eps by which fl(sqrt(fl(x.x))), the
+        ||x|| and ||x_a|| the sources take, may fall short of the norm.
+        Each source covers eps/2 ||a_i|| ||x - x_a||.
       - The last subtractions of r~ and r^ err by at most eps/2 |r~_i| and
         eps/2 |r^_i| (relative to their results), and |r^_i| <= |r~_i| +
         e_i; solved for e_i this puts 1 / (1 - eps) on the sum and adds
@@ -586,8 +599,11 @@ class AnchoredResidual(ResidualCertificate):
         e_j; then |r^_i*| > |r^_j|, so argmax |r^| = i* with no tie.  It
         is tested first with max_j N_j for every N_j, which needs no
         m-vector of the e_j.  e_i* and the right side are each taken times
-        1 + 4 eps, which covers the roundings of both sides.  If row i* is
-        all zero, -1.
+        1 + 4 eps, which covers the roundings of both sides.  A row of
+        squared norm 0 is all zero (MatrixHandle rejects any other), so
+        both sources leave v~_l = u_a_l = b_l and r~_l = fl(b_l - z_l) = 0
+        there: at i* it gives lo <= 0, so neither a certified nor a settled
+        pick is such a row.
       - Settled pick (`settle`), where that fails with 0 < lo and the last
         pick was certified or the last pass came after it.  The candidates
         S are the rows j with |r~_j| + e_j >= lo, i* among them; every
@@ -595,46 +611,57 @@ class AnchoredResidual(ResidualCertificate):
         candidates beats the excluded rows too.  For l in S, settle forms
         p_l = fl(a_l x) from the rows of S (MatrixHandle.rows), u_l =
         fl(b_l - p_l) and rho_l = fl(u_l - z_l).  p_l and the pass's
-        fl(a_l x) sum in different orders, each within n eps ||a_l|| ||x||
-        and n 2^-1074 of underflow of a_l x: |p_l - p'_l| <= P_l = 2 n eps
-        N_l X + n 2^-1073, X >= ||x||.  Then fl(b_l - p) and fl(b_l - p')
-        differ by at most P_l (1 + eps) + eps |u_l| (1 + eps), since |b_l -
-        p_l| <= |u_l| (1 + eps), and the last subtractions add eps |rho_l|
-        (1 + eps) more, so |rho_l - r^_l| <= delta_l = (2 (n + 1) eps N_l X
-        + eps (|u_l| + |rho_l|) + n 2^-1072) _FAC.  k = argmax |rho_S| is
+        fl(a_l x) sum in different orders, each within n eps/2 (1 + n eps)
+        ||a_l|| ||x|| and n 2^-1075 of underflow of a_l x: |p_l - p'_l| <=
+        P_l = n eps (1 + n eps) ||a_l|| ||x|| + n 2^-1074.  With X =
+        fl(sqrt(fl(x.x))), N_l X >= ||a_l|| ||x|| (1 - (n/2 + 2) eps), so 2
+        c_x N_l X + n 2^-1073 is nearly twice P_l.  fl(b_l - p) and fl(b_l -
+        p') differ by at most P_l (1 + eps) + eps |u_l| (1 + eps), since
+        |b_l - p_l| <= |u_l| (1 + eps), and the last subtractions add eps
+        |rho_l| (1 + eps) more, so |rho_l - r^_l| <= delta_l = (2 c_x N_l X
+        + eps (|u_l| + |rho_l|) + n 2^-1072) (1 + 4 eps), the spare of its
+        first term taking P_l's factor 1 + eps.  k = argmax |rho_S| is
         the pick when |rho_k| - delta_k > |rho_j| + delta_j for every other
         j in S, each side taken times 1 + 4 eps; else -1.  A pick after a
         settled one is not settled: a bound that needed settling gets the
         pass, which re-anchors it.
       - Stop test (`excludes_stop`).  ||r^|| >= ||r~|| - ||e|| and ||e|| <=
-        w_norm + beta sqrt(m) + 3 eps ||r~||; with M = ||r~|| - ||e|| > 0,
-        a float64 pass would give s^ >= M^2 (1 - gamma), so M^2 (1 - gamma)
-        >= tol denom (1 + 4 eps) proves fl(s^ / denom) >= tol, as in
-        ResidualFloor.  It also needs 2 (||r~|| + ||e||)^2 / denom finite,
-        which bounds the RES a float64 pass would form, and max |x| <=
-        DIVERGENCE_CAP, so the pass it skips would neither stop the run nor
-        raise.
+        w_norm + beta sqrt(m) + 3 eps ||r~||; with M <= ||r~|| - ||e||, M
+        > 0, a float64 pass would give s^ >= M^2 (below), so M^2 >= tol
+        denom (1 + 4 eps) proves fl(s^ / denom) >= tol, as in
+        ResidualFloor.  fl(sqrt(fl(r~.r~))) is within (m/4 + 1/2) eps of
+        ||r~|| relatively, so M takes ||r~|| as that times 1 - gamma, at
+        least (3m/4 + n + 7) eps ||r~|| >= 8.75 eps ||r~|| below it, and U
+        as that times 1 + gamma, as far above: the spare takes the 3 eps
+        ||r~|| of ||e||, which needs no term of its own.  M > 0 puts ||r~||
+        above w_norm + beta sqrt(m), so the spare also takes the (m/4 + 1/2)
+        eps of fl(||N||) and the eps/2 of fl(sqrt(m)).  It also needs 2
+        (||r~|| + ||e||)^2 / denom finite, which bounds the RES a float64
+        pass would form, and max |x| <= DIVERGENCE_CAP, so the pass it
+        skips would neither stop the run nor raise.  The spare of M's
+        factor 1 - gamma, at least (3m/4 + n + 4) eps ||r~|| after the
+        terms above, is (3m/2 + 2n + 8) eps on M^2, beyond the (m/2 + 1)
+        eps by which s^ may fall short of ||r^||^2, so M^2 needs no factor
+        1 - gamma of its own.
     A source sets beta = inf, so that no test passes, where it cannot
     bound its increment or max |x| > DIVERGENCE_CAP.  A NaN fails every
     test.
     """
 
     __slots__ = ("A", "b", "gamma", "tau", "norms", "norm_max", "frob",
-                 "root_m", "c_x", "row_sq", "res", "buf", "x", "x_norm",
+                 "root_m", "c_x", "res", "buf", "x", "x_norm",
                  "x_a_norm", "u_a", "u_a_term", "v", "lam", "beta", "w_norm",
                  "settled", "settled_picks")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         m, n = A.m, A.n
         self.A, self.b = A, b
-        self.gamma = g = (m + n + 8) * _EPS
-        self.tau = math.sqrt(n) * _ROOT_SUB * (1.0 + g)
-        self.norms = np.sqrt(A.row_norms_sq) * (1.0 + g) + self.tau
+        g, self.tau, self.norms = _row_bounds(A)
+        self.gamma = g
         self.norm_max = float(self.norms.max())
-        self.frob = float(np.linalg.norm(self.norms)) * (1.0 + g)
-        self.root_m = math.sqrt(m) * (1.0 + g)
-        self.c_x = (n + 1) * _EPS
-        self.row_sq = A.row_table[1]
+        self.frob = float(np.linalg.norm(self.norms))
+        self.root_m = math.sqrt(m)
+        self.c_x = n * _EPS
         self.res, self.buf = np.empty(m), np.empty(m)
         self.settled_picks = 0
 
@@ -643,7 +670,7 @@ class AnchoredResidual(ResidualCertificate):
         """Restart from a float64 pass at x, u = fl(b - fl(A x))."""
         # x beyond DIVERGENCE_CAP may overflow ||x||; solve raises next
         with np.errstate(over="ignore"):
-            self.x_a_norm = math.sqrt(x.dot(x)) * (1.0 + self.gamma)
+            self.x_a_norm = math.sqrt(x.dot(x))
         self.u_a = u
         self.u_a_term = 2.0 * _EPS * float(abs(u).max())
         self.settled = False
@@ -658,7 +685,7 @@ class AnchoredResidual(ResidualCertificate):
         a = np.abs(np.subtract(self.v, z, out=self.res), out=self.res)
         i = int(a.argmax())
         top = a.item(i)
-        if not (top < math.inf and self.row_sq[i] > 0.0):
+        if not top < math.inf:
             return -1
         beta = self.beta + 3.0 * _EPS * top
         lo = top - (self.lam * self.norms.item(i) + beta) * _UP
@@ -686,13 +713,13 @@ class AnchoredResidual(ResidualCertificate):
             u = self.b[S] - self.A.rows[S] @ self.x
             rho = abs(u - z[S])
             delta = (2.0 * self.c_x * self.x_norm * self.norms[S]
-                     + _EPS * (abs(u) + rho) + self.A.n * 2.0 ** -1072) * _FAC
+                     + _EPS * (abs(u) + rho) + 4.0 * self.A.n * _SUB) * _UP
         k = int(rho.argmax())
         low = rho.item(k) - delta.item(k) * _UP
         high = (rho + delta) * _UP
         high[k] = -math.inf
         row = int(S[k])
-        if not (low > float(high.max()) and self.row_sq[row] > 0.0):
+        if not low > float(high.max()):
             return -1
         self.settled = True
         self.settled_picks += 1
@@ -703,11 +730,10 @@ class AnchoredResidual(ResidualCertificate):
         g = self.gamma
         r = np.subtract(self.v, z, out=self.res)
         norm = math.sqrt(float(r @ r))
-        e = (self.w_norm + self.beta * self.root_m
-             + 3.0 * _EPS * norm * (1.0 + g)) * _UP
+        e = (self.w_norm + self.beta * self.root_m) * _UP
         M = (norm * (1.0 - g) - e) * _DOWN
         U = (norm * (1.0 + g) + e) * _UP
-        return M > 0.0 and tol_denom <= M * M * (1.0 - g) \
+        return M > 0.0 and tol_denom <= M * M \
             and 2.0 * U * U / denom < math.inf
 
 
@@ -715,10 +741,9 @@ class ResidualShadow(AnchoredResidual):
     """The float32 increment source: after an x-step to x, `advance` forms
     d^ = fl(x - x_a), w = fl32(A32 fl32(d^)) (matrix.matvec_single, A32 =
     fl32(A) column-major) and v~ = fl(u_a - w), with x_a the iterate of the
-    last anchor.  With u32 = 2^-24, tau32 = 2^-126 and g32 = (n + 3) u32 /
-    (1 - (n + 3) u32), lam = alpha and beta = beta0:
-      alpha = (g32 + 2 eps) ||d^|| + (n + 1) eps (||x|| + ||x_a||)
-              + 3 tau32 sqrt(n),
+    last anchor.  With u32 = 2^-24, tau32 = 2^-126 and g32 = (n + 2) u32 /
+    (1 - (n + 2) u32), lam = alpha and beta = beta0:
+      alpha = g32 ||d^|| + c_x (||x|| + ||x_a||) + 3 tau32 sqrt(n),
       beta0 = 2 eps ||u_a||_inf + 2 tau32 (||d^||_1 + 3 n).
     Exactly, b_i - a_i x = (b_i - a_i x_a) - a_i d; beyond the terms of
     AnchoredResidual:
@@ -738,22 +763,33 @@ class ResidualShadow(AnchoredResidual):
         ||a_i|| ||d|| adds as much.
       - v~'s subtraction errs by at most eps/2 (|u_a_i| + |w_i|), with
         |w_i| <= 2 ||a_i|| ||d^|| + (the underflow) as g32 <= 1.
-    Summed: g32 + 2 eps on ||a_i|| ||d^||, each with slack for the
-    second-order terms; alpha and beta0 are taken times _FAC.  `advance`
+    Summed: ((n + 2) u32 + u32^2) / (1 - n u32) + 2 eps on ||a_i|| ||d^||,
+    and g32 exceeds the first part by (2n + 3) u32^2 + O(u32^3) >= 2^-46,
+    which takes the 2 eps = 2^-51, so g32 alone is the coefficient; (n +
+    3) u32 would add a spare u32 that nothing needs.  ||d^|| and ||d^||_1
+    enter as computed, fl(sqrt(fl(d^.d^))) and fl(sum |d^_j|), within
+    gamma_n of the norms: g32's spare takes the first, and N_i's shortfall
+    against ||a_i||, and beta0's factor 2
+    on tau32 ||d^||_1 and the factor 1/2 of the limit below the second.
+    alpha and beta0 take no factor for their own roundings, at most five
+    along any term, and AnchoredResidual's 1 / (1 - eps): each of their
+    terms exceeds its need by at least a factor 1 + 2^-23 (g32's spare
+    relative to g32, c_x's near 2, tau_row's 3/2, 2 eps ||u_a||_inf's 4/3,
+    the 2 and 6 of the tau32 terms' 1 and 4 + 1), and (1 + eps/2)^5 / (1 -
+    eps) < 1 + 4 eps.  `advance`
     makes no pass, and sets beta = inf, when ||d^||_1 max(1, max |A32|) >
     float32 max / 2, which keeps fl32(d^), every product and every partial
     sum of the pass in range, or when max |x| > DIVERGENCE_CAP.
     """
 
-    __slots__ = ("A32", "c_delta", "tau_row", "tau_fixed", "limit",
+    __slots__ = ("A32", "g32", "tau_row", "tau_fixed", "limit",
                  "shadow_passes", "x_a")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray, A32: np.ndarray):
         super().__init__(A, b)
         n, g = A.n, self.gamma
         self.A32 = A32
-        g32 = (n + 3) * _U32 / (1.0 - (n + 3) * _U32)
-        self.c_delta = g32 + 2.0 * _EPS
+        self.g32 = (n + 2) * _U32 / (1.0 - (n + 2) * _U32)
         self.tau_row = 3.0 * _TINY * math.sqrt(n) * (1.0 + g)
         self.tau_fixed = 6.0 * _TINY * n
         amax = max(float(A32.max()), -float(A32.min()), 1.0)
@@ -767,21 +803,20 @@ class ResidualShadow(AnchoredResidual):
 
     def advance(self, x: np.ndarray) -> None:
         """One float32 pass at x: sets v~, lam and beta."""
-        g = self.gamma
         d = x - self.x_a
-        d1 = float(abs(d).sum()) * (1.0 + g)
+        d1 = float(abs(d).sum())
         if not (d1 <= self.limit and abs(x).max() <= DIVERGENCE_CAP):
             self.v, self.beta, self.lam, self.w_norm = \
                 self.u_a, math.inf, 0.0, 0.0
             return
         self.shadow_passes += 1
         self.v = self.u_a - mx.matvec_single(self.A32, d)
-        nd = math.sqrt(d.dot(d)) * (1.0 + g)
-        self.x, self.x_norm = x, math.sqrt(x.dot(x)) * (1.0 + g)
-        self.lam = (self.c_delta * nd + self.c_x * (self.x_norm + self.x_a_norm)
-                    + self.tau_row) * _FAC
+        nd = math.sqrt(d.dot(d))
+        self.x, self.x_norm = x, math.sqrt(x.dot(x))
+        self.lam = self.g32 * nd + self.c_x * (self.x_norm + self.x_a_norm) \
+            + self.tau_row
         self.w_norm = self.lam * self.frob
-        self.beta = (self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed) * _FAC
+        self.beta = self.u_a_term + 2.0 * _TINY * d1 + self.tau_fixed
 
 
 class GramResidual(AnchoredResidual):
@@ -806,32 +841,52 @@ class GramResidual(AnchoredResidual):
         nu_l (1 + (n + 3) eps/4) + tau, so it leaves w_l within |c| ((n +
         3) eps/2 N_l N_i + tau (N_l + N_i)) of c a_l a_i^T.  With eps/2 for
         the float64 passes' ||x - x_a|| term, each step adds |c| (kappa N_i
-        N_l + tau N_l + tau N_i + n 2^-1073) to e_l, kappa = (n + 8) eps +
-        1/65534.  A row l with nu_l = 0 has q_li = 0, and |a_l a_i^T| <=
-        tau N_i.
+        N_l + tau N_l + tau N_i) to e_l, kappa = (n + 8) eps + 1/65534.
+        The underflow |c| n 2^-1075 needs no term of its own: where the
+        clip does not act, |c| tau N_i is not otherwise needed, and tau N_i
+        >= tau^2 >= n 2^-1074; where it acts, tau (N_l + N_i) >= tau (nu_l
+        + nu_i) + 2 tau^2 bounds the deficit as well as the excess.  A row
+        l with nu_l = 0 is all zero: q_li = 0 and a_l a_i^T = 0.
       - v~'s subtractions err by at most eps/2 |v~_l| each, and after the
         k-th step |v~_l| <= ||u_a||_inf + N_l M_k (1 + eps), M_k =
         sum_(steps <= k) |c| N_i, since |w_l| <= |c| nu_i nu_l (1 + 3 eps):
         K eps/2 ||u_a||_inf and N_l eps/2 sum_k M_k in all.
       - The stored x.  |delta_j| <= eps/2 (|c a_ij| + |x'_j|) (1 + eps) +
-        2^-1075, so |a_l delta| <= N_l (eps/2 (|c| N_i + ||x'||) (1 + eps)
-        + tau); xi >= ||x'|| is carried as (xi + |c| N_i) (1 + 2 eps) + tau
-        from ||x_a|| (1 + gamma).
+        2^-1075, so |a_l delta| <= N_l (1 + (n/4 + 1) eps) (eps/2 (|c| N_i
+        + ||x'||) (1 + eps) + sqrt(n) 2^-1075).  xi, carried as fl(xi + |c|
+        N_i) from fl(sqrt(fl(x_a.x_a))), is at least (1 - 2^-10) (||x_a||
+        + M_k) while K eps < 2^-10, and ||x'|| is at most ||x_a|| + M_k
+        plus the roundings of the stored x, so eps xi is nearly twice the
+        eps/2 ||x'|| (1 + eps) needed, and takes it; the stored x's
+        underflow, eps/2 sqrt(n) 2^-1075 a step in ||x'||, is under the
+        spare of tau N_l below.  Each step adds tau N_l for
+        the underflow, though sqrt(n) 2^-1075 N_l <= 2^-538 tau N_l.
       - Underflow of the products s, t and w adds (|s| + 2 max nu + 1)
-        2^-1074 per step, and that of the two float64 passes n 2^-1073.
-    Summed, lam = ((n + 1) eps (||x|| + ||x_a||) + sum over the steps of
-    kappa |c| N_i + eps (|c| N_i + xi + M_k) + (1 + |c|) tau) _FAC, one
-    scalar, so the bound keeps no m-vector of its own; beta = (2 eps
-    ||u_a||_inf (1 + K) + the absolute terms) _FAC.  These hold while K eps < 2^-10, for any
-    run of fewer than 2^42 x-steps.  A step makes no update, and every
+        2^-1074 per step, and that of the two float64 passes n 2^-1074 in
+        all.  The latter needs no term of its own: the bound is asked only
+        after an x-step (K >= 1), and the first step's tau N_l, less its
+        2^-538 share above, is at least tau^2 (1 - 2^-538) >= n 2^-1074,
+        also for a step with c = 0.
+    Summed, lam = c_x (||x|| + ||x_a||) + alpha, alpha the sum over the
+    steps of kappa |c| N_i + eps (|c| N_i + xi + M_k) + (1 + |c|) tau, one
+    scalar, so the bound keeps no m-vector of its own; beta = 2 eps
+    ||u_a||_inf (1 + K) plus the sum of the absolute terms.  alpha is
+    rounded up at each step (_UP), as kappa's spare, (n + 9) eps/2 against
+    its 1/65534, a factor 1 + 2^-36 at least, does not take the K eps/2
+    that a running sum may lose; it does take the few roundings of lam and
+    AnchoredResidual's 1 / (1 - eps), under 4 eps, as do c_x's spare (near
+    2) and those of alpha's other terms.  Each term of beta exceeds its
+    need by a factor of sqrt(2) or more (the tau terms' sqrt(2), the 2 of 2
+    eps ||u_a||_inf and of the product underflow), which takes its running
+    sum's K eps/2 as well.  These hold while K eps < 2^-10, for any run of
+    fewer than 2^42 x-steps.  A step makes no update, and every
     later test fails until the next anchor, when ||u_a||_inf + ||x_a|| +
     sum |s| (2 max nu + 1) passes a sixteenth of float64's range, which
     keeps v~ and lam finite, or when c is not finite.
     """
 
-    __slots__ = ("nu_list", "nu_one", "norm_list", "kappa", "under_c",
-                 "spread", "tau_fixed", "room", "steps", "xi", "moved",
-                 "alpha_sum", "beta_sum", "gram_steps")
+    __slots__ = ("nu_list", "nu_one", "norm_list", "kappa", "spread", "room",
+                 "steps", "xi", "moved", "alpha_sum", "beta_sum", "gram_steps")
 
     def __init__(self, A: mx.MatrixHandle, b: np.ndarray):
         super().__init__(A, b)
@@ -841,9 +896,7 @@ class GramResidual(AnchoredResidual):
         self.nu_one = nu / mx._COS_ONE
         self.norm_list = self.norms.tolist()
         self.kappa = (n + 8) * _EPS + 1.0 / (2 * mx._COS_ONE)
-        self.under_c = n * 2.0 ** -1073
         self.spread = 2.0 * float(nu.max()) + 1.0
-        self.tau_fixed = n * 2.0 ** -1072
         self.v = np.empty(A.m)
         self.gram_steps = 0
 
@@ -877,11 +930,12 @@ class GramResidual(AnchoredResidual):
         self.gram_steps += 1
         self.steps += 1
         a = abs(c) * self.norm_list[i]
-        self.xi = (self.xi + a) * (1.0 + 2.0 * _EPS) + self.tau
+        self.xi += a
         self.moved += a
-        self.alpha_sum += self.kappa * a + (1.0 + abs(c)) * self.tau \
-            + _EPS * (a + self.xi + self.moved)
-        self.beta_sum += abs(c) * (self.tau * self.norm_list[i] + self.under_c) \
+        self.alpha_sum = (self.alpha_sum + self.kappa * a
+                          + (1.0 + abs(c)) * self.tau
+                          + _EPS * (a + self.xi + self.moved)) * _UP
+        self.beta_sum += abs(c) * self.tau * self.norm_list[i] \
             + (abs(s) + self.spread) * _SUB
 
     def advance(self, x: np.ndarray) -> None:
@@ -889,12 +943,10 @@ class GramResidual(AnchoredResidual):
         if not (self.room >= 0.0 and abs(x).max() <= DIVERGENCE_CAP):
             self.beta, self.lam, self.w_norm = math.inf, 0.0, 0.0
             return
-        self.x, self.x_norm = x, math.sqrt(x.dot(x)) * (1.0 + self.gamma)
-        self.lam = (self.c_x * (self.x_norm + self.x_a_norm)
-                    + self.alpha_sum) * _FAC
+        self.x, self.x_norm = x, math.sqrt(x.dot(x))
+        self.lam = self.c_x * (self.x_norm + self.x_a_norm) + self.alpha_sum
         self.w_norm = self.lam * self.frob
-        self.beta = (self.u_a_term * (1 + self.steps) + self.beta_sum
-                     + self.tau_fixed) * _FAC
+        self.beta = self.u_a_term * (1 + self.steps) + self.beta_sum
 
 
 @contextlib.contextmanager
@@ -1046,11 +1098,10 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
                     u, fresh, passes = b - mx.matvec(A, x), True, passes + 1
                     cert.anchor(x, z, u, None)
             if fresh:
-                r = u - z
-                i = select_max_residual_row(r)
-                # an all-zero row's r_i stays +-0 or NaN; a row whose squared
-                # norm underflows may have r_i != 0, and its x-step raises
-                if row_norms_sq[i] == 0.0 and not abs(r[i]) > 0.0:
+                i = select_max_residual_row(u - z)
+                # a row of squared norm 0 is all zero (MatrixHandle), and
+                # r_i = b_i - z_i stays +-0 or NaN there: no x-step to take
+                if row_norms_sq[i] == 0.0:
                     skip_update = True
                     zero_row_skips += 1
         else:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.io import mmwrite
 
 from kmz import bench, cli, oracle, problems, solvers
 from kmz import matrix as mx
@@ -104,6 +105,22 @@ class TestMalformedProblemFile:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith(f"kmz: error: malformed {path}: ")
+
+
+    def test_underflowing_row_exits_2(self, tmp_path, capsys):
+        # a row whose squared norm underflows to 0 is refused when the
+        # handle is built, with the row named
+        gen_small(tmp_path / "p", m=30, n=5)
+        A = mx.read_matrix_market(tmp_path / "p" / "A.mtx").to_dense()
+        A[1] = [0.0, 1.5e-162, 0.0, 0.0, 0.0]
+        mmwrite(tmp_path / "p" / "A.mtx", A, precision=17)
+        capsys.readouterr()
+        assert cli.main(["solve", "--method", "emrk", "--problem",
+                         str(tmp_path / "p")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "row 1 has nonzero entries but a squared norm that " \
+            "underflows to 0" in captured.err
 
 
 class TestWrongTypedValue:

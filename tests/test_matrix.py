@@ -336,8 +336,11 @@ class TestRowCosines:
             entries[1] = 0.0
             entries[3] = entries[m - 1]
             entries[4] = 1e-163  # its squared norm underflows to 0
+            with pytest.raises(MatrixError, match="row 4 has nonzero entries"):
+                mx.from_dense(entries)
+            entries[4] = 3e-162  # and now only in part
         A = cosine_handle(entries)
-        assert m <= 5 or A.row_norms_sq[4] == 0.0
+        assert m <= 5 or 0.0 < A.row_norms_sq[4] < 2.0 ** -1022
         assert_matches_packed(A)
 
     def test_blocks_that_end_inside_a_diagonal_tile(self, monkeypatch):
@@ -376,6 +379,15 @@ class TestRowCosines:
     @settings(max_examples=60, deadline=None)
     @given(entries=cosine_cases())
     def test_drawn_columns_equal_the_packed_reference(self, entries):
+        # a row or column whose squared norm underflows to 0 is rejected
+        # at the build
+        with np.errstate(over="ignore"):
+            sq = entries * entries
+        if any(((sq.sum(axis) == 0.0) & entries.any(axis)).any()
+               for axis in (0, 1)):
+            with pytest.raises(MatrixError, match="underflows to 0"):
+                cosine_handle(entries)
+            return
         assert_matches_packed(cosine_handle(entries))
 
     def test_column_index_out_of_range(self):
@@ -408,11 +420,10 @@ class TestRowCosines:
         assert not mx._fits_cosines(mx.from_dense(huge))
 
     def test_underflowing_row_has_zero_cosines(self):
-        A = cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
-        assert A.row_norms_sq[1] == 0.0
-        out = np.empty(2)
-        assert mx.cosine_column(A, 0, out).tolist() == [mx._COS_ONE, 0.0]
-        assert mx.cosine_column(A, 1, out).tolist() == [0.0, 0.0]
+        # a row whose squared norm underflows to 0 would have cosines 0
+        # with every row; the handle is not built
+        with pytest.raises(MatrixError, match="row 1 has nonzero entries"):
+            cosine_handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
 
     def test_build_is_logged(self, caplog, monkeypatch):
         # by the plan of a greedy solve of at least m iterations
@@ -524,6 +535,20 @@ class TestRowReach:
         assert np.all(np.array(bound, dtype=np.longdouble) >= exact)
         assert np.all(np.array(bound) <= exact * (1 + 1e-9) + 1e-300)
         assert A.gram is None
+
+    @pytest.mark.parametrize("kind", ["dense", "csr"])
+    def test_margin_covers_a_cancelling_row(self, kind):
+        # row 3 is nearly orthogonal to the others, so ||A a_3^T|| = 2e-16
+        # is far below ||A||_F ||a_3||, and the rounding of H = fl(A^T A)
+        # puts fl(a_3 H a_3^T) below its square: only the margin 4 (m + n +
+        # 8) eps F2 R2_i keeps reach_3 above it
+        entries = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, 1.0 + 2.0 ** -40],
+                            [1e-8, -1e-8]])
+        A = mx.from_dense(entries) if kind == "dense" \
+            else mx.from_scipy(sp.csr_matrix(entries))
+        assert mx.build_row_reach(A, False) == "per row"
+        assert np.all(np.array(A.row_reach, dtype=np.longdouble)
+                      >= row_images(entries))
 
     @pytest.mark.parametrize("ratio", [0, 10 ** 12], ids=["sparse_product",
                                                        "dense_blocks"])

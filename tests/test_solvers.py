@@ -16,8 +16,8 @@ from kmz import bench
 from kmz import matrix as mx
 from kmz import oracle
 from kmz import problems as pb
-from kmz.errors import (ConfigError, DivergenceError, NonFiniteInputError,
-                        SolverError, ZeroRowError)
+from kmz.errors import (ConfigError, DivergenceError, MatrixError,
+                        NonFiniteInputError, SolverError, ZeroRowError)
 from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
                          sample_column_weighted, sample_row_weighted,
                          select_max_residual_row, solve, x_project_row,
@@ -31,6 +31,19 @@ def handle(rows):
     A = mx.from_dense(np.asarray(rows, dtype=float))
     mx.build_rows(A, mx._keeps_rows(A))
     return A
+
+
+def drawn_handle(entries):
+    """handle(entries), or None for a matrix that has a row or column whose
+    entries are not all zero but whose squared norm underflows to 0, after
+    checking that MatrixHandle rejects it."""
+    with np.errstate(over="ignore"):
+        sq = entries * entries
+    if any(((sq.sum(axis) == 0.0) & entries.any(axis)).any() for axis in (0, 1)):
+        with pytest.raises(MatrixError, match="underflows to 0"):
+            handle(entries)
+        return None
+    return handle(entries)
 
 
 def z_multi_step(rng, z, A, omega):
@@ -660,6 +673,19 @@ class TestCarriedResidual:
         L, exact = self.refreshed(A, floor, x, b, z)
         assert exact == h and L <= exact
 
+    def test_refresh_covers_an_eta_whose_square_underflows(self):
+        # the case above scaled: A by 2^500 and c^ = (2^-540, -2^-540), so
+        # fl(eta^.eta^) underflows to 0 while q^ is normal and still rounds
+        # up past ||A eta^||^2: the rounding term 2 gamma F^2 e' is nothing
+        # but for e''s n 2^-1074, which alone keeps L <= ||r||
+        h, scale, tiny = 3 * 2.0 ** -28, 2.0 ** 500, 2.0 ** -540
+        A, b, floor = self.gram_floor([[scale, scale * (1.0 + h)]], [0.0])
+        x, z = np.zeros(2), np.array([scale * tiny * h])
+        floor.coef[:] = (tiny, -tiny)
+        assert float(floor.coef @ floor.coef) == 0.0
+        L, exact = self.refreshed(A, floor, x, b, z)
+        assert exact == scale * tiny * h and L <= exact
+
     def test_stop_test_rejects_a_spent_or_non_finite_floor(self):
         A, b, _ = floor_case("rank_deficient", 0)
         floor = new_floor(A, b)
@@ -731,6 +757,81 @@ class TestCarriedResidual:
         assert x[0] == 1.0 + eps
         assert floor.L <= exact_residual_norm(A.to_dense().astype(np.longdouble),
                                               x, b, z)
+
+    def test_reset_covers_a_sum_of_squares_that_rounds_up(self):
+        # r = (1, c, ..., c), 1024 entries, c^2 just over half of 1's spacing:
+        # fl(r.r) gains 16 eps, and with b = 0 and x = 0 the anchor's gamma
+        # (||b|| + F xi) is nothing, so only its factor 1 - gamma keeps L at
+        # or below ||r||
+        v = np.full(1024, math.sqrt(0.51 * 2.0 ** -52))
+        v[0] = 1.0
+        A, b, x, z = handle(np.ones((1024, 1))), np.zeros(1024), np.zeros(1), -v
+        r = residual(A, x, b, z)
+        s = float(r @ r)
+        assert Fraction(s) > exact_sq(v) * (1 + Fraction(10, 2 ** 52))
+        floor = new_floor(A, b)
+        floor.anchor(x, z, None, s)
+        assert below_norm(floor.L, exact_sq(v))
+
+    def test_stop_test_covers_a_sum_of_squares_that_rounds_down(self):
+        # r = (1, c, ..., c), c^2 just under half of 1's spacing, so that a
+        # recompute's fl(r.r) loses 16 eps; b = 2^-400 e_0 and x = 0 leave
+        # gamma (||b|| + F xi) nothing, and from a floor at ||r|| only the
+        # factor 1 - gamma on M^2 keeps the stop test from excluding a stop
+        # one ulp above the RES that recompute gives
+        v = np.full(1024, math.sqrt(0.49 * 2.0 ** -52))
+        v[0] = 1.0
+        A, x, z = handle(np.ones((1024, 1))), np.zeros(1), -v
+        b = np.zeros(1024)
+        b[0] = 2.0 ** -400
+        r = residual(A, x, b, z)
+        s, denom = float(r @ r), float(b @ b)
+        sq = exact_residual_sq([[Fraction(1)]] * 1024, x, b, z)
+        assert Fraction(s) < sq * (1 - Fraction(10, 2 ** 52))
+        floor = new_floor(A, b)
+        floor.anchor(x, z, None, s)
+        floor.L = root_below(sq)
+        floor.advance(x)
+        stopping = np.nextafter(s / denom, np.inf) * denom * sv._UP
+        assert not floor.excludes_stop(z, stopping, denom)
+
+    def test_column_step_covers_a_column_norm_that_rounds_down(self):
+        # A_(0) = (1, b, ..., b), 256 entries, b^2 just under half of 1's
+        # spacing: fl(||A_(0)||^2) loses every b^2, 62 eps of it, so the
+        # stored norm is 31 eps short.  From z = 0 and r = b = 2 A_(0), the
+        # step c = -1 moves z and r by exactly A_(0); only the gamma t of
+        # the step's e keeps zeta >= ||z|| and L <= ||r|| then
+        col = np.full(256, math.sqrt(0.99 * 2.0 ** -53))
+        col[0] = 1.0
+        A = handle(col[:, None])
+        exact = sum(Fraction(v) ** 2 for v in col.tolist())
+        assert Fraction(float(A.col_norms_sq[0])) < exact * (1 - Fraction(60, 2 ** 52))
+        x, b, z = np.zeros(1), 2.0 * col, np.zeros(256)
+        floor = new_floor(A, b)
+        floor.anchor(x, z, None, float(b @ b))
+        floor.L = math.sqrt(float(exact_sq(b))) * sv._DOWN
+        floor.column_step(0, -1.0)
+        mx.axpy_col(z, A, 0, 1.0)
+        assert np.array_equal(z, col)
+        assert Fraction(floor.zeta) ** 2 >= exact_sq(z)
+        assert below_norm(floor.L, exact_residual_sq([[Fraction(v)] for v in
+                                                      col.tolist()], x, b, z))
+
+    def test_row_step_covers_a_row_norm_that_rounds_down(self):
+        # the row twin of the test above: a_0 = (1, b, ..., b), whose stored
+        # norm is 31 eps short.  From x = 0 and r = 0, the step d = 1 moves x
+        # by exactly a_0^T; only the gamma |d| N_0 of the step's e keeps xi
+        # >= ||x||
+        row = np.full(256, math.sqrt(0.99 * 2.0 ** -53))
+        row[0] = 1.0
+        A = handle(row[None, :])
+        x, b, z = np.zeros(256), np.ones(1), np.ones(1)
+        floor = new_floor(A, b)
+        floor.anchor(x, z, None, 0.0)
+        floor.row_step(0, 1.0)
+        mx.axpy_row(x, A, 0, 1.0)
+        assert np.array_equal(x, row)
+        assert Fraction(floor.xi) ** 2 >= exact_sq(x)
 
     def test_stop_test_covers_the_rounding_of_the_recompute(self):
         # r = fl(0.1 * 3) - 0.1 * 3 = 2.8e-17 is exact ||r||, yet a recompute
@@ -841,6 +942,18 @@ def exact_residual_sq(exact, x, b, z):
                for row, bi, zi in zip(exact, b.tolist(), z.tolist()))
 
 
+def root_below(sq):
+    """A float at or below sqrt(sq) for an exact square sq, within a few
+    ulps: a subnormal sq is scaled into float64's normal range first, so
+    that float(sq) rounds relatively and _DOWN takes that rounding, and a
+    root that rounds to a subnormal number is stepped down to one below."""
+    k = 600 if sq < Fraction(2) ** -900 else 0
+    L = math.sqrt(float(sq * 4 ** k)) * 2.0 ** -k * sv._DOWN
+    while L > 0.0 and Fraction(L) ** 2 > sq:
+        L = float(np.nextafter(L, 0.0))
+    return L
+
+
 def below_norm(L, sq):
     """Whether the float L <= sqrt(sq) for an exact square sq."""
     return not L > 0.0 or Fraction(L) ** 2 <= sq
@@ -922,12 +1035,17 @@ class TestResidualFloorSoundness:
     # ||z|| and ||x|| = 1e-170 square to 0 (zeta's and xi's rho)
     @example(case=(np.ones((1, 1)), np.array([1e-170]), np.array([1e-170]), 0),
              steps=1, refresh=False)
+    # at the anchor z = b, and fl(sqrt(fl(z.z))) rounds below ||z|| (zeta's
+    # factor 1 + gamma)
+    @example(case=(np.array([[0.1257302210933933], [-0.1321048632913019]]),
+                   np.array([0.09277235101409319, -0.14716675954317082]),
+                   np.zeros(1), 0), steps=1, refresh=False)
     def test_floor_stays_below_the_exact_norm(self, case, steps, refresh):
         entries, b, x0, seed = case
         if not (np.isfinite(b).all() and np.isfinite(x0).all()):
             return
-        A = handle(entries)
-        if A.frob_sq == 0.0 or not finite_reach(A):
+        A = drawn_handle(entries)
+        if A is None or A.frob_sq == 0.0 or not finite_reach(A):
             return
         floor = new_floor(A, b)
         # fl(A^T A), as the handle forms it where it keeps it
@@ -1013,6 +1131,12 @@ class TestResidualFloorSoundness:
     @example(case=(np.array([[3e-162], [4e-162]]), np.array([6e-151, 8e-151]),
                    np.zeros(1), 0), refresh=False, tilt=(-60, False),
              steps=[(True, 0, -1.0, 0)])
+    # ||r||^2 near 6e-313 is subnormal: the tight floor must be rooted from
+    # the exact square scaled into the normal range (root_below), as
+    # float(||r||^2) rounds by 4e-12 of itself there
+    @example(case=(np.array([[0.0, -7.320237786376382e-147]]),
+                   np.array([-8.519677770959267e-148]), np.zeros(2), 172),
+             refresh=False, tilt=(-30, False), steps=[(False, 0, 0.0, 0)])
     def test_any_steps_from_a_tight_floor(self, case, refresh, tilt, steps):
         # column and row steps of any size, down to far below the rounding
         # of z and x, from an anchor whose L is then raised to the exact
@@ -1023,8 +1147,8 @@ class TestResidualFloorSoundness:
         # every step.  A step's size is set against max |z0| or max |x0|,
         # over the stored norm of its column or row.
         entries, b, x0, _ = case
-        A = handle(entries)
-        if A.frob_sq == 0.0 or not (np.isfinite(b).all()
+        A = drawn_handle(entries)
+        if A is None or A.frob_sq == 0.0 or not (np.isfinite(b).all()
                                     and np.isfinite(x0).all()
                                     and finite_reach(A)):
             return
@@ -1059,7 +1183,7 @@ class TestResidualFloorSoundness:
 
         r = residual(A, x, b, z)
         floor.anchor(x, z, None, float(r @ r))  # sets xi and zeta
-        floor.L = math.sqrt(float(exact_residual_sq(exact, x, b, z))) * sv._DOWN
+        floor.L = root_below(exact_residual_sq(exact, x, b, z))
         floor.advance(x)
         check()
         for column, index, coef, size in steps:
@@ -1125,6 +1249,13 @@ class TestResidualFloorSoundness:
              steps=[(True, 0, -1.9037501998071797, -532, False),
                     (True, 1, 1.885725574510856, -525, False),
                     (True, 2, 1.8986886878344693, -525, False)])
+    # a 1 x 2 A near 1e-150, whose Gram entries are subnormal: the refresh's
+    # q^ loses to underflow more than its rounding term covers, and only
+    # the underflow term U keeps Q0 below ||A eta^0||^2
+    @example(case=(np.array([[0.1257302210933933, -0.1321048632913019]]),
+                   np.array([0.030953517396600627]), np.zeros(2), 0),
+             tie=0.0, scale=-150, lean=-18,
+             steps=[(False, 0, 6.649110962658832e-81, 0, False)])
     def test_tangent_floor_from_any_steps(self, case, tie, scale, lean, steps):
         # A refresh at eta^0 = fl(c^ - x0) = -x0 (c^ = 0, z = b), then column
         # and row steps of any size, a step flagged `back` undoing the one
@@ -1153,8 +1284,9 @@ class TestResidualFloorSoundness:
             x0[1] -= move
         factor = 10.0 ** scale / float(abs(entries).max())
         entries, b = entries * factor, b * factor
-        A = handle(entries)
-        if A.frob_sq == 0.0 or not (np.isfinite(b).all() and finite_reach(A)):
+        A = drawn_handle(entries)
+        if A is None or A.frob_sq == 0.0 \
+                or not (np.isfinite(b).all() and finite_reach(A)):
             return
         floor = new_floor(A, b)
         floor.H = A.dense.T @ A.dense  # fl(A^T A), as the handle forms it
@@ -1208,7 +1340,7 @@ class TestResidualFloorSoundness:
            keeps_gram=st.booleans())
     def test_solve_takes_the_exact_path(self, case, method, keeps_gram):
         entries, b, _, seed = case
-        if not np.isfinite(b).all():
+        if not np.isfinite(b).all() or drawn_handle(entries) is None:
             return
         cfg = SolverConfig(method=method, seed=seed % 1000, tol=1e-6,
                            max_outer=150, trace_every=37)
@@ -1529,7 +1661,9 @@ class TestBlockDrawnSampler:
     @example(case=(np.array([[0.0, 0.0]]), [True]), seed=3)
     def test_same_indices_as_scalar_draws(self, case, seed):
         dense, columns = case
-        A = mx.from_dense(dense)
+        A = drawn_handle(dense)
+        if A is None:
+            return
         expected = sample_sequence(self.old, np.random.default_rng(seed), A, columns)
         stream = sv.UniformStream(np.random.default_rng(seed))
         assert sample_sequence(self.new, stream, A, columns) == expected
@@ -1603,18 +1737,11 @@ class TestZeroRowSkips:
         assert rep.zero_row_skips == 1
         assert "1 zero-row skips" in caplog.text
 
-    @pytest.mark.parametrize("method", [sv.EMRK, sv.MEMRK])
-    def test_underflowing_row_with_a_residual_raises(self, method):
-        # row 1 is not zero, but its squared norm underflows to 0; the z-step
-        # on column 1 leaves r_1 = 1.5e-12, the largest |r_i|, and the x-step
-        # the greedy pick asks for raises
-        A = handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
-        assert A.row_norms_sq[1] == 0.0
-        cfg = SolverConfig(method=method, omega=2 if method == sv.MEMRK else 1,
-                           tol=None, max_outer=10)
-        with pytest.raises(ZeroRowError, match="row 1 has zero norm") as info:
-            solve(cfg, A, np.array([1.0, 0.0]))
-        assert info.value.row == 1
+    def test_underflowing_row_is_rejected_at_build(self):
+        # row 1 is not zero, but its squared norm underflows to 0, so a
+        # greedy pick of it could not project; the handle is not built
+        with pytest.raises(MatrixError, match="row 1 has nonzero entries"):
+            handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
 
     def test_zero_without_zero_rows(self):
         prob = pb.make_gaussian(pb.DENSE, 60, 12, 4)
@@ -1740,6 +1867,22 @@ class TestResidualShadow:
         shadow.advance(x)
         assert abs(shadow.v - z - (b - mx.matvec(A, x) - z))[0] == 2.0 ** -25
         assert covered(shadow, A, x, b, z)
+
+    def test_pick_covers_the_rounding_of_a_large_r(self):
+        # z near 2.1e9, whose spacing is 2^-21: row 0's r~ rounds one ulp
+        # beyond r^ and row 1's one ulp short of it, so |r~_0| > |r~_1|
+        # while |r^_1| > |r^_0|.  e without its 3 eps |r~_i| is under half
+        # an ulp a row; that term, and the factor _UP on the right side of
+        # the pick's test (4 eps |r~_1|), keep row 0 uncertified
+        A, b = handle([[0.3], [0.65]]), np.zeros(2)
+        shadow = new_shadow(A, np.zeros(1), b)
+        x = np.array([0.9835202879322225])
+        z = np.array([2.0 ** 31 + 2.0 ** 21, 2149580799.655768])
+        shadow.advance(x)
+        assert select_max_residual_row(shadow.v - z) == 0
+        assert select_max_residual_row(b - mx.matvec(A, x) - z) == 1
+        assert covered(shadow, A, x, b, z)
+        assert shadow.pick(z) in (-1, 1)
 
     def test_exact_ties_fall_back(self, monkeypatch):
         # every row twice: r^ and r~ tie in each pair, so no pick certifies
@@ -1944,18 +2087,9 @@ class TestGramResidual:
         assert gram.settled_picks > 0
 
     def test_bound_covers_the_underflowing_row(self):
-        # row 1's squared norm underflows to 0, so its cosines are 0; the
-        # x-step on row 0 (c = 5e299) moves r_1 by c a_1 a_0^T = -7.5e-13,
-        # which only the absolute term |c| tau N_0 covers
-        A, b = handle([[1e-150, 1e-150], [0.0, 1.5e-162]]), np.ones(2)
-        gram = new_gram(A, np.zeros(2), b)
-        x, z = np.zeros(2), np.array([0.0, 1.0])
-        x_project_row(x, A, 0, 1.0, gram)
-        gram.advance(x)
-        r_hat = b - mx.matvec(A, x) - z
-        assert r_hat[1] == pytest.approx(-7.5e-13, rel=1e-3)
-        assert (gram.v - z)[1] == 0.0
-        assert covered(gram, A, x, b, z)
+        # row 1's squared norm underflows to 0, so its cosines would be 0
+        # while a step on row 0 moves r_1; the handle is not built
+        assert drawn_handle(UNDERFLOW) is None
 
     def test_bound_covers_the_rounding_of_the_stored_x(self):
         # x = 2^53, where float64's spacing is 2: each step x += 0.75 leaves
@@ -2028,12 +2162,13 @@ class TestGramResidual:
         assert "built cosines of a 600 x 60 matrix" in caplog.text
 
 
-def order_case():
+def order_case(above=True):
     """(A, x, b, z): rows a_0, e_0 and ones of n = 64 columns, at which
     the float64 pass and a settle form a_0 x in different orders of
     summation, 1e8-sized terms that cancel, and differ by 1e-7; z puts
     r^_1 midway between the two values of r_0, about 1e6, and r^_2 at 0.
-    None where the BLAS sums both in the same order."""
+    The settle's |r_0| is above r^_1 if `above`, else below.  None where
+    the BLAS sums both in the same order, or not on that side."""
     n = 64
     x = np.full(n, 0.37)
     b = np.array([1e6, 0.0, 0.0])
@@ -2043,8 +2178,10 @@ def order_case():
             + rng.standard_normal(n)
         A = handle(np.vstack([a_0, np.eye(n)[0], np.ones(n)]))
         u_pass = (b - mx.matvec(A, x))[0]
-        u_settle = (b[:2] - A.rows[:2] @ x)[0]
-        if abs(u_pass - u_settle) > 1e-9:
+        S = np.array([0, 1])  # a copy of the rows, as settle takes them
+        u_settle = (b[S] - A.rows[S] @ x)[0]
+        if abs(u_pass - u_settle) > 1e-9 \
+                and (abs(u_settle) > abs(u_pass)) == above:
             mid = (u_pass + u_settle) / 2.0
             return A, x, b, np.array([0.0, -0.37 - mid, -0.37 * n])
     return None
@@ -2074,6 +2211,57 @@ class TestSettledPicks:
         monkeypatch.setattr(sv.AnchoredResidual, "settle", lambda self, S, z:
                             settled.append(S.tolist()) or settle(self, S, z))
         assert shadow.pick(z) == -1
+        assert settled == [[0, 1]]
+
+    def test_bound_covers_the_other_candidates_order(self, monkeypatch):
+        # the case above with the two orders the other way round: the
+        # settle's r_0 lies below r^_1 and the pass's above it, so the
+        # settle's own argmax, row 1, is not the float64 pick; only delta_0
+        # on the right side of its test keeps row 1 unsettled
+        case = order_case(above=False)
+        if case is None:
+            pytest.skip("no a_0 whose settled sum falls below the pass's")
+        A, x, b, z = case
+        assert select_max_residual_row(b - mx.matvec(A, x) - z) == 0
+        shadow = new_shadow(A, np.zeros(A.n), b)
+        shadow.advance(x)
+        settled = []
+        settle = sv.AnchoredResidual.settle
+        monkeypatch.setattr(sv.AnchoredResidual, "settle", lambda self, S, z:
+                            settled.append(S.tolist()) or settle(self, S, z))
+        assert shadow.pick(z) in (-1, 0)
+        assert settled == [[0, 1]]
+
+    def test_bound_covers_the_rounding_of_a_large_u(self, monkeypatch):
+        # u_0 = fl(b_0 - a_0 x) near 2^20, whose spacing is 2^-32, and an x at
+        # which the settle's sum of a_0 x, in its own order, puts u_0 one
+        # ulp below the pass's, though the two sums differ by far less than
+        # 2 c_x N_0 X.  z sets r^_0 = r^_1 = 2^-5, a tie that the float64
+        # pass breaks to row 0, while the settle sees row 1 one ulp ahead:
+        # only eps |u_0| in delta_0 keeps it from settling row 1
+        n = 64
+        rng = np.random.default_rng(0)
+        a_0 = rng.permutation(np.repeat([100.0, -100.0], n // 2)) \
+            + rng.standard_normal(n)
+        A = handle(np.vstack([a_0, np.eye(n)[0], np.ones(n)]))
+        b, S = np.array([2.0 ** 20 + 0.5, 0.0, 0.0]), np.array([0, 1])
+        for seed in range(20000):
+            x = 0.37 + 1e-3 * np.random.default_rng(seed).standard_normal(n)
+            u = b - mx.matvec(A, x)
+            if (b[S] - A.rows[S] @ x)[0] == u[0] - np.spacing(u[0]):
+                break
+        else:
+            pytest.skip("no x at which the two sums of a_0 x round apart")
+        z = u - np.array([2.0 ** -5, 2.0 ** -5, 0.0])
+        r_hat = b - mx.matvec(A, x) - z
+        assert r_hat[0] == r_hat[1] == 2.0 ** -5
+        shadow = new_shadow(A, np.zeros(n), b)
+        shadow.advance(x)
+        settled = []
+        settle = sv.AnchoredResidual.settle
+        monkeypatch.setattr(sv.AnchoredResidual, "settle", lambda self, S, z:
+                            settled.append(S.tolist()) or settle(self, S, z))
+        assert shadow.pick(z) in (-1, 0)
         assert settled == [[0, 1]]
 
     def test_no_two_settled_picks_in_a_row(self):
@@ -2180,6 +2368,16 @@ class TestAnchoredResidualSoundness:
     @example(case=(UNDERFLOW, np.ones(2), 0, 1))
     @example(case=(UNDERFLOW, np.array([1.0, 1e-150]), 1, 2))
     @example(case=(PARTLY_UNDERFLOWING, np.array([1e-150, 1e-150, 1e-150]), 3, 1))
+    # ||a_i|| near 8e-37 and 3e-48: the products of the float32 pass are
+    # subnormal, and ||d^||_1 2 tau32 is the term that covers their loss
+    @example(case=(np.array([[3.4558419206478604e-48], [8.2161814350115838e-37]]),
+                   np.array([-1.303157231604361, 0.9053558666731177]), 1, 1))
+    # rows near 1.3e9 and x near 2e-40 after one step: fl32(x - x_a) is
+    # subnormal, and its rounding times ||a_i||_1 is all of |r~ - r^| (the
+    # shadow's 3 tau32 sqrt(n), tau_row)
+    @example(case=(np.array([[1.257302210933933e+09], [-1.321048632913019e+09]]),
+                   np.array([6.4042265044328212e-31, 1.0490011715303971e-31]),
+                   0, 1))
     # c = b_1 / ||a_1||^2 overflows: the walk's x-step must take Python
     # floats, as solve's does, whose division gives inf without a numpy
     # overflow warning
@@ -2187,8 +2385,8 @@ class TestAnchoredResidualSoundness:
                    np.array([-5.35669373e50, 3.61595055e50]), 0, 1))
     def test_bound_covers_the_float64_residual(self, case):
         entries, b, seed, omega = case
-        A = handle(entries)
-        if A.frob_sq == 0.0:
+        A = drawn_handle(entries)
+        if A is None or A.frob_sq == 0.0:
             return
         for source in SOURCES:
             cert = new_anchored(source, A, np.zeros(A.n), b)
@@ -2204,12 +2402,36 @@ class TestAnchoredResidualSoundness:
     # x near 2^50, spacing 2^-2, and steps of 0.75 2^-4 that each round away
     @example(case=(np.ones((3, 1)), np.zeros(3), 0, 1), start=53, noise=-1000,
              steps=[(0, 0.75, -57)] * 40)
+    # u_a = -135.3, x = 0.126: each Gram step of 0.98 2^-46 is below half
+    # of v~'s spacing, 2^-45, and leaves v~ as it is while x moves, so 40
+    # steps put r~ 3.8 times 2 eps ||u_a||_inf from r^ (the factor 1 + K
+    # on beta's 2 eps ||u_a||_inf)
+    @example(case=(np.ones((1, 1)), np.zeros(1), 0, 1), start=0, noise=10,
+             steps=[(0, 0.98, -46)] * 40)
+    # a row near 150 times x near 1 and one small Gram step: the two float64
+    # passes round a_0 x and a_0 x_a apart by more than every other term (the
+    # passes' c_x (||x|| + ||x_a||))
+    @example(case=(np.array([[148.84719738593583, -124.8141426371316,
+                              -161.92556363125703, -92.70220921295311,
+                              -17.764102228651776],
+                             [0.4445264960836225, -0.4550142465916347,
+                              2.1793785145659488, -0.839842062593011,
+                              -0.504259246589498]]),
+                   np.array([0.6871285776724874, 0.27513331297623217]), 225, 1),
+             start=0, noise=0, steps=[(0, 0.875, -40)])
+    # a = 1e-9 and a step d of 0.7 2^-110: the float32 product a d, near
+    # 5e-43, is subnormal and rounds by up to 2^-150, 20 times all the
+    # other terms (the shadow's 6 n tau32, tau_fixed)
+    @example(case=(np.array([[1e-9]]), np.zeros(1), 0, 1), start=-140,
+             noise=-1000, steps=[(0, 0.7, 30)])
     def test_bound_covers_any_x_steps(self, case, start, noise, steps):
         # x-steps x += c a_i^T with any c, from an anchor x_a at which b is
         # nearly A x_a: then the roundings of the stored x, not r, set the
         # error of r~
         entries, _, seed, _ = case
-        A = handle(entries)
+        A = drawn_handle(entries)
+        if A is None:
+            return
         rng = np.random.default_rng(seed)
         x = np.round(rng.standard_normal(A.n) * 2.0 ** 20) * 2.0 ** (start - 20)
         b = mx.matvec(A, x) + rng.standard_normal(A.m) * 2.0 ** (start + noise)
@@ -2239,6 +2461,11 @@ class TestAnchoredResidualSoundness:
            pair=st.tuples(st.integers(0, 11), st.integers(0, 11)),
            gap=st.sampled_from([0.0] + [2.0 ** -k for k in range(4, 56, 6)]),
            flip=st.booleans())
+    # x = -inf after the first step: the walk must stop there, as solve
+    # raises, rather than form A x = NaN
+    @example(case=(np.array([[0.0], [-1.3210486329130188e-142]]),
+                   np.array([-5.356693731611110e+24, 3.615950549094848e+24]),
+                   0, 1), steps=2, pair=(0, 1), gap=0.0, flip=False)
     def test_settled_picks_are_the_float64_argmax(self, case, steps, pair,
                                                   gap, flip):
         # after greedy x-steps with no anchor between them, z is set so that
@@ -2246,7 +2473,9 @@ class TestAnchoredResidualSoundness:
         # near-parallel rows among the drawn ones): a pick, certified or
         # settled, is the float64 argmax, and an exact tie takes the pass
         entries, b, seed, omega = case
-        A = handle(entries)
+        A = drawn_handle(entries)
+        if A is None:
+            return
         p, q = (k % A.m for k in pair)
         if A.frob_sq == 0.0 or p == q:
             return
@@ -2264,6 +2493,8 @@ class TestAnchoredResidualSoundness:
                 if A.row_table[1][i] == 0.0:
                     break
                 x_project_row(x, A, i, b.item(i) - z.item(i), cert.stepped)
+                if not abs(x).max() <= sv.DIVERGENCE_CAP:
+                    break  # solve raises at its next float64 pass
             if not abs(x).max() <= sv.DIVERGENCE_CAP:
                 continue
             cert.advance(x)
@@ -2282,7 +2513,9 @@ class TestAnchoredResidualSoundness:
     @example(case=(UNDERFLOW, np.ones(2), 0, 1), method=sv.EMRK, budget=False)
     def test_solve_takes_the_exact_path(self, case, method, budget):
         entries, b, seed, omega = case
-        A = handle(entries)
+        A = drawn_handle(entries)
+        if A is None:
+            return
         cfg = SolverConfig(method=method, omega=omega if method == sv.MEMRK else 1,
                            seed=seed % 1000, tol=None if budget else 1e-6,
                            max_outer=60)
