@@ -1737,11 +1737,21 @@ class TestZeroRowSkips:
         assert rep.zero_row_skips == 1
         assert "1 zero-row skips" in caplog.text
 
-    def test_underflowing_row_is_rejected_at_build(self):
-        # row 1 is not zero, but its squared norm underflows to 0, so a
-        # greedy pick of it could not project; the handle is not built
+    @pytest.mark.parametrize("method", [sv.EMRK, sv.MEMRK])
+    def test_underflowing_row_with_a_residual_raises(self, method):
+        # row 1 is not zero, but its squared norm underflows to 0, so the
+        # greedy pick of it (the largest |r_i| once column 1 is stepped)
+        # could not project; the handle is not built, and no solve starts
         with pytest.raises(MatrixError, match="row 1 has nonzero entries"):
             handle([[1e-150, 1e-150], [0.0, 1.5e-162]])
+        # a row as small whose squared norm is representable is projected on
+        A = handle([[1e-150, 1e-150], [0.0, 1.5e-150]])
+        assert A.row_norms_sq[1] > 0.0
+        cfg = SolverConfig(method=method, omega=2 if method == sv.MEMRK else 1,
+                           tol=None, max_outer=10)
+        rep = solve(cfg, A, np.array([1.0, 0.0]))
+        assert rep.zero_row_skips == 0
+        assert np.all(np.isfinite(rep.x_final))
 
     def test_zero_without_zero_rows(self):
         prob = pb.make_gaussian(pb.DENSE, 60, 12, 4)
