@@ -96,7 +96,7 @@ def _read_json_object(path, what: str) -> dict:
     with open(path) as fh:
         try:
             loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise ConfigError(f"{what} must be a JSON object")

@@ -25,7 +25,9 @@ two bytes an entry.  The builders (build_rows, build_row_reach,
 build_cosines) are called by solvers.plan, which evaluates their gates
 (_keeps_rows, _keeps_gram, _fits_cosines) and times them; no property or
 kernel builds anything.  Handles come from from_dense, from_scipy and
-read_matrix_market.
+read_matrix_market.  scipy.sparse and scipy.io are imported by the functions
+that use them (from_scipy and the Matrix Market I/O), so a dense handle
+needs numpy alone.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.io import mmread, mmwrite
 
 from .errors import MatrixError, MatrixFormatError
 
@@ -513,8 +513,8 @@ def build_cosines(A: MatrixHandle) -> int:
 
 
 def _row_dots(P, Q) -> np.ndarray:
-    """Row sums of the entrywise product P * Q; P dense or sparse."""
-    if sp.issparse(P):
+    """Row sums of the entrywise product P * Q; P dense or scipy sparse."""
+    if not isinstance(P, np.ndarray):
         return np.asarray(P.multiply(Q).sum(axis=1)).ravel()
     return np.einsum("ij,ij->i", P, Q)
 
@@ -534,6 +534,8 @@ def from_dense(entries) -> MatrixHandle:
 
 def from_scipy(mat) -> MatrixHandle:
     """Wrap a scipy sparse matrix (canonicalized) as a CSR handle."""
+    import scipy.sparse as sp
+
     csr = sp.csr_matrix(mat, dtype=np.float64)
     csr.sum_duplicates()
     csr.sort_indices()
@@ -670,8 +672,11 @@ def read_matrix_market(path) -> MatrixHandle:
     Symmetric-tagged files are expanded to general form.  Pattern and complex
     fields are rejected (real values are required).
     """
-    with open(path, "r") as fh:
-        banner = fh.readline().split()
+    from scipy.io import mmread
+
+    # read as bytes: the banner is ASCII, and the bytes after it are mmread's
+    with open(path, "rb") as fh:
+        banner = fh.readline().decode("ascii", "replace").split()
     if len(banner) < 5 or banner[0].lower() != "%%matrixmarket":
         raise MatrixFormatError(f"{path}: malformed Matrix Market header")
     fmt, field = banner[2].lower(), banner[3].lower()
@@ -683,13 +688,15 @@ def read_matrix_market(path) -> MatrixHandle:
         mat = mmread(path)
     except Exception as exc:
         raise MatrixFormatError(f"{path}: {exc}") from exc
-    if sp.issparse(mat):
+    if not isinstance(mat, np.ndarray):
         return from_scipy(mat)
     return from_dense(np.asarray(mat, dtype=np.float64))
 
 
 def write_matrix_market(A: MatrixHandle, path) -> None:
     """Write the handle; dense -> array format, CSR -> coordinate format."""
+    from scipy.io import mmwrite
+
     if A.dense is not None:
         mmwrite(path, A.dense, symmetry="general", precision=17)
     else:

@@ -3,6 +3,9 @@ tomography, with inconsistent right-hand sides and on-disk problem directories.
 
 Images are stored column-major: an N x N image X maps to the flat vector
 X.flatten(order="F"), and the tomography matrix indexes pixels the same way.
+The sparse and tomography generators, and enforce_rank_deficiency on a CSR
+handle, import scipy.sparse where they use it, so a dense problem needs numpy
+alone.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import matrix as mx
 from . import oracle
@@ -102,6 +104,8 @@ def gen_sparse_gaussian(m: int, n: int, density: float, seed: int) -> mx.MatrixH
         raise ProblemError(f"matrix dimensions must be >= 1, got {m} x {n}")
     if not 0.0 < density <= 1.0:
         raise ProblemError(f"density must lie in (0, 1], got {density}")
+    import scipy.sparse as sp
+
     mask_seq, value_seq = np.random.SeedSequence(seed).spawn(2)
     # The mask is drawn in blocks of rows, so no m x n array exists at once;
     # stacked rng.random((k, n)) blocks are the doubles of one (m, n) draw.
@@ -131,6 +135,8 @@ def enforce_rank_deficiency(A: mx.MatrixHandle) -> mx.MatrixHandle:
         if not np.all(np.isfinite(dense)):
             raise MatrixError("non-finite entry in dense matrix")
         return mx.MatrixHandle(dense=dense)
+    import scipy.sparse as sp
+
     csr = A.csr
     avg = 0.5 * (csr[0] + csr[1])
     return mx.from_scipy(sp.vstack([csr[:-1], avg], format="csr"))
@@ -256,6 +262,8 @@ def gen_parallel_tomo(geom: TomoGeometry) -> mx.MatrixHandle:
             indptr.append(nnz)
     if nnz == 0:
         raise ProblemError("no ray intersects the domain; degenerate geometry")
+    import scipy.sparse as sp
+
     csr = sp.csr_matrix(
         (np.concatenate(data), np.concatenate(indices), np.array(indptr)),
         shape=(geom.rows, geom.cols))

@@ -119,6 +119,8 @@ class SolveReport:
     settled_picks: int = 0
     # seconds of each one-off build of the solve, by name (see plan)
     build_seconds: dict = field(default_factory=dict)
+    col_steps: int = 0        # z-steps: omega per outer iteration
+    row_steps: int = 0        # x-steps: outer iterations less zero-row skips
 
 
 # -- selection ----------------------------------------------------------------
@@ -1138,16 +1140,19 @@ def solve(config: SolverConfig, A: mx.MatrixHandle, b: np.ndarray,
 
     if trace[-1][0] != k:
         record(k, res)
-    log.debug("%s: %d iterations, %d float64 passes, %d full residual "
-              "recomputes, %d floor refreshes, %d tangent floors, %d float32 "
-              "shadow passes, %d Gram steps, %d settled picks, %d zero-row "
-              "skips", method, k, passes, resyncs, cert.floor_refreshes,
+    col_steps, row_steps = config.omega * k, k - zero_row_skips
+    log.debug("%s: %d iterations, %d column steps, %d row steps, %d float64 "
+              "passes, %d full residual recomputes, %d floor refreshes, %d "
+              "tangent floors, %d float32 shadow passes, %d Gram steps, %d "
+              "settled picks, %d zero-row skips", method, k, col_steps,
+              row_steps, passes, resyncs, cert.floor_refreshes,
               cert.floor_tangents, cert.shadow_passes, cert.gram_steps,
               cert.settled_picks, zero_row_skips)
     return SolveReport(x, k, res, converged, time.perf_counter() - t0, trace,
                        resyncs, cert.floor_refreshes, cert.floor_tangents,
                        zero_row_skips, cert.shadow_passes, passes,
-                       cert.gram_steps, cert.settled_picks, builds)
+                       cert.gram_steps, cert.settled_picks, builds,
+                       col_steps, row_steps)
 
 
 def write_trace_csv(report: SolveReport, path) -> None:

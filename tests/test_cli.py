@@ -106,6 +106,27 @@ class TestMalformedProblemFile:
             assert captured.out == ""
             assert captured.err.startswith(f"kmz: error: malformed {path}: ")
 
+    @pytest.mark.parametrize("undecodable", ["bom_before_banner",
+                                             "value_after_banner"])
+    def test_undecodable_matrix_exits_2(self, tmp_path, capsys, undecodable):
+        # a byte that decodes to no text, before the banner or as the first
+        # value (within the first 8 KB, which a text-mode readline of the
+        # banner would decode), is a malformed file, not a traceback
+        gen_small(tmp_path / "p", m=30, n=5)
+        path = tmp_path / "p" / "A.mtx"
+        lines = path.read_bytes().split(b"\n")
+        if undecodable == "bom_before_banner":
+            lines[0] = b"\xff\xfe" + lines[0]
+        else:
+            assert lines[2] == b"30 5"
+            lines[3] = b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        for argv in (["solve", "--method", "rek"], ["theory"]):
+            assert cli.main(argv + ["--problem", str(tmp_path / "p")]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"kmz: error: {path}: ")
 
     def test_underflowing_row_exits_2(self, tmp_path, capsys):
         # a row whose squared norm underflows to 0 is refused when the
@@ -185,6 +206,12 @@ class TestWrongTypedValue:
         path = tmp_path / "c.json"
         path.write_text(text)
         self.check(["gen", "--config", str(path), "--seed", "0"], capsys, expected)
+
+    def test_undecodable_config_file(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"out": "r\xff.csv"}')
+        self.check(["bench", "--spec", "s.json", "--config", str(path)],
+                   capsys, "not valid JSON")
 
     def test_solve_problem_path(self, tmp_path, capsys):
         self.check(["solve", "--method", "rek",

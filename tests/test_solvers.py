@@ -22,6 +22,7 @@ from kmz.solvers import (CyclicColumnCursor, SolverConfig, residual,
                          sample_column_weighted, sample_row_weighted,
                          select_max_residual_row, solve, x_project_row,
                          z_project_column)
+from test_solve_digest import problem as digest_problem
 
 
 def handle(rows):
@@ -1758,6 +1759,48 @@ class TestZeroRowSkips:
         for method in (sv.REK, sv.EMRK):
             assert solve(SolverConfig(method=method, seed=0), prob.A,
                          prob.b).zero_row_skips == 0
+
+
+class TestStepCounts:
+    """SolveReport.col_steps and row_steps equal the calls of the two step
+    kernels, which solve looks up on the module at every step."""
+
+    CELLS = [(sv.REK, 1), (sv.PREK, 1), (sv.EMRK, 1), (sv.MEMRK, 4),
+             (sv.MEMRK, 6)]
+
+    @staticmethod
+    def counted_solve(monkeypatch, config, A, b):
+        calls = {"z_project_column": 0, "x_project_row": 0}
+        for name in calls:
+            def counting(*args, _kernel=getattr(sv, name), _name=name):
+                calls[_name] += 1
+                return _kernel(*args)
+            monkeypatch.setattr(sv, name, counting)
+        return solve(config, A, b), calls
+
+    @pytest.mark.parametrize("shape", ["dense_200x50_rank_deficient",
+                                       "csr_300x60_empty_row_and_column"])
+    @pytest.mark.parametrize("method,omega", CELLS)
+    def test_equal_the_kernel_calls(self, monkeypatch, shape, method, omega):
+        A, b, tol = digest_problem(shape)
+        rep, calls = self.counted_solve(
+            monkeypatch, SolverConfig(method=method, omega=omega, seed=11,
+                                      tol=tol, max_outer=6000), A, b)
+        assert rep.col_steps == calls["z_project_column"] == omega * rep.outer_iters
+        assert rep.row_steps == calls["x_project_row"]
+        assert rep.row_steps == rep.outer_iters - rep.zero_row_skips
+
+    def test_a_zero_row_skip_is_no_row_step(self, monkeypatch, caplog):
+        # TestZeroRowSkips.test_counted's one iteration, whose pick is skipped
+        A = handle([[0.0, 0.0], [1.0, 0.0]])
+        with caplog.at_level("DEBUG", logger="kmz.solvers"):
+            rep, calls = self.counted_solve(
+                monkeypatch, SolverConfig(method=sv.EMRK, seed=0), A,
+                np.array([5.0, 0.0]))
+        assert (rep.outer_iters, rep.zero_row_skips) == (1, 1)
+        assert (rep.col_steps, rep.row_steps) == (1, 0)
+        assert calls == {"z_project_column": 1, "x_project_row": 0}
+        assert "1 iterations, 1 column steps, 0 row steps, " in caplog.text
 
 
 def shadow_case(kind):
