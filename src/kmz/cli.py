@@ -183,7 +183,8 @@ def _cmd_solve(opt: dict) -> int:
     if opt["trace"]:
         solvers.write_trace_csv(report, opt["trace"])
     print(f"{row.method}: iters={row.iters} res={row.final_res:.3e} "
-          f"converged={report.converged}; {reference}", file=sys.stderr)
+          f"passes={report.full_passes} converged={report.converged}; "
+          f"{reference}", file=sys.stderr)
     return 0
 
 

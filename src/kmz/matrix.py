@@ -87,13 +87,14 @@ class MatrixHandle:
     call on one scalar) and one view per column (col_views).  None until a
     solve's plan (solvers.plan) builds them, and kept after: rows and
     row_views (:func:`build_rows`), which every solve reads; row_reach and
-    gram, A^T A where :func:`_keeps_gram` holds (:func:`build_row_reach`),
-    which only REK/PREK with a RES stop read; and cosines, the int16 row
-    cosines in tile-column panels (:func:`build_cosines`), which only
-    EMRK/MEMRK read.  None of them may be alive during a set-up SVD of A,
-    where peak memory is set: at 6000 x 500 the cosines take 36 MB and the
-    row-major copy 24 MB, so building them with the handle would lift that
-    peak.
+    gram, A^T A where :func:`_keeps_gram` holds (:func:`build_row_reach`;
+    where formed and A's stored bytes reach 2^19, so up to A's bytes, 6.5
+    MB beside 7.2 MB at 1000 x 900), which only REK/PREK with a RES stop
+    read; and cosines, the int16 row cosines in tile-column panels
+    (:func:`build_cosines`), which only EMRK/MEMRK read.  None of them may
+    be alive during a set-up SVD of A, where peak memory is set: at 6000 x
+    500 the cosines take 36 MB and the row-major copy 24 MB, so building
+    them with the handle would lift that peak.
     """
 
     __slots__ = ("m", "n", "dense", "csr", "csc", "row_norms_sq",
@@ -170,8 +171,8 @@ _REACH_BLOCK = 1 << 17
 # n = 400-500 the dense blocks were measured faster from density 0.1 on,
 # where that sum is about m n^2 / 100.
 _DENSE_GRAM_RATIO = 100
-# Fewest stored entries for which the handle keeps its A^T A; see _keeps_gram.
-_GRAM_MIN_ENTRIES = 1 << 17
+# Fewest stored bytes for which the handle keeps its A^T A; see _keeps_gram.
+_GRAM_MIN_BYTES = 1 << 19
 # Fewest entries for which a dense handle keeps a row-major copy; see _keeps_rows.
 _ROWS_MIN_ENTRIES = 1 << 19
 # Width b of the tile-column panels of the row cosines (build_cosines).  On
@@ -186,21 +187,21 @@ _TILE = 16
 _COS_ONE = 32767
 
 
+def _stored_bytes(A: MatrixHandle) -> int:
+    """Bytes of A's stored entries, the CSC mirror's counted for CSR."""
+    return A.dense.nbytes if A.dense is not None else sum(
+        M.data.nbytes + M.indices.nbytes for M in (A.csr, A.csc))
+
+
 def _keeps_gram(A: MatrixHandle) -> bool:
-    """Whether the handle keeps its n x n A^T A for the REK/PREK floor
-    refresh: stored entries >= 2 (n^2 + 4m) and >= _GRAM_MIN_ENTRIES, m n
-    for a dense handle and nnz for CSR; such a Gram matrix takes at most
-    half the bytes of A's stored entries.  The 4m dates from the first
-    refresh, O(m + n^2), which also read an m-vector; neither today's
-    refresh nor the tangent tier reads one.  The rule is kept as it is
-    until a measured crossover moves it.  Below the gate a refresh costs
-    about the mat-vec it saves: on small-200x50's 20 instances (seed 800,
-    tol 1e-8), a kept A^T A, with the spectral row_reach and the tangent
-    tier, cut the float64 passes from 5687 to 20 (REK) and from 4389 to 20
-    (PREK), but the median of 9 alternating pairs went from 0.305 to 0.314
-    s for REK and from 0.240 to 0.258 s for PREK, ranges overlapping."""
-    entries = A.m * A.n if A.dense is not None else A.csr.nnz
-    return entries >= max(2 * (A.n * A.n + 4 * A.m), _GRAM_MIN_ENTRIES)
+    """Whether the handle keeps its n x n A^T A for the REK/PREK floor:
+    wherever :func:`build_row_reach` forms it (8 n^2 <= :func:`_stored_bytes`,
+    so up to A's stored bytes, 6.5 MB beside 7.2 MB at 1000 x 900) and those
+    bytes reach _GRAM_MIN_BYTES, set from BENCH_gram_gate.json: no row was
+    slower kept; above 2^19 REK took 0.54-0.59 -> 0.36-0.38 s at 700 x 400
+    and 221-245 -> 184-196 ms on CSR 2000 x 400 seed 7, 260 x 256 tied;
+    below, every dense row tied and small-200x50's peak memory rose if kept."""
+    return max(8 * A.n * A.n, _GRAM_MIN_BYTES) <= _stored_bytes(A)
 
 
 def _fits_cosines(A: MatrixHandle) -> bool:
@@ -310,13 +311,9 @@ def build_row_reach(A: MatrixHandle, keep: bool) -> str:
     + 4 eps.
     """
     m, n = A.m, A.n
-    if A.dense is not None:
-        stored, stored_t, nbytes = A.dense, A.dense.T, A.dense.nbytes
-    else:
-        stored, stored_t = A.csr, A.csc.T  # A.csc.T is A^T in CSR form
-        nbytes = A.csr.data.nbytes + A.csr.indices.nbytes
-        nbytes += A.csc.data.nbytes + A.csc.indices.nbytes
-    gram = 8 * n * n <= nbytes
+    stored = A.dense if A.dense is not None else A.csr
+    stored_t = A.dense.T if A.dense is not None else A.csc.T  # CSR A^T for CSR
+    gram = 8 * n * n <= _stored_bytes(A)
     densify = False
     if gram:
         width = np.full(m, n)  # entries of a row of blk @ H

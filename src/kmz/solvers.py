@@ -28,7 +28,8 @@ builds what the solve needs and gives one of these:
     ResidualShadow     else one float32 pass over A per x-step.
   ResidualFloor        REK/PREK with a RES stop: a lower bound on ||r||
                        moved at O(1) per step and, where the handle keeps
-                       A^T A (matrix._keeps_gram), rebuilt in O(n) from the
+                       A^T A (matrix._keeps_gram: where formed and A's bytes
+                       reach 2^19; up to A's bytes), rebuilt in O(n) from the
                        tangent plane of ||A eta||^2 at the last O(n^2)
                        refresh, or else by a new refresh.
   ResidualCertificate  elsewhere: certifies nothing (the exact path).
@@ -978,7 +979,8 @@ def plan(method: str, A: mx.MatrixHandle, b: np.ndarray, budget: bool,
                  built or repaid.
       float32    else A's float32 copy, for a ResidualShadow where it is
                  finite; made per solve, as it would hold 4 m n bytes.
-      row_reach  row_reach, and A^T A where _keeps_gram holds, for the
+      row_reach  row_reach, and A^T A where _keeps_gram holds (formed, and
+                 A's stored bytes >= 2^19; up to A's bytes), for the
                  ResidualFloor of REK/PREK with a RES stop.
     Elsewhere the certificate is the exact path.
 

@@ -478,6 +478,10 @@ class TestSolve:
                          "--out", str(tmp_path / "row.csv")]) == 0
         err = capsys.readouterr().err
         assert re.search(r"; reference SVD took \S+ s$", err.strip()), err
+        # the float64 passes of the solve, SolveReport.full_passes
+        passes = re.search(r"^rek: iters=\d+ res=\S+ passes=(\d+) converged=True; ",
+                           err, re.M)
+        assert passes and int(passes.group(1)) >= 1, err
 
 
 class TestBench:

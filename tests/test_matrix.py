@@ -664,28 +664,39 @@ class TestRowReach:
         assert 8 * A.m * A.n > 3 * A.gram.nbytes + 64 * A.m
 
     def test_gram_kept_only_where_a_refresh_pays(self):
-        # kept, by the plan of a REK solve with a RES stop, when the stored
-        # entries reach 2 (n^2 + 4m) and 2^17
+        # kept, by the plan of a REK solve with a RES stop, wherever
+        # build_row_reach forms it (8 n^2 <= A's stored bytes, the CSC
+        # mirror counted for CSR) and those bytes reach 2^19 = 524288
         rng = np.random.default_rng(3)
-        cases = [((3000, 50), True), ((2000, 50), False),  # 2^17 = 131072
-                 ((700, 400), False), ((1200, 300), True)]  # 2 (n^2 + 4m)
+        cases = [((3000, 50), True), ((2000, 50), True),  # 1.2, 0.8 MB
+                 ((700, 400), True), ((1200, 300), True),  # 2.24, 2.88 MB
+                 ((200, 50), False),  # small-200x50's 80 kB, below 2^19
+                 ((300, 400), False)]  # 0.96 MB, but A^T A takes 1.28 MB
         for (m, n), kept in cases:
             A = mx.from_dense(rng.standard_normal((m, n)))
             floor, _ = sv.plan(sv.REK, A, np.ones(m), False, 1)
             assert (A.gram is not None) == kept and floor.H is A.gram, (m, n)
             if kept:
                 assert np.allclose(A.gram, A.dense.T @ A.dense, rtol=0, atol=1e-9)
-        dense_csr = mx.from_scipy(sp.random(3000, 50, density=0.9, random_state=rng))
-        sv.plan(sv.REK, dense_csr, np.ones(3000), False, 1)
-        assert dense_csr.gram is not None
+        # CSR, 12 bytes a stored entry in each of CSR and CSC: 3.24 MB,
+        # 0.9 MB (37500 entries) and 0.48 MB (20000 entries) stored
+        for (m, n, density), kept in (((3000, 50, 0.9), True),
+                                      ((1500, 250, 0.1), True),
+                                      ((1000, 200, 0.1), False)):
+            csr = mx.from_scipy(sp.random(m, n, density=density, random_state=rng))
+            assert 8 * n * n <= mx._stored_bytes(csr)  # A^T A is formed
+            sv.plan(sv.REK, csr, np.ones(m), False, 1)
+            assert (csr.gram is not None) == kept, (m, n, density)
 
     def test_build_is_logged(self, caplog):
         # by the plan of a REK solve with a RES stop, in one INFO line:
-        # 1200 x 300 keeps its A^T A (0.72 MB) and takes the spectral path;
-        # 700 x 400 frees it and bounds each row
+        # 1200 x 300 and 700 x 400 keep their A^T A (0.72 and 1.28 MB) and
+        # take the spectral path; 400 x 100, below the gate, frees it and
+        # bounds each row
         rng = np.random.default_rng(4)
         for (m, n), mb, path in (((1200, 300), "0.7", "spectral, ||A||_2^2 <= "),
-                                 ((700, 400), "0.0", "per row")):
+                                 ((700, 400), "1.3", "spectral, ||A||_2^2 <= "),
+                                 ((400, 100), "0.0", "per row")):
             entries = rng.standard_normal((m, n))
             A = mx.from_dense(entries)
             caplog.clear()
@@ -696,7 +707,7 @@ class TestRowReach:
             assert len(lines) == 1
             assert lines[0].startswith(f"built row_reach of a {m} x {n} matrix: ")
             assert f" s, {mb} MB of A^T A kept, {path}" in lines[0]
-            if mb == "0.7":  # the logged Lam bounds ||A||_2^2 from above
+            if mb != "0.0":  # the logged Lam bounds ||A||_2^2 from above
                 lam = float(lines[0].split("<= ")[1])
                 assert np.linalg.norm(entries, 2) ** 2 <= lam
 

@@ -44,9 +44,10 @@ DIGEST = Path(__file__).parent / "data" / "solve_digest.json"
 
 CELLS = (("rek", 1), ("prek", 1), ("emrk", 1), ("memrk", 4), ("memrk", 6))
 MODES = ("tol", "budget", "trace")
-# name -> (m, n, tol); the 1400 x 100 handle keeps A^T A, the 2200 x 120
-# one also runs the float32 shadow (its row cosines would not fit), and
-# 700 x 400 steps its greedy residual by the row cosines, without A^T A
+# name -> (m, n, tol); the 1400 x 100, 2200 x 120 and 700 x 400 handles
+# keep A^T A, the 2200 x 120 one also runs the float32 shadow (its row
+# cosines would not fit), and 700 x 400 steps its greedy residual by the
+# row cosines
 SHAPES = {
     "dense_200x50_rank_deficient": (200, 50, 1e-8),
     "dense_1400x100": (1400, 100, 1e-6),

@@ -399,7 +399,7 @@ def floor_case(case, seed):
     if case == "wide":
         rng = np.random.default_rng(seed)
         return handle(rng.standard_normal((30, 60))), rng.standard_normal(30), 1e-6
-    if case == "gated":  # 140000 stored entries: the handle keeps A^T A
+    if case == "gated":  # 1.12 MB stored: the handle keeps A^T A, as at tall
         return (*tall_problem(seed, m=1400, n=100), 1e-6)
     A = pb.gen_sparse_gaussian(300, 60, 0.2, seed)
     b, _ = pb.build_inconsistent_rhs(A, np.ones(60), seed + 1, 0.25)
@@ -502,7 +502,9 @@ class TestCarriedResidual:
                 assert np.array_equal(o1.x_final, floor.x_final)
                 assert floor.floor_refreshes > 0
                 assert floor.resyncs < o1.resyncs, (seed, method)
-        assert (A.gram is not None) == (case == "gated")
+        assert (A.gram is not None) == mx._keeps_gram(A)
+        if case in ("rank_deficient", "csr"):  # below the gate
+            assert A.gram is None
         # greedy runs on either increment source of the anchored residual
         # (gate patched to take any dense shape) take the exact path's
         # iterates
@@ -522,6 +524,27 @@ class TestCarriedResidual:
                 + greedy.gram_steps >= greedy.outer_iters
             assert (greedy.shadow_passes > 0) == (A.is_dense and source == "pass")
             assert (greedy.gram_steps > 0) == (A.is_dense and source == "gram")
+
+    def test_csr_above_the_gate_keeps_its_gram(self, monkeypatch):
+        # 1500 x 250 at density 0.1 stores 0.9 MB (CSR and CSC), above the
+        # gate, so the plan keeps the 0.5 MB A^T A it forms: the tangent
+        # tier and the refresh rebuild the floor, not float64 passes, and
+        # the iterates stay those of the exact path
+        A = pb.gen_sparse_gaussian(1500, 250, 0.1, 5)
+        b, _ = pb.build_inconsistent_rhs(A, np.ones(250), 6, 0.25)
+        floor, _ = sv.plan(sv.REK, A, b, False, 1)
+        assert A.gram is not None and floor.H is A.gram
+        for method in (sv.REK, sv.PREK):
+            cfg = SolverConfig(method=method, tol=1e-6, seed=1)
+            with monkeypatch.context() as mp:
+                exact_path(mp)
+                full = solve(cfg, A, b)
+            certified = solve(cfg, A, b)
+            assert full.converged and certified.full_passes <= 5, method
+            assert certified.floor_tangents > 0
+            assert np.array_equal(certified.x_final, full.x_final)
+            assert (certified.outer_iters, certified.final_res) == \
+                (full.outer_iters, full.final_res)
 
     def test_first_iteration_stop_is_kept(self, monkeypatch):
         # small-200x50 seed 48 of the benchmark stops at k = 1 (RES_1 < tol
