@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import platform
 import statistics
 import subprocess
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import matrix as mx
 from . import oracle, problems, solvers
 from .errors import ConfigError, KmzError
 
@@ -344,23 +344,27 @@ def _git_revision() -> dict:
 
 
 def environment() -> dict:
-    """What a result depends on beyond the spec: interpreter, numpy, scipy,
-    the BLAS numpy calls (its strided ddot decides the row-dot bits), the
+    """What a result depends on beyond the spec: interpreter, numpy, scipy
+    (its installed version, read without importing it), the BLAS numpy
+    calls (its strided ddot decides the row-dot bits) with the core and
+    thread count of numpy's OpenBLAS (matrix.openblas; null elsewhere), the
     processors this process may run on and the git revision of kmz."""
-    import scipy
+    from importlib import metadata
 
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = {"name": blas.get("name"), "version": blas.get("version")}
     except (TypeError, KeyError):
         blas = {"name": None, "version": None}
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on Linux
-        nproc = os.cpu_count()
+    core, threads = mx.openblas()
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "blas": blas, "nproc": nproc,
-            "git": _git_revision()}
+            "scipy": scipy, "blas": blas,
+            "openblas": {"core": core, "threads": threads},
+            "nproc": mx.usable_cores(), "git": _git_revision()}
 
 
 def emit_meta(spec: ExperimentSpec, path) -> None:

@@ -23,16 +23,21 @@ the row cosines per x-step (cosine_column), stored as int16 fixed point:
 q = rint(32767 C), whose widening to float64 is a native cast, exact, at
 two bytes an entry.  The builders (build_rows, build_row_reach,
 build_cosines) are called by solvers.plan, which evaluates their gates
-(_keeps_rows, _keeps_gram, _fits_cosines) and times them; no property or
-kernel builds anything.  Handles come from from_dense, from_scipy and
-read_matrix_market.  scipy.sparse and scipy.io are imported by the functions
-that use them (from_scipy and the Matrix Market I/O), so a dense handle
-needs numpy alone.
+(_keeps_rows, _keeps_gram, _fits_cosines, _cosine_workers) and times them;
+no property or kernel builds anything.  build_cosines splits its rows over
+one thread per usable core where numpy's OpenBLAS runs one thread itself
+(openblas), into a store that is the same byte for byte however many.
+Handles come from from_dense, from_scipy and read_matrix_market.
+scipy.sparse and scipy.io are imported by the functions that use them
+(from_scipy and the Matrix Market I/O), so a dense handle needs numpy
+alone.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -213,6 +218,54 @@ def _fits_cosines(A: MatrixHandle) -> bool:
     the set-up SVD."""
     return (A.dense is not None and _cosine_bytes(A.m) <= 16 * A.m * A.n
             and 2.0 * A.frob_sq < math.inf)
+
+
+def usable_cores() -> int:
+    """The processors this process may run on: its CPU affinity, or
+    os.cpu_count() where the system gives none."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def openblas() -> tuple[str | None, int | None]:
+    """(core, threads): the core numpy's bundled OpenBLAS dispatches to and
+    the threads it runs, read from the library on the first call and kept
+    (a thread count set later, as threadpoolctl sets it, is not seen);
+    (None, None) where no such library or symbol is found."""
+    import ctypes
+    import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}",
+                     "openblas_get_{}"):
+            corename = getattr(lib, name.format("corename"), None)
+            if corename is not None:
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                threads = getattr(lib, name.format("num_threads"))
+                threads.argtypes, threads.restype = [], ctypes.c_int
+                return corename().decode(), threads()
+    return None, None
+
+
+def _cosine_workers(A: MatrixHandle) -> int:
+    """Threads for :func:`build_cosines`: the usable cores
+    (:func:`usable_cores`) where numpy's OpenBLAS runs one thread
+    (:func:`openblas`), as when OPENBLAS_NUM_THREADS=1, but no more than
+    the row blocks of a one-thread build; else 1, where BLAS threads the
+    GEMM itself or no OpenBLAS is found.  On 6000 x 500 with 2 cores
+    (BENCH_cosine_workers.json, medians of 15 alternating builds), one
+    BLAS thread built it in 0.346 s on one range and 0.209 s on two;
+    OpenBLAS's default two threads in 0.224 s on one range and 0.289 s on
+    two, which is why a threaded BLAS keeps one."""
+    if openblas()[1] != 1:
+        return 1
+    blocks = -(-A.m // max(1, 8 * _REACH_BLOCK // A.m))
+    return min(usable_cores(), blocks)
 
 
 def _cosine_bytes(m: int) -> int:
@@ -449,7 +502,7 @@ def _panel_heights(m: int) -> np.ndarray:
     return m - np.arange(0, m, _TILE)
 
 
-def build_cosines(A: MatrixHandle) -> int:
+def build_cosines(A: MatrixHandle, workers: int = 1) -> int:
     """Sets A.cosines = (panels, tile_rows, base), the row cosines of a
     dense handle, and returns their bytes: the lower triangle of C = D A
     A^T D, D = diag(1 / nu), nu_l = fl(sqrt(||a_l||^2)) (1 / 0 taken as 0,
@@ -464,15 +517,30 @@ def build_cosines(A: MatrixHandle) -> int:
     store viewed as (-1, b).  :func:`cosine_column` reads column i from
     these views.
 
-    A A^T is formed in float64 by BLAS-3 in row blocks of at most
-    _REACH_BLOCK * 8 entries, each block scaled by _COS_ONE / nu_l and
-    1 / nu_i, clipped, rounded to integers into int16 once and copied into
-    the panels it crosses.  Each entry of A A^T errs by at most gamma_n
-    |a_l| |a_i| and n 2^-1075 of underflow (Higham 2002, sec. 3.1), in any
-    order of summation; the two scalings round by eps/2 relative each, the
-    clip only moves a value toward the exact cosine, |C| <= 1, and the
-    rounding to the grid errs by at most 1/65534 absolute in C's units
-    (solvers.GramResidual bounds their effect)."""
+    A A^T is formed in float64 by BLAS-3 in row blocks, each block scaled
+    by _COS_ONE / nu_l and 1 / nu_i, clipped, rounded to integers into
+    int16 once and copied into the panels it crosses.  Each entry of A A^T
+    errs by at most gamma_n |a_l| |a_i| and n 2^-1075 of underflow (Higham
+    2002, sec. 3.1), in any order of summation; the two scalings round by
+    eps/2 relative each, the clip only moves a value toward the exact
+    cosine, |C| <= 1, and the rounding to the grid errs by at most 1/65534
+    absolute in C's units (solvers.GramResidual bounds their effect).
+
+    The rows are cut into `workers` contiguous ranges of about equal GEMM
+    work, rows below r taking r^2 / 2 products of rows of A, so cut j is
+    at m sqrt(j / workers); the first range is built on the calling
+    thread and each other on a thread of its own (numpy releases the
+    interpreter lock in the GEMM and the ufuncs), in
+    blocks of at most 8 _REACH_BLOCK / workers entries, so that the
+    ranges' buffers together hold no more than one range's would.  A range
+    writes only its own rows of the panels, and the GEMM sums an entry in
+    an order that the block's height and width do not change (OpenBLAS's
+    kernels: byte-equal stores for 1 to 7 ranges on 12 shapes from 1203 x
+    7 to 6000 x 500, with one BLAS thread and with two), so the store is
+    the same for any number of ranges; TestCosineWorkers pins it.
+    solvers.plan passes :func:`_cosine_workers`.  An exception in a range
+    is raised here once every range has ended; the diagonal tiles are
+    mirrored after."""
     m, b = A.m, _TILE
     norms = np.sqrt(A.row_norms_sq)
     inv = np.divide(1.0, norms, out=np.zeros(m), where=norms > 0.0)
@@ -481,24 +549,36 @@ def build_cosines(A: MatrixHandle) -> int:
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     store = np.zeros(offsets[-1], dtype=np.int16)
     panels = [store[o:o + k].reshape(-1, b) for o, k in zip(offsets, sizes)]
-    height = max(1, 8 * _REACH_BLOCK // m)
-    # one buffer of each type for every block: a fresh 8 MB block per
-    # GEMM would fault in its pages on every call
-    size = min(height, m) * m
-    wide, narrow = np.empty(size), np.empty(size, np.int16)
-    for s in range(0, m, height):
-        e = min(m, s + height)
-        block = np.matmul(A.dense[s:e], A.dense[:e].T,
-                          out=wide[:(e - s) * e].reshape(e - s, e))
-        block *= inv_one[s:e, None]
-        block *= inv[:e]
-        np.clip(block, -_COS_ONE, _COS_ONE, out=block)
-        block16 = narrow[:block.size].reshape(block.shape)
-        np.rint(block, out=block16, casting="unsafe")
-        for top in range(0, e, b):
-            lo = max(s, top)
-            tile = block16[lo - s:, top:top + b]
-            panels[top // b][lo - top:e - top, :tile.shape[1]] = tile
+
+    def rows(first: int, end: int) -> None:
+        height = max(1, 8 * _REACH_BLOCK // (workers * end))
+        # one buffer of each type for every block: a fresh 8 MB block per
+        # GEMM would fault in its pages on every call
+        size = min(height, end - first) * end
+        wide, narrow = np.empty(size), np.empty(size, np.int16)
+        for s in range(first, end, height):
+            e = min(end, s + height)
+            block = np.matmul(A.dense[s:e], A.dense[:e].T,
+                              out=wide[:(e - s) * e].reshape(e - s, e))
+            block *= inv_one[s:e, None]
+            block *= inv[:e]
+            np.clip(block, -_COS_ONE, _COS_ONE, out=block)
+            block16 = narrow[:block.size].reshape(block.shape)
+            np.rint(block, out=block16, casting="unsafe")
+            for top in range(0, e, b):
+                lo = max(s, top)
+                tile = block16[lo - s:, top:top + b]
+                panels[top // b][lo - top:e - top, :tile.shape[1]] = tile
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    cuts = sorted({round(m * math.sqrt(j / workers)) for j in range(workers + 1)})
+    # the first range on this thread, each other on a thread of its own
+    with ThreadPoolExecutor(max(1, len(cuts) - 2)) as pool:
+        rest = [pool.submit(rows, *r) for r in zip(cuts[1:-1], cuts[2:])]
+        rows(cuts[0], cuts[1])
+        for done in rest:
+            done.result()
     for panel in panels:  # the mirror: upper half of the diagonal tile
         h = min(b, len(panel))
         tile, upper = panel[:h, :h], np.triu_indices(h, 1)

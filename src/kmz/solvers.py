@@ -976,7 +976,9 @@ def plan(method: str, A: mx.MatrixHandle, b: np.ndarray, budget: bool,
       cosines    the row cosines, for a GramResidual: EMRK/MEMRK on a dense
                  handle of at least _SHADOW_MIN_ENTRIES entries (n < 2^22
                  keeps g32 below 1) where they fit (_fits_cosines) and are
-                 built or repaid.
+                 built or repaid; on _cosine_workers threads, which the
+                 log line names: one per usable core where OpenBLAS runs
+                 one thread, else one.
       float32    else A's float32 copy, for a ResidualShadow where it is
                  finite; made per solve, as it would hold 4 m n bytes.
       row_reach  row_reach, and A^T A where _keeps_gram holds (formed, and
@@ -998,8 +1000,10 @@ def plan(method: str, A: mx.MatrixHandle, b: np.ndarray, budget: bool,
             if mx._fits_cosines(A) and (A.cosines is not None
                                         or max_outer >= A.m):
                 if A.cosines is None:
+                    workers = mx._cosine_workers(A)
                     with _timed(builds, "cosines", A) as made:
-                        made["bytes"] = mx.build_cosines(A)
+                        made["bytes"] = mx.build_cosines(A, workers)
+                        made["note"] = f" on {workers} thread" + "s" * (workers > 1)
                 return GramResidual(A, b), builds
             with _timed(builds, "float32", A) as made:
                 A32 = mx.single_copy(A)  # None beyond the float32 range

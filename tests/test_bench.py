@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmz import bench, solvers
+from kmz import matrix as mx
 from kmz import problems as pb
 from kmz.errors import ConfigError, DivergenceError, KmzError
 
@@ -297,7 +298,8 @@ class TestEmission:
         assert env["numpy"] == np.__version__
         assert env["python"].count(".") == 2 and env["scipy"]
         assert set(env["blas"]) == {"name", "version"}
-        assert isinstance(env["nproc"], int) and env["nproc"] >= 1
+        assert env["openblas"] == dict(zip(("core", "threads"), mx.openblas()))
+        assert env["nproc"] == mx.usable_cores() >= 1
         git = env["git"]
         assert set(git) == {"revision", "dirty"}
         if git["revision"] is None:

@@ -1,9 +1,10 @@
-"""The dense path imports no scipy submodule.
+"""The dense path imports no scipy submodule, and with emit_meta no scipy.
 
 scipy.sparse and scipy.io hold about 22 MB of a kmz process, and the dense
 path (problem generation, the SVD oracle, the five solvers and the bench
 harness) needs numpy alone, so kmz imports them where a CSR handle, the
-sparse or tomography generators, or Matrix Market I/O first needs them.  The
+sparse or tomography generators, or Matrix Market I/O first needs them;
+bench.environment reads scipy's version from its installed metadata.  The
 check runs in a fresh interpreter: this one has imported scipy already.
 """
 
@@ -40,6 +41,10 @@ dense = problems.make_gaussian(problems.DENSE, 200, 50, 0, rank_deficient=True)
 oracle.spectral_profile(dense.A)
 assert loaded() == [], "the dense path imported " + ", ".join(
     sorted({".".join(name.split(".")[:2]) for name in loaded()}))
+with tempfile.TemporaryDirectory() as tmp:
+    bench.emit_meta(spec, Path(tmp) / "meta.json")  # scipy's version unimported
+assert not any(name.split(".")[0] == "scipy" for name in sys.modules), \
+    "a dense emit_meta imported scipy"
 
 sparse = problems.make_gaussian(problems.SPARSE, 120, 30, 1, density=0.3)
 assert sparse.A.csr is not None and "scipy.sparse" in sys.modules

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 
@@ -434,7 +435,87 @@ class TestRowCosines:
         assert A.cosines is not None and "cosines" in builds
         lines = [r.getMessage() for r in caplog.records
                  if "built cosines of a 30 x 4 matrix: " in r.getMessage()]
-        assert len(lines) == 1 and lines[0].endswith(" s, 0.0 MB")
+        assert len(lines) == 1 and lines[0].endswith(" s, 0.0 MB on 1 thread")
+
+
+class TestCosineWorkers:
+    """build_cosines over several row ranges, one thread each, gives the
+    store of one range byte for byte; matrix._cosine_workers sets how many
+    ranges a solve's plan asks for."""
+
+    @staticmethod
+    def entries(m: int, n: int = 40) -> np.ndarray:
+        rng = np.random.default_rng(m)
+        entries = rng.standard_normal((m, n)) * np.logspace(-2, 2, m)[:, None]
+        entries[5] = 0.0
+        entries[m - 3] = entries[3]
+        return entries
+
+    def test_ranges_give_the_same_store(self):
+        # 1203 rows: not a multiple of a tile, and the cuts at 1203
+        # sqrt(j / k) fall inside tiles for 2 and 3 ranges
+        m = 1203
+        assert all(round(m * np.sqrt(j / k)) % mx._TILE
+                   for k in (2, 3) for j in range(1, k))
+        entries = self.entries(m)
+        stores = []
+        for workers in (1, 2, 3):
+            A = mx.from_dense(entries)
+            assert mx.build_cosines(A, workers) == mx._cosine_bytes(m)
+            stores.append(A.cosines[1].tobytes())
+        assert stores[1] == stores[0] and stores[2] == stores[0]
+        assert_matches_packed(A)
+
+    def test_more_workers_than_row_blocks(self, monkeypatch):
+        # 300 rows are one block of a one-range build; 8 ranges of a few
+        # dozen rows, on more threads than cores, with the interpreter
+        # switching threads as often as it can
+        entries = self.entries(300, 7)
+        assert 8 * mx._REACH_BLOCK // 300 >= 300
+        monkeypatch.setattr(mx, "openblas", lambda: ("core", 1))
+        monkeypatch.setattr(mx, "usable_cores", lambda: 8)
+        assert mx._cosine_workers(mx.from_dense(entries)) == 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            A = mx.from_dense(entries)
+            mx.build_cosines(A, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_matches_packed(A)
+
+    def test_gate(self, monkeypatch):
+        A = mx.from_dense(self.entries(1203))  # two blocks of one range
+        monkeypatch.setattr(mx, "usable_cores", lambda: 4)
+        for probe, workers in (((None, None), 1), (("core", 2), 1),
+                               (("core", 1), 2)):
+            monkeypatch.setattr(mx, "openblas", lambda: probe)
+            assert mx._cosine_workers(A) == workers, probe
+        monkeypatch.setattr(mx, "usable_cores", lambda: 1)
+        assert mx._cosine_workers(A) == 1
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        matmul = np.matmul
+
+        def failing(a, b, out):  # in the second range's blocks only
+            if out.shape[1] > 851:
+                raise RuntimeError("range failed")
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", failing)
+        A = mx.from_dense(self.entries(1203))
+        with pytest.raises(RuntimeError, match="range failed"):
+            mx.build_cosines(A, 2)
+        assert A.cosines is None
+
+    def test_plan_logs_the_threads(self, caplog, monkeypatch):
+        monkeypatch.setattr(mx, "_cosine_workers", lambda A: 2)
+        A = mx.from_dense(self.entries(1203, 300))
+        with caplog.at_level("INFO", logger="kmz.solvers"):
+            sv.plan(sv.EMRK, A, np.ones(A.m), False, A.m)
+        assert any(r.getMessage().endswith(" MB on 2 threads")
+                   for r in caplog.records)
+        assert_matches_packed(A)
 
 
 class TestMatrixMarket:

@@ -24,11 +24,8 @@ differs, the fields that do (`differing_fields`), so a regeneration that
 moves only counters can be told from one that moves iterates.
 """
 
-import ctypes
-import glob
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -60,27 +57,9 @@ BUDGET = 500       # iterations of the budget mode
 TRACE_EVERY = 37
 
 
-def openblas() -> tuple[str | None, int | None]:
-    """(core, threads): the core OpenBLAS dispatches to and the number of
-    threads it runs, read from numpy's bundled library; (None, None) where
-    no such library or symbol is found."""
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}",
-                     "openblas_get_{}"):
-            corename = getattr(lib, name.format("corename"), None)
-            if corename is not None:
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                threads = getattr(lib, name.format("num_threads"))
-                threads.argtypes, threads.restype = [], ctypes.c_int
-                return corename().decode(), threads()
-    return None, None
-
-
 def environment_key() -> str:
     env = bench.environment()
-    core, threads = openblas()
+    core, threads = mx.openblas()
     return (f"numpy {env['numpy']}; blas {env['blas']['name']} "
             f"{env['blas']['version']}; core {core}; threads {threads}")
 
