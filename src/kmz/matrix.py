@@ -25,8 +25,8 @@ two bytes an entry.  The builders (build_rows, build_row_reach,
 build_cosines) are called by solvers.plan, which evaluates their gates
 (_keeps_rows, _keeps_gram, _fits_cosines, _cosine_workers) and times them;
 no property or kernel builds anything.  build_cosines splits its rows over
-one thread per usable core where numpy's OpenBLAS runs one thread itself
-(openblas), into a store that is the same byte for byte however many.
+two threads where numpy's OpenBLAS runs one thread itself (openblas), into
+a store that was the same byte for byte on every shape tried.
 Handles come from from_dense, from_scipy and read_matrix_market.
 scipy.sparse and scipy.io are imported by the functions that use them
 (from_scipy and the Matrix Market I/O), so a dense handle needs numpy
@@ -171,6 +171,8 @@ class MatrixHandle:
 _F32_MAX = float(np.finfo(np.float32).max)
 # Entries of the largest temporary block that build_row_reach forms at once.
 _REACH_BLOCK = 1 << 17
+# Most threads build_cosines runs (_cosine_workers): the count measured.
+_COSINE_WORKERS = 2
 # A CSR handle's A^T A is built from dense row blocks when sum_i nnz(a_i)^2,
 # the flops of the sparse product, reaches m n^2 / _DENSE_GRAM_RATIO.  For
 # n = 400-500 the dense blocks were measured faster from density 0.1 on,
@@ -253,19 +255,21 @@ def openblas() -> tuple[str | None, int | None]:
 
 
 def _cosine_workers(A: MatrixHandle) -> int:
-    """Threads for :func:`build_cosines`: the usable cores
-    (:func:`usable_cores`) where numpy's OpenBLAS runs one thread
-    (:func:`openblas`), as when OPENBLAS_NUM_THREADS=1, but no more than
-    the row blocks of a one-thread build; else 1, where BLAS threads the
+    """Threads for :func:`build_cosines`: two where numpy's OpenBLAS runs
+    one thread (:func:`openblas`), as when OPENBLAS_NUM_THREADS=1, and the
+    process may run on two cores (:func:`usable_cores`) and a one-thread
+    build makes at least two row blocks; else 1, where BLAS threads the
     GEMM itself or no OpenBLAS is found.  On 6000 x 500 with 2 cores
     (BENCH_cosine_workers.json, medians of 15 alternating builds), one
     BLAS thread built it in 0.346 s on one range and 0.209 s on two;
     OpenBLAS's default two threads in 0.224 s on one range and 0.289 s on
-    two, which is why a threaded BLAS keeps one."""
+    two, which is why a threaded BLAS keeps one.  Two is the most that
+    has been timed: more would shorten every range's blocks further, and
+    a process pinned to one BLAS thread may share its cores with others."""
     if openblas()[1] != 1:
         return 1
     blocks = -(-A.m // max(1, 8 * _REACH_BLOCK // A.m))
-    return min(usable_cores(), blocks)
+    return min(_COSINE_WORKERS, usable_cores(), blocks)
 
 
 def _cosine_bytes(m: int) -> int:
@@ -530,14 +534,18 @@ def build_cosines(A: MatrixHandle, workers: int = 1) -> int:
     work, rows below r taking r^2 / 2 products of rows of A, so cut j is
     at m sqrt(j / workers); the first range is built on the calling
     thread and each other on a thread of its own (numpy releases the
-    interpreter lock in the GEMM and the ufuncs), in
-    blocks of at most 8 _REACH_BLOCK / workers entries, so that the
-    ranges' buffers together hold no more than one range's would.  A range
-    writes only its own rows of the panels, and the GEMM sums an entry in
-    an order that the block's height and width do not change (OpenBLAS's
-    kernels: byte-equal stores for 1 to 7 ranges on 12 shapes from 1203 x
-    7 to 6000 x 500, with one BLAS thread and with two), so the store is
-    the same for any number of ranges; TestCosineWorkers pins it.
+    interpreter lock in the GEMM and the ufuncs), in blocks of equal
+    height within a range and of at most 8 _REACH_BLOCK / workers
+    entries, so that the ranges' buffers together hold no more than one
+    range's would.  A range writes only its own rows of the panels.  The
+    float64 block does depend on its shape in the last bits (numpy hands
+    a one-row block to GEMV and a block from row 0 to SYRK, which sum in
+    other orders than GEMM; no block here has one row), by at most 2 gamma_n
+    |a_l| |a_i|, which moves _COS_ONE C by at most 2 _COS_ONE gamma_n
+    (3.6e-9 at n = 500), so a rounded entry can move by one only where
+    _COS_ONE C lies that close to a half-integer.  The stores were
+    byte-equal for 1 to 7 ranges on 12 shapes from 1203 x 7 to 6000 x 500,
+    with one BLAS thread and with two, and TestCosineWorkers pins it.
     solvers.plan passes :func:`_cosine_workers`.  An exception in a range
     is raised here once every range has ended; the diagonal tiles are
     mirrored after."""
@@ -552,9 +560,13 @@ def build_cosines(A: MatrixHandle, workers: int = 1) -> int:
 
     def rows(first: int, end: int) -> None:
         height = max(1, 8 * _REACH_BLOCK // (workers * end))
+        # blocks of equal height, so that none is left with one row,
+        # which numpy hands to GEMV
+        count = -(-(end - first) // height)
+        height = -(-(end - first) // count)
         # one buffer of each type for every block: a fresh 8 MB block per
         # GEMM would fault in its pages on every call
-        size = min(height, end - first) * end
+        size = height * end
         wide, narrow = np.empty(size), np.empty(size, np.int16)
         for s in range(first, end, height):
             e = min(end, s + height)

@@ -977,8 +977,8 @@ def plan(method: str, A: mx.MatrixHandle, b: np.ndarray, budget: bool,
                  handle of at least _SHADOW_MIN_ENTRIES entries (n < 2^22
                  keeps g32 below 1) where they fit (_fits_cosines) and are
                  built or repaid; on _cosine_workers threads, which the
-                 log line names: one per usable core where OpenBLAS runs
-                 one thread, else one.
+                 log line names: two where OpenBLAS runs one thread and
+                 two cores are usable, else one.
       float32    else A's float32 copy, for a ResidualShadow where it is
                  finite; made per solve, as it would hold 4 m n bytes.
       row_reach  row_reach, and A^T A where _keeps_gram holds (formed, and

@@ -494,6 +494,30 @@ class TestCosineWorkers:
         monkeypatch.setattr(mx, "usable_cores", lambda: 1)
         assert mx._cosine_workers(A) == 1
 
+    def test_largest_gate_count_keeps_gemm_blocks(self, monkeypatch):
+        # 2049 rows make five blocks of 511 in a one-range build; however
+        # many cores, the gate asks for two ranges, whose blocks are of
+        # equal height within a range, none a single row (numpy's GEMV)
+        entries = self.entries(2049)
+        one_range = 8 * mx._REACH_BLOCK // 2049
+        monkeypatch.setattr(mx, "openblas", lambda: ("core", 1))
+        monkeypatch.setattr(mx, "usable_cores", lambda: 64)
+        workers = mx._cosine_workers(mx.from_dense(entries))
+        assert workers == mx._COSINE_WORKERS == 2
+        matmul, heights = np.matmul, []
+
+        def recording(a, b, out):
+            heights.append(len(a))
+            return matmul(a, b, out=out)
+
+        A = mx.from_dense(entries)
+        mx.build_cosines(A)
+        serial = A.cosines[1].tobytes()
+        monkeypatch.setattr(np, "matmul", recording)
+        mx.build_cosines(A, workers)
+        assert sum(heights) == 2049 and min(heights) >= one_range // 4
+        assert A.cosines[1].tobytes() == serial
+
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         matmul = np.matmul
 
